@@ -40,7 +40,7 @@ from .constructible import (
     normalize,
     zero_function,
 )
-from .distance import sum_bound
+from .distance import bottleneck_bound
 from .flags import build_flag, graded_sheaf
 from .geometry import (
     Norm,
@@ -218,7 +218,7 @@ def verify(
     for k, step in enumerate(cert.steps):
         check_equal(local_euler(step.left), step.chi_left, f"left local euler mismatch at step {k}")
         check_equal(local_euler(step.right), step.chi_right, f"right local euler mismatch at step {k}")
-        recomputed, _ = sum_bound(step.left, step.right, norm)
+        recomputed = bottleneck_bound(step.left, step.right, norm)
         if not recomputed.leq(RoundedReal(step.declared_bound.value + tol)):
             failures.append(f"bound understated at step {k}")
         if step.declared_bound.value > cert.epsilon + tol:

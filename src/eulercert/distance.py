@@ -17,19 +17,29 @@ Only upper bounds are ever produced, assembled from summand-level rules:
   if one is an exact translate of the other, and otherwise (or across
   shifts) the sum of the two vanishing bounds via the triangle inequality.
 
-Sums of summands are bounded through additivity over any partial bijection
-of unit-multiplicity summands: the bound is the maximum of the matched pair
-bounds and the unmatched-to-zero bounds, minimized over bijections as a
-bottleneck assignment (binary search over the candidate costs, feasibility
-by bipartite matching).  Ties are broken toward the lexicographically
-smallest matching, so results are deterministic.
+Sums are bounded through additivity over any partial bijection of unit
+copies: the maximum of the matched pair bounds and the unmatched-to-zero
+bounds, minimized over bijections.  This bottleneck b-matching is solved on
+summands, multiplicities as capacities.  At a threshold tau, a summand whose
+vanishing bound exceeds tau is forced (every copy matched).  Dominance lemma:
+a difference pair costing the triangle bound v_a + v_b never helps, since
+leaving both unmatched costs max(v_a, v_b); this holds for every input.  So
+the only edges are plain pairs of equal shift and equal or exactly translated
+differences of equal shift cheaper than v_a + v_b.  By Mendelsohn-Dulmage
+both forced sides saturate at once iff each does alone: two max-flows by
+augmenting paths.  The bound is the least feasible candidate among 0, the
+vanishing bounds and the edge costs.  The matching returned is the
+lexicographically least optimal one in unit indices, unmatched last; copies
+being interchangeable, each left summand gives each right summand in turn as
+many copies as keep both flows saturated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import accumulate
+from typing import Optional
 
 from .geometry import (
     Norm,
@@ -74,26 +84,6 @@ INFINITE = Bound(None)
 ZERO_BOUND = Bound(ZERO_REAL)
 
 
-def bound_of(r: RoundedReal) -> Bound:
-    return Bound(r)
-
-
-def _bound_add(a: Bound, b: Bound) -> Bound:
-    if a.value is None or b.value is None:
-        return INFINITE
-    return Bound(a.value + b.value)
-
-
-def _bound_min(bounds: Sequence[Bound]) -> Bound:
-    best = INFINITE
-    for b in bounds:
-        if b.value is None:
-            continue
-        if best.value is None or b.value.value < best.value.value:
-            best = b
-    return best
-
-
 @dataclass(frozen=True)
 class Matching:
     """Partial bijection on unit-multiplicity summand expansions."""
@@ -110,6 +100,29 @@ def _vanishing(s: Summand, norm: Norm) -> Bound:
     return Bound(directed_hausdorff(sup.outer, sup.inner, norm).half())
 
 
+def _pair_rule(a: Summand, b: Summand, va: Bound, vb: Bound, norm: Norm) -> Bound:
+    """Bound between two nonzero summands whose vanishing bounds are va, vb."""
+    if a.support.outer.dimension != b.support.outer.dimension:
+        raise ValueError("dimension mismatch")
+    da, db = a.support.is_difference, b.support.is_difference
+    if not da and not db:
+        if a.shift != b.shift:
+            return INFINITE
+        return Bound(hausdorff(a.support.outer, b.support.outer, norm))
+    if da != db:
+        return INFINITE  # global sections k vs 0
+    if a.shift == b.shift and a.support == b.support:
+        return ZERO_BOUND
+    triangle = Bound(va.value + vb.value)  # through zero; both are finite
+    if a.shift == b.shift:
+        v = vsub(b.support.outer.vertices[0], a.support.outer.vertices[0])
+        if translate(a.support.outer, v) == b.support.outer and translate(a.support.inner, v) == b.support.inner:
+            moved = norm_value(v, norm)
+            if moved.value < triangle.value.value:
+                return Bound(moved)
+    return triangle
+
+
 def pair_bound(a: Optional[Summand], b: Optional[Summand], norm: Norm = Norm.L2) -> Bound:
     """Certified bound between two summands, either possibly zero.
 
@@ -122,183 +135,168 @@ def pair_bound(a: Optional[Summand], b: Optional[Summand], norm: Norm = Norm.L2)
         return _vanishing(b, norm)
     if b is None:
         return _vanishing(a, norm)
-    if a.support.outer.dimension != b.support.outer.dimension:
-        raise ValueError("dimension mismatch")
-    da, db = a.support.is_difference, b.support.is_difference
-    if not da and not db:
-        if a.shift != b.shift:
-            return INFINITE
-        return Bound(hausdorff(a.support.outer, b.support.outer, norm))
-    if da != db:
-        return INFINITE  # global sections k vs 0
-    candidates = [_bound_add(_vanishing(a, norm), _vanishing(b, norm))]
-    if a.shift == b.shift:
-        if a.support == b.support:
-            candidates.append(ZERO_BOUND)
-        else:
-            v = vsub(b.support.outer.vertices[0], a.support.outer.vertices[0])
-            if (
-                translate(a.support.outer, v) == b.support.outer
-                and a.support.inner is not None
-                and b.support.inner is not None
-                and translate(a.support.inner, v) == b.support.inner
-            ):
-                candidates.append(Bound(norm_value(v, norm)))
-    return _bound_min(candidates)
+    return _pair_rule(a, b, _vanishing(a, norm), _vanishing(b, norm), norm)
 
 
-def _expand(s: SheafSum) -> list[Summand]:
-    out = []
-    for sm in s.summands:
-        unit = Summand(sm.support, sm.shift, 1)
-        out.extend([unit] * sm.multiplicity)
-    return out
+def _bucket(s: Summand) -> tuple:
+    """Key shared by possible edge ends: plain summands of one shift, and
+    differences of one shift that are equal or exact translates of each other."""
+    if not s.support.is_difference:
+        return (s.shift,)
+    origin = s.support.outer.vertices[0]
+    polys = (s.support.outer, s.support.inner)
+    return (s.shift,) + tuple(tuple(vsub(p, origin) for p in q.vertices) for q in polys)
 
 
-def _kuhn_saturates(
-    required: list[int],
-    n_right: int,
-    adj: list[list[int]],
-    right_required: bool = False,
-) -> bool:
-    """Can every `required` left vertex be matched (Kuhn augmenting paths)?
+SOURCE, SINK = "source", "sink"
 
-    With right_required, `required` lists right vertices instead and adj is
-    still left-to-right.
+
+class _Flow:
+    """Max-flow from a source via supply nodes and arcs to demand nodes and a sink.
+
+    `saturated` tells whether every demand can be met.  Copies matched along
+    an arc can then be taken out while the flow reroutes to stay saturated.
     """
-    if right_required:
-        radj: list[list[int]] = [[] for _ in range(n_right)]
-        for u, nbrs in enumerate(adj):
-            for v in nbrs:
-                radj[v].append(u)
-        match: list[int] = [-1] * len(adj)
 
-        def try_right(v: int, seen: list[bool]) -> bool:
-            for u in radj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    if match[u] < 0 or try_right(match[u], seen):
-                        match[u] = v
-                        return True
-            return False
+    def __init__(self, supply: dict, demand: dict, arcs: list) -> None:
+        self.demand = demand
+        self.res: dict = {SOURCE: {}, SINK: {}}
+        for u, v, cap in (
+            [(SOURCE, u, c) for u, c in supply.items()]
+            + [(w, SINK, c) for w, c in demand.items()]
+            + [(u, w, supply[u]) for u, w in arcs]
+        ):
+            self.res.setdefault(u, {})[v] = cap
+            self.res.setdefault(v, {})[u] = 0
+        need = sum(demand.values())
+        self.saturated = self._push(SOURCE, SINK, need) == need
 
-        return all(try_right(v, [False] * len(adj)) for v in required)
+    def take(self, u, w, limit: int) -> int:
+        """Take out up to `limit` copies matched from u to w; return how many."""
+        return self._push(w if w in self.demand else SOURCE, u, limit)
 
-    match_r: list[int] = [-1] * n_right
+    def give_back(self, u, w, k: int) -> None:
+        self._push(u, w if w in self.demand else SOURCE, k)
 
-    def try_left(u: int, seen: list[bool]) -> bool:
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_r[v] < 0 or try_left(match_r[v], seen):
-                    match_r[v] = u
-                    return True
-        return False
+    def _push(self, src, dst, limit: int) -> int:
+        """Send up to `limit` units from src to dst along shortest residual paths."""
+        sent = 0
+        while sent < limit:
+            prev = {src: src}
+            queue = [src]
+            for u in queue:
+                for v, cap in self.res.get(u, {}).items():
+                    if cap > 0 and v not in prev:
+                        prev[v] = u
+                        queue.append(v)
+                if dst in prev:
+                    break
+            if dst not in prev:
+                break
+            path, v = [], dst
+            while v != src:
+                path.append((prev[v], v))
+                v = prev[v]
+            amount = min([limit - sent] + [self.res[u][v] for u, v in path])
+            for u, v in path:
+                self.res[u][v] -= amount
+                self.res[v][u] += amount
+            sent += amount
+        return sent
 
-    return all(try_left(u, [False] * n_right) for u in required)
+
+class _Matcher:
+    """Summand-level data of one bottleneck b-matching problem."""
+
+    def __init__(self, f: SheafSum, g: SheafSum, norm: Norm) -> None:
+        if f.dimension != g.dimension:
+            raise ValueError("dimension mismatch")
+        self.left, self.right = f.summands, g.summands
+        vanishing: dict = {}
+        for s in self.left + self.right:
+            if s.support not in vanishing:
+                vanishing[s.support] = _vanishing(s, norm)
+        vf = [vanishing[a.support] for a in self.left]
+        vg = [vanishing[b.support] for b in self.right]
+        self.fv = [None if b.value is None else b.value.value for b in vf]
+        self.gv = [None if b.value is None else b.value.value for b in vg]
+        buckets: dict = {}
+        for i, a in enumerate(self.left):
+            buckets.setdefault(_bucket(a), []).append(i)
+        self.edges: dict[tuple[int, int], RoundedReal] = {}
+        for j, b in enumerate(self.right):
+            for i in buckets.get(_bucket(b), ()):
+                cost = _pair_rule(self.left[i], b, vf[i], vg[j], norm).value
+                if cost is not None and (self.fv[i] is None or cost.value < self.fv[i] + self.gv[j]):
+                    self.edges[i, j] = cost
+        reals = {Fraction(0): ZERO_REAL}
+        for r in [b.value for b in vf + vg if b.value is not None] + list(self.edges.values()):
+            reals.setdefault(r.value, r)
+        self.tau, self.flows = self._solve(sorted(reals))
+        self.bound = INFINITE if self.tau is None else Bound(reals[self.tau])
+
+    def _flows(self, tau: Fraction) -> tuple[_Flow, _Flow]:
+        """Forced left summands filled from right capacities, and the mirror."""
+        ok = [e for e, cost in self.edges.items() if cost.value <= tau]
+        left = {("f", i): a.multiplicity for i, a in enumerate(self.left)}
+        right = {("g", j): b.multiplicity for j, b in enumerate(self.right)}
+        forced_f = {("f", i): left["f", i] for i, v in enumerate(self.fv) if v is None or v > tau}
+        forced_g = {("g", j): right["g", j] for j, v in enumerate(self.gv) if v is None or v > tau}
+        return (
+            _Flow(right, forced_f, [(("g", j), ("f", i)) for i, j in ok if ("f", i) in forced_f]),
+            _Flow(left, forced_g, [(("f", i), ("g", j)) for i, j in ok if ("g", j) in forced_g]),
+        )
+
+    def _solve(self, candidates: list[Fraction]) -> tuple[Optional[Fraction], Optional[tuple]]:
+        """The least feasible threshold with its saturated flows, or Nones."""
+        lo, hi, best = 0, len(candidates) - 1, (None, None)
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            flows = self._flows(candidates[mid])
+            if flows[0].saturated and flows[1].saturated:
+                best, hi = (candidates[mid], flows), mid - 1
+            else:
+                lo = mid + 1
+        return best
+
+    def lex_matching(self) -> Matching:
+        flows, tau = self.flows, self.tau  # both None when the bound is infinite
+        rem = [a.multiplicity for a in self.left]
+        cap = [b.multiplicity for b in self.right]
+        ends_f, ends_g = list(accumulate(rem)), list(accumulate(cap))
+        pairs: list[tuple[int, int]] = []
+        for i in range(len(rem)) if tau is not None else ():
+            for j in range(len(cap)):
+                if not (rem[i] and cap[j] and self._ok(i, j, tau)):
+                    continue
+                # copies given to j leave both problems; what one flow takes
+                # and the other cannot, it gives back (never today: every edge
+                # joins summands of equal vanishing bound, so the flows agree)
+                k = flows[0].take(("g", j), ("f", i), min(rem[i], cap[j]))
+                kept = flows[1].take(("f", i), ("g", j), k)
+                flows[0].give_back(("g", j), ("f", i), k - kept)
+                first = ends_f[i] - rem[i]
+                pairs.extend(zip(range(first, first + kept), range(ends_g[j] - cap[j], ends_g[j])))
+                rem[i] -= kept
+                cap[j] -= kept
+
+        def tails(ends: list[int], left_over: list[int]) -> tuple[int, ...]:
+            return tuple(u for end, n in zip(ends, left_over) for u in range(end - n, end))
+
+        return Matching(tuple(pairs), tails(ends_f, rem), tails(ends_g, cap))
+
+    def _ok(self, i: int, j: int, tau: Fraction) -> bool:
+        """Whether the pair costs at most tau, dominated pairs included."""
+        cost, a, b = self.edges.get((i, j)), self.fv[i], self.gv[j]
+        return (cost is not None and cost.value <= tau) or (a is not None and b is not None and a + b <= tau)
+
+
+def bottleneck_bound(f: SheafSum, g: SheafSum, norm: Norm = Norm.L2) -> Bound:
+    """The minimized bottleneck bound of `sum_bound`, without the matching."""
+    return _Matcher(f, g, norm).bound
 
 
 def sum_bound(f: SheafSum, g: SheafSum, norm: Norm = Norm.L2) -> tuple[Bound, Matching]:
     """Minimized bottleneck bound over partial bijections, with the matching."""
-    if f.dimension != g.dimension:
-        raise ValueError("dimension mismatch")
-    lf = _expand(f)
-    lg = _expand(g)
-    cache: dict = {}
-
-    def pb(a: Optional[Summand], b: Optional[Summand]) -> Bound:
-        key = (None if a is None else (a.support, a.shift), None if b is None else (b.support, b.shift))
-        if key not in cache:
-            cache[key] = pair_bound(a, b, norm)
-        return cache[key]
-
-    costs = [[pb(a, b) for b in lg] for a in lf]
-    zf = [pb(a, None) for a in lf]
-    zg = [pb(None, b) for b in lg]
-
-    values: set[Fraction] = {Fraction(0)}
-    reals: dict[Fraction, RoundedReal] = {Fraction(0): ZERO_REAL}
-    for row in costs:
-        for b in row:
-            if b.value is not None:
-                values.add(b.value.value)
-                reals.setdefault(b.value.value, b.value)
-    for b in zf + zg:
-        if b.value is not None:
-            values.add(b.value.value)
-            reals.setdefault(b.value.value, b.value)
-    candidates = sorted(values)
-
-    def feasible(tau: Fraction) -> bool:
-        adj = [
-            [j for j, b in enumerate(costs[i]) if b.value is not None and b.value.value <= tau]
-            for i in range(len(lf))
-        ]
-        forced_f = [i for i, b in enumerate(zf) if b.value is None or b.value.value > tau]
-        forced_g = [j for j, b in enumerate(zg) if b.value is None or b.value.value > tau]
-        # a matching saturating both forced sides exists iff each side is
-        # separately saturable (Mendelsohn-Dulmage)
-        return _kuhn_saturates(forced_f, len(lg), adj) and _kuhn_saturates(
-            forced_g, len(lg), adj, right_required=True
-        )
-
-    lo, hi = 0, len(candidates) - 1
-    if not feasible(candidates[hi]):
-        return INFINITE, Matching((), tuple(range(len(lf))), tuple(range(len(lg))))
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(candidates[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    tau = candidates[lo]
-
-    pairs = _lex_matching(costs, zf, zg, tau, len(lf), len(lg))
-    used_g = {j for _, j in pairs}
-    matching = Matching(
-        tuple(pairs),
-        tuple(i for i in range(len(lf)) if i not in {p[0] for p in pairs}),
-        tuple(j for j in range(len(lg)) if j not in used_g),
-    )
-    return Bound(reals[tau]), matching
-
-
-def _lex_matching(
-    costs: list[list[Bound]],
-    zf: list[Bound],
-    zg: list[Bound],
-    tau: Fraction,
-    nf: int,
-    ng: int,
-) -> list[tuple[int, int]]:
-    def ok(b: Bound) -> bool:
-        return b.value is not None and b.value.value <= tau
-
-    def completable(next_i: int, used: set[int]) -> bool:
-        rem_f = list(range(next_i, nf))
-        free_g = sorted(set(range(ng)) - used)
-        remap = {j: idx for idx, j in enumerate(free_g)}
-        adj = [[remap[j] for j in free_g if ok(costs[i][j])] for i in rem_f]
-        forced_f = [k for k, i in enumerate(rem_f) if not ok(zf[i])]
-        forced_g = [remap[j] for j in free_g if not ok(zg[j])]
-        return _kuhn_saturates(forced_f, len(free_g), adj) and _kuhn_saturates(
-            forced_g, len(free_g), adj, right_required=True
-        )
-
-    pairs: list[tuple[int, int]] = []
-    used: set[int] = set()
-    for i in range(nf):
-        options = [j for j in range(ng) if j not in used and ok(costs[i][j])]
-        chosen = -1
-        for j in options:
-            used.add(j)
-            if completable(i + 1, used):
-                chosen = j
-                break
-            used.remove(j)
-        if chosen >= 0:
-            pairs.append((i, chosen))
-        else:
-            # tau is feasible, so some optimal completion leaves i unmatched
-            assert ok(zf[i])
-    return pairs
+    matcher = _Matcher(f, g, norm)
+    return matcher.bound, matcher.lex_matching()

@@ -9,8 +9,8 @@ from typing import Optional, Sequence
 
 from eulercert.constructible import ConstructibleFunction, from_terms
 from eulercert.distance import Bound, pair_bound
-from eulercert.geometry import Norm, Point, Polytope, from_vertices, vadd, vscale
-from eulercert.sheafsum import SheafSum, Summand, difference, plain, sheaf_sum
+from eulercert.geometry import Norm, Point, Polytope, from_vertices, translate, vadd, vscale
+from eulercert.sheafsum import SheafSum, Summand, Support, difference, plain, sheaf_sum
 from eulercert.geometry import homothet
 
 
@@ -78,6 +78,30 @@ def rand_sheaf(
                 continue
         summands.append(plain(outer, shift, mult))
     return sheaf_sum(dim, summands)
+
+
+def rand_nearby_sheaf(rng: random.Random, s: SheafSum, max_mult: int = 3, reach: int = 4) -> SheafSum:
+    """A sheaf with the global sections of s, mostly built from its summands.
+
+    Plain summands keep shift and multiplicity and may move by a translation
+    of up to `reach` per coordinate; differences are kept, translated by up to
+    1, moved to another shift or dropped, with a fresh multiplicity, and one
+    random difference may be added.
+    """
+    dim = s.dimension
+    out = []
+    for sm in s.summands:
+        sup = sm.support
+        r = 1 if sup.is_difference else reach
+        v = rand_point(rng, dim, -r, r)
+        moved = Support(translate(sup.outer, v), None if sup.inner is None else translate(sup.inner, v))
+        if sup.inner is None:
+            out.append(Summand(rng.choice([sup, moved]), sm.shift, sm.multiplicity))
+        elif rng.random() < 0.8:
+            shift = sm.shift + rng.choice([0, 0, 1])
+            out.append(Summand(rng.choice([sup, moved]), shift, rng.randint(1, max_mult)))
+    extra = [x for x in rand_sheaf(rng, dim, 1, max_mult=max_mult).summands if x.support.is_difference]
+    return sheaf_sum(dim, out + extra)
 
 
 # --- independent oracles -----------------------------------------------------
@@ -163,6 +187,48 @@ def brute_bottleneck(
                 elif worst is not None and (best is None or worst < best):
                     best = worst
     return best
+
+
+def brute_lex_matching(
+    left: Sequence[Summand], right: Sequence[Summand], norm: Norm = Norm.L2
+) -> Optional[tuple[int, ...]]:
+    """Lexicographically least optimal partial bijection, by exhaustion.
+
+    Entry i is the right unit matched to left unit i, or len(right) when i
+    stays unmatched, so an unmatched unit ranks after every partner.  The
+    least tuple is taken over all partial bijections of optimal value; None
+    when every partial bijection has an infinite bound.
+    """
+    nf, ng = len(left), len(right)
+
+    def val(b: Bound) -> Optional[Fraction]:
+        return None if b.value is None else b.value.value
+
+    cost = [[val(pair_bound(a, b, norm)) for b in right] for a in left]
+    zf = [val(pair_bound(a, None, norm)) for a in left]
+    zg = [val(pair_bound(None, b, norm)) for b in right]
+    best: list = [None, None]  # optimal value, its least tuple
+
+    def search(i: int, used: frozenset, worst: Fraction, choice: tuple) -> None:
+        # tuples are visited in increasing order, so only a strictly better
+        # value may replace the current best
+        if best[0] is not None and worst >= best[0]:
+            return
+        if i == nf:
+            rest = [zg[j] for j in range(ng) if j not in used]
+            if None not in rest:
+                total = max([worst, *rest])
+                if best[0] is None or total < best[0]:
+                    best[:] = [total, choice]
+            return
+        for j in range(ng):
+            if j not in used and cost[i][j] is not None:
+                search(i + 1, used | {j}, max(worst, cost[i][j]), choice + (j,))
+        if zf[i] is not None:
+            search(i + 1, used, max(worst, zf[i]), choice + (ng,))
+
+    search(0, frozenset(), Fraction(0), ())
+    return best[1]
 
 
 def expand_units(s: SheafSum) -> list[Summand]:

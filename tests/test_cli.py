@@ -1,4 +1,6 @@
 import json
+import os
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -105,6 +107,47 @@ def test_bound_output(tmp_path, capsys):
     assert out[1] == "pairs 0-0"
     assert out[2] == "unmatched_f 1"
     assert out[3] == "unmatched_g "
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+# Expected stdout was recorded from the unit-copy matcher that preceded the
+# summand-level one: a 2-D flag against its translate (L2 and L1), two 1-D
+# flags with different step counts and multiplicities 3 and 5, and plain and
+# difference summands across shifts, where the matching pairs differences
+# through the triangle rule.
+@pytest.mark.parametrize(
+    "name, fixture, options",
+    [
+        ("translate", "translate", []),
+        ("translate_l1", "translate", ["--norm", "l1"]),
+        ("steps", "steps", []),
+        ("shifts", "shifts", []),
+    ],
+)
+def test_bound_output_is_byte_identical(name, fixture, options, capsys):
+    left, right = (os.path.join(DATA, f"{fixture}_{side}.json") for side in "FG")
+    assert run(options + ["bound", left, right]) == 0
+    with open(os.path.join(DATA, f"{name}.out"), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
+def test_bound_large_multiplicity_against_itself(tmp_path, capsys):
+    summand = {
+        "outer": {"vertices": [["0"], ["2"]]},
+        "inner": {"vertices": [["0"], ["1"]]},
+        "shift": 0,
+        "multiplicity": 1200,
+    }
+    sheaf = _write(tmp_path, "big.json", {"dimension": 1, "summands": [summand]})
+    started = time.perf_counter()
+    assert run(["bound", sheaf, sheaf]) == 0
+    assert time.perf_counter() - started < 1.0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "0.000000000000"
+    assert out[1] == "pairs " + " ".join(f"{i}-{i}" for i in range(1200))
+    assert out[2:] == ["unmatched_f ", "unmatched_g "]
 
 
 def test_link_verify_round_trip(square, tmp_path, capsys):

@@ -1,14 +1,26 @@
 import random
+import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
-from eulercert.distance import INFINITE, Matching, pair_bound, sum_bound
+import eulercert.distance
+import eulercert.geometry
+from eulercert.distance import INFINITE, Matching, bottleneck_bound, pair_bound, sum_bound
 from eulercert.flags import build_flag, graded_sheaf
 from eulercert.geometry import Norm, TOL_DIST, from_vertices, norm_value, translate
 from eulercert.sheafsum import difference, global_sections, plain, sheaf_sum
 
-from helpers import brute_bottleneck, expand_units, rand_point, rand_polytope, rand_sheaf
+from helpers import (
+    brute_bottleneck,
+    brute_lex_matching,
+    expand_units,
+    rand_nearby_sheaf,
+    rand_point,
+    rand_polytope,
+    rand_sheaf,
+)
 
 I1 = from_vertices([(0,), (1,)])
 I2 = from_vertices([(0,), (2,)])
@@ -139,3 +151,80 @@ def test_empty_sheaves():
     inf, _ = sum_bound(sheaf_sum(1, [plain(I1)]), empty)
     assert inf.value is None
     assert INFINITE.value is None
+
+
+@pytest.mark.parametrize("norm", [Norm.L2, Norm.LINF])
+def test_matching_is_lexicographically_least(norm):
+    rng = random.Random(66)
+    checked = finite = 0
+    while checked < 40:
+        dim = rng.choice([1, 2])
+        f = rand_sheaf(rng, dim, max_summands=3, max_vertices=4, max_mult=3)
+        g = rand_nearby_sheaf(rng, f) if rng.random() < 0.8 else rand_sheaf(rng, dim, 3, 4, max_mult=3)
+        lf, lg = expand_units(f), expand_units(g)
+        if len(lf) > 6 or len(lg) > 6:
+            continue
+        bound, m = sum_bound(f, g, norm)
+        expect = brute_lex_matching(lf, lg, norm)
+        if expect is None:
+            assert bound.value is None
+            assert m == Matching((), tuple(range(len(lf))), tuple(range(len(lg))))
+        else:
+            partner = dict(m.pairs)
+            assert tuple(partner.get(i, len(lg)) for i in range(len(lf))) == expect
+            assert m.unmatched_left == tuple(i for i in range(len(lf)) if i not in partner)
+            assert m.unmatched_right == tuple(sorted(set(range(len(lg))) - set(partner.values())))
+            finite += 1
+        checked += 1
+    assert finite >= 20
+
+
+def test_bound_only_entry_handles_huge_multiplicities():
+    def seg(a, b):
+        return from_vertices([(a,), (b,)])
+
+    n = 10**6
+    f = sheaf_sum(1, [difference(seg(0, 2), seg(0, 1), 0, n), plain(seg(0, 3), 1, n)])
+    g = sheaf_sum(1, [difference(seg(1, 3), seg(1, 2), 0, n), plain(seg(1, 3), 1, n)])
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        b = bottleneck_bound(f, g)
+        elapsed = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert b.value.value == 1  # the plain pair's Hausdorff distance
+    assert elapsed < 1.0
+    assert peak < 2**20  # a list of 10**6 unit copies alone takes 8 MB
+
+
+def test_sum_bound_computes_each_vanishing_bound_once(monkeypatch):
+    calls = []
+    original = eulercert.geometry.directed_hausdorff
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(eulercert.distance, "directed_hausdorff", counting)
+    monkeypatch.setattr(eulercert.geometry, "directed_hausdorff", counting)
+    f = graded_sheaf(build_flag(from_vertices([(0, 0), (4, 0), (0, 3)]), (1, 1), 6))
+    v = (F(1, 8), F(-1, 4))
+    moved = [
+        difference(translate(s.support.outer, v), translate(s.support.inner, v))
+        if s.support.is_difference
+        else plain(translate(s.support.outer, v))
+        for s in f.summands
+    ]
+    g = sheaf_sum(2, moved + [plain(UNIT_SQUARE), difference(UNIT_SQUARE, from_vertices([(0, 0)]), 1)])
+    f = sheaf_sum(2, list(f.summands) + [plain(UNIT_SQUARE, 0, 2)])
+    differences = sum(s.support.is_difference for s in f.summands + g.summands)
+    plain_pairs = sum(
+        a.shift == b.shift
+        for a in f.summands
+        for b in g.summands
+        if not a.support.is_difference and not b.support.is_difference
+    )
+    sum_bound(f, g)
+    assert 0 < len(calls) <= differences + 2 * plain_pairs

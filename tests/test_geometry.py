@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from eulercert.geometry import (
     Norm,
@@ -280,12 +280,14 @@ def test_translate_and_centroid():
 
 
 @given(st.fractions(min_value=0, max_value=10**6))
+@example(F(1, 10**24 + 1))
 def test_sqrt_upper_certifies(q):
     u = sqrt_upper(q)
     assert u.value * u.value >= q
     if not u.exact:
+        # the true root lies in [value - slack, value] and is nonnegative
         slack = F(2, 10**12)
-        assert (u.value - slack) ** 2 <= q
+        assert max(F(0), u.value - slack) ** 2 <= q
     else:
         assert u.value * u.value == q
 
