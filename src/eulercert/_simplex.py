@@ -57,10 +57,10 @@ def _optimize(rows: list[list[Fraction]], cost: list[Fraction], basis: list[int]
         _pivot(rows, cost, basis, leave, enter)
 
 
-def solve(a: list[list[Fraction]], b: list[Fraction], c: list[Fraction]) -> tuple[bool, list[Fraction], Fraction]:
-    """min c.x s.t. a x = b, x >= 0.  Returns (feasible, x, value)."""
+def _phase1(a: list[list[Fraction]], b: list[Fraction], n: int):
+    """Tableau (rows, cost, basis) of a x = b over n columns after phase 1, or
+    None when no x >= 0 solves it.  Artificial columns follow the n real ones."""
     m = len(a)
-    n = len(c)
     rows: list[list[Fraction]] = []
     for i in range(m):
         row = [Fraction(v) for v in a[i]]
@@ -73,7 +73,7 @@ def solve(a: list[list[Fraction]], b: list[Fraction], c: list[Fraction]) -> tupl
         rows.append(row + art + [rhs])
     basis = [n + i for i in range(m)]
 
-    # phase 1: drive the artificial variables to zero
+    # drive the artificial variables to zero
     width = n + m
     cost = [_ZERO] * (width + 1)
     for j in range(n):
@@ -81,7 +81,17 @@ def solve(a: list[list[Fraction]], b: list[Fraction], c: list[Fraction]) -> tupl
     cost[-1] = -sum(row[-1] for row in rows)
     _optimize(rows, cost, basis, width)
     if -cost[-1] > 0:
+        return None
+    return rows, cost, basis
+
+
+def solve(a: list[list[Fraction]], b: list[Fraction], c: list[Fraction]) -> tuple[bool, list[Fraction], Fraction]:
+    """min c.x s.t. a x = b, x >= 0.  Returns (feasible, x, value)."""
+    n = len(c)
+    tableau = _phase1(a, b, n)
+    if tableau is None:
         return False, [], _ZERO
+    rows, cost, basis = tableau
 
     # pivot surviving artificials out (or drop redundant rows)
     r = 0
@@ -113,23 +123,4 @@ def solve(a: list[list[Fraction]], b: list[Fraction], c: list[Fraction]) -> tupl
 
 def feasible(a: list[list[Fraction]], b: list[Fraction]) -> bool:
     """Is {x >= 0 : a x = b} nonempty?"""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rows: list[list[Fraction]] = []
-    for i in range(m):
-        row = [Fraction(v) for v in a[i]]
-        rhs = Fraction(b[i])
-        if rhs < 0:
-            row = [-v for v in row]
-            rhs = -rhs
-        art = [_ZERO] * m
-        art[i] = _ONE
-        rows.append(row + art + [rhs])
-    basis = [n + i for i in range(m)]
-    width = n + m
-    cost = [_ZERO] * (width + 1)
-    for j in range(n):
-        cost[j] = -sum(row[j] for row in rows)
-    cost[-1] = -sum(row[-1] for row in rows)
-    _optimize(rows, cost, basis, width)
-    return -cost[-1] == 0
+    return _phase1(a, b, len(a[0]) if a else 0) is not None

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 One invocation carries one workspace configuration (norm, tolerance,
-equality mode, sample density), given by --config and overridden by flags.
+sample density), given by --config and overridden by flags.
 Outputs are deterministic: identical invocations print identical bytes.
 Exit codes: 0 success, 1 verification failure, 2 input error.
 """
@@ -30,7 +30,6 @@ class WorkspaceConfig:
     dimension: Optional[int] = None
     norm: Norm = Norm.L2
     tol_dist: Fraction = TOL_DIST
-    equality_mode: str = "exact"
     sample_density: int = 64
 
     def __post_init__(self):
@@ -38,10 +37,6 @@ class WorkspaceConfig:
             raise SchemaError(f"unsupported dimension: {self.dimension}")
         if self.tol_dist <= 0:
             raise SchemaError("tol_dist must be positive")
-        if self.equality_mode not in ("exact", "sampled"):
-            raise SchemaError(f"unknown equality mode: {self.equality_mode}")
-        if self.equality_mode == "exact" and self.dimension == 3:
-            raise SchemaError("exact equality mode requires dimension <= 2")
         if self.sample_density < 1:
             raise SchemaError("sample_density must be positive")
 
@@ -52,15 +47,13 @@ def _load_config(args: argparse.Namespace) -> WorkspaceConfig:
         raw = _read_json(args.config)
         if not isinstance(raw, dict):
             raise SchemaError(f"{args.config}: config must be a JSON object")
-        for key in ("dimension", "norm", "tol_dist", "equality_mode", "sample_density"):
+        for key in ("dimension", "norm", "tol_dist", "sample_density"):
             if key in raw:
                 fields[key] = raw[key]
     if args.norm:
         fields["norm"] = args.norm
     if args.tol_dist:
         fields["tol_dist"] = args.tol_dist
-    if args.equality_mode:
-        fields["equality_mode"] = args.equality_mode
     if args.sample_density:
         fields["sample_density"] = args.sample_density
     if args.dimension:
@@ -89,21 +82,19 @@ def _read_json(path: str):
         raise SchemaError(f"{path}: malformed JSON ({exc.msg} at line {exc.lineno})") from None
 
 
-def _load_cf(path: str, cfg: WorkspaceConfig):
+def _load(path: str, parse):
+    """Parse the JSON file at path, naming the file in any schema error."""
     try:
-        f = jsonio.cf_from_json(_read_json(path))
+        return parse(_read_json(path))
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None
+
+
+def _load_cf(path: str, cfg: WorkspaceConfig):
+    f = _load(path, jsonio.cf_from_json)
     if cfg.dimension is not None and f.dimension != cfg.dimension:
         raise SchemaError(f"{path}: dimension {f.dimension} != configured {cfg.dimension}")
     return f
-
-
-def _load_sheaf(path: str):
-    try:
-        return jsonio.sheaf_from_json(_read_json(path))
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
 
 
 def _parse_point(text: str):
@@ -125,7 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--dimension", type=int, help="expected ambient dimension (validation)")
     ap.add_argument("--norm", choices=[n.value for n in Norm], help="workspace norm")
     ap.add_argument("--tol-dist", dest="tol_dist", help="comparison tolerance for bounds")
-    ap.add_argument("--equality-mode", dest="equality_mode", choices=["exact", "sampled"])
     ap.add_argument("--sample-density", dest="sample_density", type=int)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -189,20 +179,14 @@ def _dispatch(args: argparse.Namespace, cfg: WorkspaceConfig) -> int:
         return 0
     if cmd == "pushforward":
         f = _load_cf(args.cf, cfg)
-        try:
-            m = jsonio.affine_map_from_json(_read_json(args.map))
-        except SchemaError as exc:
-            raise SchemaError(f"{args.map}: {exc}") from None
+        m = _load(args.map, jsonio.affine_map_from_json)
         _emit(jsonio.cf_to_json(pushforward(f, m)), None)
         return 0
     if cmd == "chi":
-        _emit(jsonio.cf_to_json(local_euler(_load_sheaf(args.sheaf))), None)
+        _emit(jsonio.cf_to_json(local_euler(_load(args.sheaf, jsonio.sheaf_from_json))), None)
         return 0
     if cmd == "flag":
-        try:
-            poly = jsonio.polytope_from_json(_read_json(args.polytope))
-        except SchemaError as exc:
-            raise SchemaError(f"{args.polytope}: {exc}") from None
+        poly = _load(args.polytope, jsonio.polytope_from_json)
         fl = build_flag(poly, _parse_point(args.center), args.steps, cfg.norm)
         _emit(
             {"eta": fl.spacing.decimal_up(), "sheaf": jsonio.sheaf_to_json(graded_sheaf(fl))},
@@ -210,8 +194,8 @@ def _dispatch(args: argparse.Namespace, cfg: WorkspaceConfig) -> int:
         )
         return 0
     if cmd == "bound":
-        left = _load_sheaf(args.left)
-        right = _load_sheaf(args.right)
+        left = _load(args.left, jsonio.sheaf_from_json)
+        right = _load(args.right, jsonio.sheaf_from_json)
         bound, matching = sum_bound(left, right, cfg.norm)
         print(bound.decimal_up())
         print("pairs " + " ".join(f"{i}-{j}" for i, j in matching.pairs))
@@ -231,10 +215,7 @@ def _dispatch(args: argparse.Namespace, cfg: WorkspaceConfig) -> int:
         _emit(jsonio.cert_to_json(cert), args.out)
         return 0
     if cmd == "verify":
-        try:
-            cert = jsonio.cert_from_json(_read_json(args.cert))
-        except SchemaError as exc:
-            raise SchemaError(f"{args.cert}: {exc}") from None
+        cert = _load(args.cert, jsonio.cert_from_json)
         report = verify(cert, cfg.norm, cfg.tol_dist, cfg.sample_density)
         for note in report.notes:
             print(f"note: {note}")

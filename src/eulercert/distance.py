@@ -24,18 +24,24 @@ summands, multiplicities as capacities.  At a threshold tau, a summand whose
 vanishing bound exceeds tau is forced (every copy matched).  Dominance lemma:
 a difference pair costing the triangle bound v_a + v_b never helps, since
 leaving both unmatched costs max(v_a, v_b); this holds for every input.  So
-the only edges are plain pairs of equal shift and equal or exactly translated
-differences of equal shift cheaper than v_a + v_b.  By Mendelsohn-Dulmage
-both forced sides saturate at once iff each does alone: two max-flows by
-augmenting paths.  The bound is the least feasible candidate among 0, the
-vanishing bounds and the edge costs.  The matching returned is the
-lexicographically least optimal one in unit indices, unmatched last; copies
-being interchangeable, each left summand gives each right summand in turn as
-many copies as keep both flows saturated.
+the only edges join summands of one bucket: plain summands of one shift, or
+differences of one shift that are equal or exact translates, paired below
+v_a + v_b.  Bucket lemma: the summands of a bucket share one vanishing bound
+v_B (infinite for plain ones; translates have equal directed Hausdorff
+distances), so at any tau a bucket is forced as a whole or not at all, and
+feasibility splits by bucket.  The bound is the maximum over buckets of
+min(v_B, c_B), where c_B is the least edge cost below v_B at which the bucket
+has a perfect b-matching on edges of at most that cost: one max-flow by
+augmenting paths per bucket and binary-search step.  The matching returned is
+the lexicographically least optimal one in unit indices, unmatched last;
+copies being interchangeable, each left summand gives each right summand in
+turn as many copies as keep its forced bucket's flow saturated, or all it can
+when its bucket is not forced.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -154,12 +160,12 @@ SOURCE, SINK = "source", "sink"
 class _Flow:
     """Max-flow from a source via supply nodes and arcs to demand nodes and a sink.
 
-    `saturated` tells whether every demand can be met.  Copies matched along
-    an arc can then be taken out while the flow reroutes to stay saturated.
+    `saturated` tells whether the arcs carry a perfect b-matching: supply and
+    demand totals agree and every demand can be met.  Copies matched along an
+    arc can then be taken out while the flow reroutes to stay saturated.
     """
 
     def __init__(self, supply: dict, demand: dict, arcs: list) -> None:
-        self.demand = demand
         self.res: dict = {SOURCE: {}, SINK: {}}
         for u, v, cap in (
             [(SOURCE, u, c) for u, c in supply.items()]
@@ -169,14 +175,11 @@ class _Flow:
             self.res.setdefault(u, {})[v] = cap
             self.res.setdefault(v, {})[u] = 0
         need = sum(demand.values())
-        self.saturated = self._push(SOURCE, SINK, need) == need
+        self.saturated = sum(supply.values()) == need and self._push(SOURCE, SINK, need) == need
 
     def take(self, u, w, limit: int) -> int:
         """Take out up to `limit` copies matched from u to w; return how many."""
-        return self._push(w if w in self.demand else SOURCE, u, limit)
-
-    def give_back(self, u, w, k: int) -> None:
-        self._push(u, w if w in self.demand else SOURCE, k)
+        return self._push(w, u, limit)
 
     def _push(self, src, dst, limit: int) -> int:
         """Send up to `limit` units from src to dst along shortest residual paths."""
@@ -212,55 +215,53 @@ class _Matcher:
         if f.dimension != g.dimension:
             raise ValueError("dimension mismatch")
         self.left, self.right = f.summands, g.summands
-        vanishing: dict = {}
-        for s in self.left + self.right:
-            if s.support not in vanishing:
-                vanishing[s.support] = _vanishing(s, norm)
-        vf = [vanishing[a.support] for a in self.left]
-        vg = [vanishing[b.support] for b in self.right]
-        self.fv = [None if b.value is None else b.value.value for b in vf]
-        self.gv = [None if b.value is None else b.value.value for b in vg]
-        buckets: dict = {}
-        for i, a in enumerate(self.left):
-            buckets.setdefault(_bucket(a), []).append(i)
+        groups: dict = {}
+        for side, summands in enumerate((self.left, self.right)):
+            for k, s in enumerate(summands):
+                groups.setdefault(_bucket(s), ([], []))[side].append(k)
+        self.buckets: list = []  # (left summands, right summands, vanishing bound)
+        self.fv: list = [None] * len(self.left)
+        self.gv: list = [None] * len(self.right)
         self.edges: dict[tuple[int, int], RoundedReal] = {}
-        for j, b in enumerate(self.right):
-            for i in buckets.get(_bucket(b), ()):
-                cost = _pair_rule(self.left[i], b, vf[i], vg[j], norm).value
-                if cost is not None and (self.fv[i] is None or cost.value < self.fv[i] + self.gv[j]):
-                    self.edges[i, j] = cost
-        reals = {Fraction(0): ZERO_REAL}
-        for r in [b.value for b in vf + vg if b.value is not None] + list(self.edges.values()):
-            reals.setdefault(r.value, r)
-        self.tau, self.flows = self._solve(sorted(reals))
-        self.bound = INFINITE if self.tau is None else Bound(reals[self.tau])
+        self.bound = ZERO_BOUND
+        for ls, rs in groups.values():
+            vb = _vanishing(self.left[ls[0]] if ls else self.right[rs[0]], norm)
+            v = None if vb.value is None else vb.value.value
+            for i in ls:
+                self.fv[i] = v
+            for j in rs:
+                self.gv[j] = v
+            self.buckets.append((ls, rs, v))
+            below: dict = {}  # edge costs under v, the only thresholds that beat v
+            for j in rs:
+                for i in ls:
+                    cost = _pair_rule(self.left[i], self.right[j], vb, vb, norm).value
+                    if cost is not None and (v is None or cost.value < 2 * v):
+                        self.edges[i, j] = cost
+                        if v is None or cost.value < v:
+                            below.setdefault(cost.value, cost)
+            costs = sorted(below.items())
+            k = bisect_left(costs, True, key=lambda c: self._flow(ls, rs, c[0]).saturated)
+            bucket = Bound(costs[k][1]) if k < len(costs) else vb
+            if not bucket.leq(self.bound):
+                self.bound = bucket
+        self.tau = None if self.bound.value is None else self.bound.value.value
 
-    def _flows(self, tau: Fraction) -> tuple[_Flow, _Flow]:
-        """Forced left summands filled from right capacities, and the mirror."""
-        ok = [e for e, cost in self.edges.items() if cost.value <= tau]
-        left = {("f", i): a.multiplicity for i, a in enumerate(self.left)}
-        right = {("g", j): b.multiplicity for j, b in enumerate(self.right)}
-        forced_f = {("f", i): left["f", i] for i, v in enumerate(self.fv) if v is None or v > tau}
-        forced_g = {("g", j): right["g", j] for j, v in enumerate(self.gv) if v is None or v > tau}
-        return (
-            _Flow(right, forced_f, [(("g", j), ("f", i)) for i, j in ok if ("f", i) in forced_f]),
-            _Flow(left, forced_g, [(("f", i), ("g", j)) for i, j in ok if ("g", j) in forced_g]),
+    def _flow(self, ls: list[int], rs: list[int], tau: Fraction) -> _Flow:
+        """Right summands of one bucket supplying its left ones along edges of cost at most tau."""
+        return _Flow(
+            {("g", j): self.right[j].multiplicity for j in rs},
+            {("f", i): self.left[i].multiplicity for i in ls},
+            [(("g", j), ("f", i)) for j in rs for i in ls if (i, j) in self.edges and self.edges[i, j].value <= tau],
         )
 
-    def _solve(self, candidates: list[Fraction]) -> tuple[Optional[Fraction], Optional[tuple]]:
-        """The least feasible threshold with its saturated flows, or Nones."""
-        lo, hi, best = 0, len(candidates) - 1, (None, None)
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            flows = self._flows(candidates[mid])
-            if flows[0].saturated and flows[1].saturated:
-                best, hi = (candidates[mid], flows), mid - 1
-            else:
-                lo = mid + 1
-        return best
-
     def lex_matching(self) -> Matching:
-        flows, tau = self.flows, self.tau  # both None when the bound is infinite
+        tau = self.tau  # None when the bound is infinite
+        flows = {}  # left summand -> the flow of its bucket, if the bucket is forced
+        for ls, rs, v in self.buckets if tau is not None else ():
+            if v is None or v > tau:
+                flow = self._flow(ls, rs, tau)
+                flows.update((i, flow) for i in ls)
         rem = [a.multiplicity for a in self.left]
         cap = [b.multiplicity for b in self.right]
         ends_f, ends_g = list(accumulate(rem)), list(accumulate(cap))
@@ -269,16 +270,13 @@ class _Matcher:
             for j in range(len(cap)):
                 if not (rem[i] and cap[j] and self._ok(i, j, tau)):
                     continue
-                # copies given to j leave both problems; what one flow takes
-                # and the other cannot, it gives back (never today: every edge
-                # joins summands of equal vanishing bound, so the flows agree)
-                k = flows[0].take(("g", j), ("f", i), min(rem[i], cap[j]))
-                kept = flows[1].take(("f", i), ("g", j), k)
-                flows[0].give_back(("g", j), ("f", i), k - kept)
+                k = min(rem[i], cap[j])
+                if i in flows:
+                    k = flows[i].take(("g", j), ("f", i), k)
                 first = ends_f[i] - rem[i]
-                pairs.extend(zip(range(first, first + kept), range(ends_g[j] - cap[j], ends_g[j])))
-                rem[i] -= kept
-                cap[j] -= kept
+                pairs.extend(zip(range(first, first + k), range(ends_g[j] - cap[j], ends_g[j])))
+                rem[i] -= k
+                cap[j] -= k
 
         def tails(ends: list[int], left_over: list[int]) -> tuple[int, ...]:
             return tuple(u for end, n in zip(ends, left_over) for u in range(end - n, end))

@@ -30,6 +30,22 @@ class SchemaError(ValueError):
     pass
 
 
+def _list(obj: dict, key: str) -> list:
+    items = obj[key]
+    if not isinstance(items, list):
+        raise SchemaError(f"'{key}' must be a list")
+    return items
+
+
+def _dimension(obj: dict) -> int:
+    # integer fields are tested with `type(x) is int` throughout: bool is an
+    # int subclass, and a JSON true or 1.0 must not pass for 1
+    dim = obj["dimension"]
+    if type(dim) is not int or dim not in (1, 2, 3):
+        raise SchemaError(f"unsupported dimension: {dim!r}")
+    return dim
+
+
 def parse_rational(s: Any) -> Fraction:
     try:
         return Fraction(str(s))
@@ -76,15 +92,13 @@ def cf_to_json(f: ConstructibleFunction) -> dict:
 def cf_from_json(obj: Any) -> ConstructibleFunction:
     if not isinstance(obj, dict) or "dimension" not in obj or "terms" not in obj:
         raise SchemaError("constructible function needs 'dimension' and 'terms'")
-    dim = obj["dimension"]
-    if dim not in (1, 2, 3):
-        raise SchemaError(f"unsupported dimension: {dim!r}")
+    dim = _dimension(obj)
     pairs = []
-    for t in obj["terms"]:
+    for t in _list(obj, "terms"):
         if not isinstance(t, dict) or "coeff" not in t or "polytope" not in t:
             raise SchemaError("term needs 'coeff' and 'polytope'")
         coeff = t["coeff"]
-        if not isinstance(coeff, int):
+        if type(coeff) is not int:
             raise SchemaError(f"coefficient must be an integer: {coeff!r}")
         pairs.append((coeff, polytope_from_json(t["polytope"])))
     return from_terms(dim, pairs)
@@ -108,11 +122,9 @@ def sheaf_to_json(s: SheafSum) -> dict:
 def sheaf_from_json(obj: Any) -> SheafSum:
     if not isinstance(obj, dict) or "dimension" not in obj or "summands" not in obj:
         raise SchemaError("sheaf sum needs 'dimension' and 'summands'")
-    dim = obj["dimension"]
-    if dim not in (1, 2, 3):
-        raise SchemaError(f"unsupported dimension: {dim!r}")
+    dim = _dimension(obj)
     summands = []
-    for sm in obj["summands"]:
+    for sm in _list(obj, "summands"):
         if not isinstance(sm, dict) or "outer" not in sm:
             raise SchemaError("summand needs at least an 'outer' polytope")
         outer = polytope_from_json(sm["outer"])
@@ -120,7 +132,7 @@ def sheaf_from_json(obj: Any) -> SheafSum:
         support = Support(outer, None if inner is None else polytope_from_json(inner))
         shift = sm.get("shift", 0)
         mult = sm.get("multiplicity", 1)
-        if not isinstance(shift, int) or not isinstance(mult, int):
+        if type(shift) is not int or type(mult) is not int:
             raise SchemaError("shift and multiplicity must be integers")
         summands.append(Summand(support, shift, mult))
     return sheaf_sum(dim, summands)
@@ -129,9 +141,9 @@ def sheaf_from_json(obj: Any) -> SheafSum:
 def affine_map_from_json(obj: Any) -> AffineMap:
     if not isinstance(obj, dict) or "matrix" not in obj or "offset" not in obj:
         raise SchemaError("affine map needs 'matrix' and 'offset'")
-    matrix = tuple(
-        tuple(parse_rational(v) for v in row) for row in obj["matrix"]
-    )
+    if not all(isinstance(row, list) for row in _list(obj, "matrix")):
+        raise SchemaError("affine map matrix must be a list of rows")
+    matrix = tuple(tuple(parse_rational(v) for v in row) for row in obj["matrix"])
     if not matrix:
         raise SchemaError("affine map matrix must be nonempty")
     return AffineMap(matrix, point_from_json(obj["offset"]))
@@ -148,9 +160,12 @@ def flag_to_json(flag: Flag) -> dict:
 def flag_from_json(obj: Any, norm: Norm = Norm.L2) -> Flag:
     if not isinstance(obj, dict) or not {"polytope", "center", "steps"} <= obj.keys():
         raise SchemaError("flag needs 'polytope', 'center' and 'steps'")
+    steps = obj["steps"]
+    if type(steps) is not int:
+        raise SchemaError(f"flag steps must be an integer: {steps!r}")
     # levels are recomputed, which revalidates every invariant
     return build_flag(
-        polytope_from_json(obj["polytope"]), point_from_json(obj["center"]), int(obj["steps"]), norm
+        polytope_from_json(obj["polytope"]), point_from_json(obj["center"]), steps, norm
     )
 
 
@@ -176,7 +191,7 @@ def cert_from_json(obj: Any) -> Certificate:
     if not isinstance(obj, dict) or not {"epsilon", "source", "target", "steps"} <= obj.keys():
         raise SchemaError("certificate needs 'epsilon', 'source', 'target' and 'steps'")
     steps = []
-    for s in obj["steps"]:
+    for s in _list(obj, "steps"):
         if not isinstance(s, dict) or not {"F", "G", "bound", "chi_F", "chi_G"} <= s.keys():
             raise SchemaError("certificate step needs 'F', 'G', 'bound', 'chi_F', 'chi_G'")
         steps.append(

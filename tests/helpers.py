@@ -236,3 +236,40 @@ def expand_units(s: SheafSum) -> list[Summand]:
     for sm in s.summands:
         out.extend([Summand(sm.support, sm.shift, 1)] * sm.multiplicity)
     return out
+
+
+def _multiplicities(rng: random.Random, k: int, total: int) -> list[int]:
+    """k multiplicities of 1 to 3 summing to total (k <= total <= 3 k)."""
+    mults = [1] * k
+    while sum(mults) < total:
+        i = rng.randrange(k)
+        mults[i] += mults[i] < 3
+    return mults
+
+
+def crowded_bucket_pair(rng: random.Random, dim: int, max_units: int = 6) -> tuple[SheafSum, SheafSum]:
+    """Two sheaves whose summands crowd into one bucket of the matcher.
+
+    Either each side holds 3 to 5 small translates of one difference summand,
+    or each side holds 2 to 4 plain summands of one shift; multiplicities run
+    from 1 to 3, and both sides mostly hold the same number of unit copies, at
+    most `max_units`.
+    """
+    translates = rng.random() < 0.5
+    while translates:
+        outer = rand_polytope(rng, dim, max_vertices=4)
+        inner = homothet(outer, interior_point(rng, outer), Fraction(rng.randint(1, 7), 8))
+        if inner != outer:
+            break
+    total = rng.randint(3, max_units)
+    sides = []
+    for _ in range(2):
+        k = rng.randint(3, min(5, total)) if translates else rng.randint(2, min(4, total))
+        units = total if rng.random() < 0.8 else rng.randint(k, min(max_units, 3 * k))
+        mults = _multiplicities(rng, k, units)
+        if translates:
+            moves = [rand_point(rng, dim, -1, 1, dens=(4, 8)) for _ in mults]
+            sides.append([difference(translate(outer, v), translate(inner, v), 0, m) for v, m in zip(moves, mults)])
+        else:
+            sides.append([plain(rand_polytope(rng, dim, 4, lo=-2, hi=2), 0, m) for m in mults])
+    return sheaf_sum(dim, sides[0]), sheaf_sum(dim, sides[1])

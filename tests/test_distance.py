@@ -15,6 +15,7 @@ from eulercert.sheafsum import difference, global_sections, plain, sheaf_sum
 from helpers import (
     brute_bottleneck,
     brute_lex_matching,
+    crowded_bucket_pair,
     expand_units,
     rand_nearby_sheaf,
     rand_point,
@@ -128,10 +129,14 @@ def test_sum_bound_translation_bound():
 
 def test_matcher_matches_brute_force():
     rng = random.Random(64)
+    pairs = []
     for _ in range(60):
         dim = rng.choice([1, 2])
         f = rand_sheaf(rng, dim, max_summands=3, max_mult=2)
-        g = rand_sheaf(rng, dim, max_summands=3, max_mult=2)
+        pairs.append((f, rand_sheaf(rng, dim, max_summands=3, max_mult=2)))
+    crowded = random.Random(67)
+    pairs += [crowded_bucket_pair(crowded, crowded.choice([1, 2])) for _ in range(24)]
+    for f, g in pairs:
         lf, lg = expand_units(f), expand_units(g)
         if len(lf) > 6 or len(lg) > 6:
             continue
@@ -155,28 +160,34 @@ def test_empty_sheaves():
 
 @pytest.mark.parametrize("norm", [Norm.L2, Norm.LINF])
 def test_matching_is_lexicographically_least(norm):
+    def finite_and_checked(f, g) -> bool:
+        lf, lg = expand_units(f), expand_units(g)
+        bound, m = sum_bound(f, g, norm)
+        expect = brute_lex_matching(lf, lg, norm)
+        if expect is None:
+            assert bound.value is None
+            assert m == Matching((), tuple(range(len(lf))), tuple(range(len(lg))))
+            return False
+        partner = dict(m.pairs)
+        assert tuple(partner.get(i, len(lg)) for i in range(len(lf))) == expect
+        assert m.unmatched_left == tuple(i for i in range(len(lf)) if i not in partner)
+        assert m.unmatched_right == tuple(sorted(set(range(len(lg))) - set(partner.values())))
+        return True
+
     rng = random.Random(66)
     checked = finite = 0
     while checked < 40:
         dim = rng.choice([1, 2])
         f = rand_sheaf(rng, dim, max_summands=3, max_vertices=4, max_mult=3)
         g = rand_nearby_sheaf(rng, f) if rng.random() < 0.8 else rand_sheaf(rng, dim, 3, 4, max_mult=3)
-        lf, lg = expand_units(f), expand_units(g)
-        if len(lf) > 6 or len(lg) > 6:
+        if len(expand_units(f)) > 6 or len(expand_units(g)) > 6:
             continue
-        bound, m = sum_bound(f, g, norm)
-        expect = brute_lex_matching(lf, lg, norm)
-        if expect is None:
-            assert bound.value is None
-            assert m == Matching((), tuple(range(len(lf))), tuple(range(len(lg))))
-        else:
-            partner = dict(m.pairs)
-            assert tuple(partner.get(i, len(lg)) for i in range(len(lf))) == expect
-            assert m.unmatched_left == tuple(i for i in range(len(lf)) if i not in partner)
-            assert m.unmatched_right == tuple(sorted(set(range(len(lg))) - set(partner.values())))
-            finite += 1
+        finite += finite_and_checked(f, g)
         checked += 1
     assert finite >= 20
+    crowded = random.Random(68)
+    pairs = [crowded_bucket_pair(crowded, crowded.choice([1, 2])) for _ in range(20)]
+    assert sum(finite_and_checked(f, g) for f, g in pairs) >= 10
 
 
 def test_bound_only_entry_handles_huge_multiplicities():

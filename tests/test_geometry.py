@@ -167,6 +167,17 @@ def test_directed_hausdorff_zero_iff_contained():
         assert zero == all(contains(x, v) for v in y.vertices)
 
 
+@given(st.randoms(use_true_random=False), st.sampled_from(list(Norm)))
+def test_directed_hausdorff_is_translation_invariant(rng, norm):
+    # the matcher gives every exact translate of a difference summand one
+    # vanishing bound, so this must hold exactly, rounding included
+    dim = rng.choice([1, 2, 3])
+    outer, inner = rand_polytope(rng, dim, max_vertices=5), rand_polytope(rng, dim, max_vertices=5)
+    v = rand_point(rng, dim, dens=(1, 3, 8))
+    moved = directed_hausdorff(translate(outer, v), translate(inner, v), norm)
+    assert moved == directed_hausdorff(outer, inner, norm)
+
+
 def test_point_distance_against_sampled_lower_bounds():
     # LP/projection distances can never exceed the distance to any sampled
     # polytope point, and convexity sampling brackets them from above

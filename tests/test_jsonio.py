@@ -66,6 +66,8 @@ def test_flag_round_trip_revalidates():
     assert jsonio.flag_to_json(fl) == fl_blob
     with pytest.raises(ValueError):
         jsonio.flag_from_json({"polytope": {"vertices": [["0"], ["4"]]}, "center": ["9"], "steps": 4})
+    with pytest.raises(SchemaError, match="integer"):
+        jsonio.flag_from_json(dict(fl_blob, steps=True))
 
 
 def test_schema_errors_are_descriptive():

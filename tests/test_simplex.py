@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 from eulercert import _simplex
@@ -28,3 +29,16 @@ def test_solve_infeasible():
     a = [[F(1), F(1)], [F(1), F(1)]]
     ok, _, _ = _simplex.solve(a, [F(1), F(2)], [F(0), F(0)])
     assert not ok
+
+
+def test_feasible_agrees_with_solve():
+    rng = random.Random(72)
+    verdicts = set()
+    for _ in range(300):
+        m, n = rng.randint(1, 3), rng.randint(1, 4)
+        a = [[F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(n)] for _ in range(m)]
+        b = [F(rng.randint(-3, 3)) for _ in range(m)]
+        ok = _simplex.feasible(a, b)
+        assert ok == _simplex.solve(a, b, [F(0)] * n)[0]
+        verdicts.add(ok)
+    assert verdicts == {True, False}
