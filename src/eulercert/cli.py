@@ -47,6 +47,10 @@ def _load_config(args: argparse.Namespace) -> WorkspaceConfig:
         raw = _read_json(args.config)
         if not isinstance(raw, dict):
             raise SchemaError(f"{args.config}: config must be a JSON object")
+        for key in ("dimension", "sample_density"):
+            # `type(x) is int` as in jsonio: a JSON true, 2.7 or "1" is no integer
+            if key in raw and type(raw[key]) is not int:
+                raise SchemaError(f"{args.config}: {key} must be an integer: {raw[key]!r}")
         for key in ("dimension", "norm", "tol_dist", "sample_density"):
             if key in raw:
                 fields[key] = raw[key]
@@ -65,10 +69,6 @@ def _load_config(args: argparse.Namespace) -> WorkspaceConfig:
             raise SchemaError(f"unknown norm: {fields['norm']!r}") from None
     if "tol_dist" in fields:
         fields["tol_dist"] = jsonio.parse_rational(fields["tol_dist"])
-    if "sample_density" in fields:
-        fields["sample_density"] = int(fields["sample_density"])
-    if "dimension" in fields:
-        fields["dimension"] = int(fields["dimension"])
     return WorkspaceConfig(**fields)
 
 
@@ -83,10 +83,15 @@ def _read_json(path: str):
 
 
 def _load(path: str, parse):
-    """Parse the JSON file at path, naming the file in any schema error."""
+    """Parse the JSON file at path, naming the file in any parse error.
+
+    A model constructor rejects a value with ValueError, of which SchemaError
+    is one kind; `_read_json` names the file itself.
+    """
+    raw = _read_json(path)
     try:
-        return parse(_read_json(path))
-    except SchemaError as exc:
+        return parse(raw)
+    except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 
 

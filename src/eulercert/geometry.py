@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -204,7 +204,12 @@ def _in_hull_lp(points: Sequence[Point], x: Point) -> bool:
 
 
 def from_vertices(points: Iterable) -> Polytope:
-    """Canonicalize a point list to the extreme points of its convex hull."""
+    """Canonicalize a point list to the extreme points of its convex hull.
+
+    Exact orientation tests decide extremeness in dimensions 1 and 2 (the
+    end points, or the counterclockwise ring); dimension 3 asks one
+    convex-combination LP per point.
+    """
     pts = [as_point(p) for p in points]
     if not pts:
         raise ValueError("a polytope needs at least one vertex")
@@ -214,10 +219,13 @@ def from_vertices(points: Iterable) -> Polytope:
     if n not in (1, 2, 3):
         raise ValueError(f"unsupported dimension {n}")
     uniq = sorted(set(pts))
-    if len(uniq) == 1:
-        return Polytope((uniq[0],))
-    keep = tuple(p for p in uniq if not _in_hull_lp([q for q in uniq if q != p], p))
-    return Polytope(keep)
+    if n == 1:
+        keep = {uniq[0], uniq[-1]}
+    elif n == 2:
+        keep = set(_ccw_sorted(uniq))
+    else:
+        keep = {p for p in uniq if not _in_hull_lp([q for q in uniq if q != p], p)}
+    return Polytope(tuple(sorted(keep)))
 
 
 def translate(p: Polytope, v: Point) -> Polytope:
@@ -233,31 +241,22 @@ def vertex_centroid(p: Polytope) -> Point:
 
 
 def _ccw_sorted(points: Sequence[Point]) -> list[Point]:
-    """Counterclockwise cyclic order of the extreme points of a 2-d polygon."""
-    c = vertex_centroid(Polytope(tuple(sorted(points))))
+    """Counterclockwise ring of the extreme points of a planar point set.
 
-    def quadrant(d: Point) -> int:
-        if d[0] > 0 and d[1] >= 0:
-            return 0
-        if d[0] <= 0 and d[1] > 0:
-            return 1
-        if d[0] < 0 and d[1] <= 0:
-            return 2
-        return 3
-
-    def cmp(p: Point, q: Point) -> int:
-        dp, dq = vsub(p, c), vsub(q, c)
-        qp, qq = quadrant(dp), quadrant(dq)
-        if qp != qq:
-            return -1 if qp < qq else 1
-        cr = _cross2(dp, dq)
-        if cr > 0:
-            return -1
-        if cr < 0:
-            return 1
-        return 0
-
-    return sorted(points, key=cmp_to_key(cmp))
+    Andrew's monotone chain: the lower hull left to right, then the upper
+    hull right to left, over the sorted distinct points.  Only strict left
+    turns are kept, so duplicate, collinear and edge-interior points drop.
+    The ring starts at the least point; points on one line give its two ends.
+    """
+    pts = sorted(set(points))
+    lower: list[Point] = []
+    upper: list[Point] = []
+    for chain, seq in ((lower, pts), (upper, pts[::-1])):
+        for p in seq:
+            while len(chain) > 1 and _cross2(vsub(chain[-1], chain[-2]), vsub(p, chain[-2])) <= 0:
+                chain.pop()
+            chain.append(p)
+    return lower[:-1] + upper[:-1] or pts
 
 
 def _primitive(coeffs: Sequence[Fraction]) -> tuple[int, ...]:
@@ -366,19 +365,14 @@ def _solve_coords(dirs: Sequence[Point], target: Point) -> Optional[list[Fractio
 
 
 def _polygon_ineqs(verts: Sequence[Point]) -> list[tuple[Point, Fraction]]:
+    # the interior lies to the left of every edge of the counterclockwise ring
     ring = _ccw_sorted(verts)
-    c = vertex_centroid(Polytope(tuple(sorted(verts))))
     ineqs = []
     m = len(ring)
     for i in range(m):
         p, q = ring[i], ring[(i + 1) % m]
-        d = vsub(q, p)
-        a: Point = (d[1], -d[0])
-        b = dot(a, p)
-        if dot(a, c) > b:
-            a = (-a[0], -a[1])
-            b = -b
-        ineqs.append((a, b))
+        a: Point = (q[1] - p[1], p[0] - q[0])
+        ineqs.append((a, dot(a, p)))
     return ineqs
 
 
@@ -526,6 +520,20 @@ def _sqdist_to_simplex(x: Point, simplex: tuple[Point, ...]) -> Fraction:
     return best
 
 
+def _sqdist_outside(x: Point, p: Polytope, faces: list[tuple[Point, ...]]) -> Fraction:
+    """Squared L2 distance to p of a point x outside it, over p's distance faces.
+
+    Against a full-dimensional polygon only the ring edges that x lies
+    strictly to the right of are tried.  The nearest point y lies on one of
+    them: x - y is a nonnegative combination of the outward normals of the
+    edges through y, and as its square is positive, so is its product with
+    one of those normals.
+    """
+    if len(x) == 2 and p._chart.k == 2:
+        faces = [(a, b) for a, b in faces if _cross2(vsub(b, a), vsub(x, a)) < 0]
+    return min(_sqdist_to_simplex(x, f) for f in faces)
+
+
 def _polyhedral_distance_lp(x: Point, p: Polytope, norm: Norm) -> Fraction:
     verts = p.vertices
     n = len(x)
@@ -574,8 +582,7 @@ def distance_point_to_polytope(x, p: Polytope, norm: Norm = Norm.L2) -> RoundedR
     if contains(p, pt):
         return ZERO_REAL
     if norm is Norm.L2:
-        best = min(_sqdist_to_simplex(pt, f) for f in _distance_faces(p))
-        return sqrt_upper(best)
+        return sqrt_upper(_sqdist_outside(pt, p, _distance_faces(p)))
     return RoundedReal(_polyhedral_distance_lp(pt, p, norm))
 
 
@@ -588,7 +595,7 @@ def directed_hausdorff(y: Polytope, x: Polytope, norm: Norm = Norm.L2) -> Rounde
         return ZERO_REAL
     if norm is Norm.L2:
         faces = _distance_faces(x)
-        worst = max(min(_sqdist_to_simplex(v, f) for f in faces) for v in outside)
+        worst = max(_sqdist_outside(v, x, faces) for v in outside)
         return sqrt_upper(worst)
     vals = [_polyhedral_distance_lp(v, x, norm) for v in outside]
     return RoundedReal(max(vals))

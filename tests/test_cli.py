@@ -136,6 +136,22 @@ def test_bound_output_is_byte_identical(name, fixture, options, capsys):
         assert capsys.readouterr().out == fh.read()
 
 
+# Certificates written by `link` at eps = 1/16 before hulls and rings in
+# dimensions 1 and 2 moved from simplex LPs to Andrew's monotone chain.  The
+# inputs list duplicate, edge-interior and interior vertices, so the hull
+# canonicalization shows in the certificate bytes.
+@pytest.mark.parametrize("fixture", ["link2d", "link3d"])
+def test_link_certificate_is_byte_identical(fixture, tmp_path, capsys):
+    left, right = (os.path.join(DATA, f"{fixture}_{side}.json") for side in "FG")
+    out = tmp_path / "cert.json"
+    assert run(["link", left, right, "--epsilon", "1/16", "--out", str(out)]) == 0
+    golden = os.path.join(DATA, f"{fixture}.cert.json")
+    with open(golden, "rb") as fh:
+        assert out.read_bytes() == fh.read()
+    assert run(["verify", golden]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
+
 def test_bound_large_multiplicity_against_itself(tmp_path, capsys):
     summand = {
         "outer": {"vertices": [["0"], ["2"]]},
@@ -234,6 +250,9 @@ SHEAF_SUMMAND = {"outer": {"vertices": [["0"], ["1"]]}, "inner": None, "shift": 
         (["chi", "BAD"], {"dimension": True, "summands": [SHEAF_SUMMAND]}),
         (["pushforward", "SQUARE", "--map", "BAD"], {"matrix": 5, "offset": ["0"]}),
         (["verify", "BAD"], {"epsilon": "1/4", "source": SQUARE, "target": SQUARE, "steps": 5}),
+        (["chi", "BAD"], {"dimension": 1, "summands": [dict(SHEAF_SUMMAND, multiplicity=0)]}),
+        (["integrate", "BAD"], "{not json"),
+        (["integrate", "BAD"], None),
     ],
     ids=[
         "terms-not-list",
@@ -244,10 +263,17 @@ SHEAF_SUMMAND = {"outer": {"vertices": [["0"], ["1"]]}, "inner": None, "shift": 
         "dimension-bool",
         "matrix-not-list",
         "steps-not-list",
+        "multiplicity-zero",
+        "malformed-json",
+        "missing-file",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(argv, blob, square, tmp_path):
-    path = _write(tmp_path, "bad.json", blob)
+    # blob is the file's JSON value, its raw text, or None for no file at all
+    path = str(tmp_path / "bad.json")
+    if blob is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(blob if isinstance(blob, str) else json.dumps(blob))
     argv = [{"BAD": path, "SQUARE": square}.get(a, a) for a in argv]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eulercert.__file__)))
     proc = subprocess.run(
@@ -255,6 +281,7 @@ def test_malformed_input_exits_2_without_traceback(argv, blob, square, tmp_path)
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: {path}: ")
+    assert proc.stderr.count(path) == 1
     assert "Traceback" not in proc.stderr
 
 
@@ -271,6 +298,24 @@ def test_norm_flag_changes_bounds(tmp_path, capsys):
 def test_config_file_with_flag_override(square, tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", {"norm": "l1", "dimension": 2})
     assert run(["--config", cfg, "integrate", square]) == 0
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"sample_density": True},
+        {"sample_density": 2.7},
+        {"dimension": "1"},
+        {"dimension": "x"},
+        {"dimension": 2.0},
+    ],
+    ids=["density-bool", "density-float", "dimension-digit-string", "dimension-word", "dimension-float"],
+)
+def test_config_integers_must_be_json_integers(config, square, tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", config)
+    assert run(["--config", cfg, "integrate", square]) == 2
+    (key,) = config
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: {key} must be an integer")
 
 
 def test_dimension_validation(square, capsys):

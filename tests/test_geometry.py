@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, strategies as st
 
+from eulercert import _simplex
 from eulercert.geometry import (
     Norm,
     RoundedReal,
@@ -25,6 +26,9 @@ from eulercert.geometry import (
     translate,
     vertex_centroid,
     volume,
+    _distance_faces,
+    _in_hull_lp,
+    _sqdist_to_simplex,
 )
 
 from helpers import caratheodory_contains, interior_point, rand_point, rand_polytope
@@ -62,6 +66,74 @@ def test_3d_hull_of_cube_with_interior_points():
     pts = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
     p = from_vertices(pts + [(F(1, 2), F(1, 2), F(1, 2)), (F(1, 4), F(1, 4), F(1, 2))])
     assert len(p.vertices) == 8
+
+
+_COORD = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5]))
+
+
+@st.composite
+def _hull_input(draw):
+    """Points in dimension 1 or 2 with duplicates, on-segment and collinear extras."""
+    dim = draw(st.sampled_from([1, 2]))
+    point = st.tuples(*[_COORD] * dim)
+    base = draw(st.lists(point, min_size=1, max_size=7))
+    if draw(st.booleans()):
+        # all on one line through the first point
+        step = draw(point)
+        ks = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=6))
+        base = [tuple(a + k * d for a, d in zip(base[0], step)) for k in ks]
+    # t = 0 repeats a point; a pair of hull neighbours gives an edge-interior one
+    on_segment = st.tuples(
+        st.sampled_from(base), st.sampled_from(base), st.sampled_from([F(0), F(1, 3), F(1, 2)])
+    )
+    extra = [
+        tuple(x + t * (y - x) for x, y in zip(a, b)) for a, b, t in draw(st.lists(on_segment, max_size=4))
+    ]
+    return base + extra
+
+
+@given(_hull_input())
+def test_from_vertices_keeps_what_the_lp_keeps(pts):
+    uniq = set(pts)
+    kept = sorted(p for p in uniq if not _in_hull_lp([q for q in uniq if q != p], p))
+    assert from_vertices(pts).vertices == tuple(kept)
+
+
+def test_hulls_solve_no_lp_below_dimension_3(monkeypatch):
+    calls = []
+    feasible = _simplex.feasible
+    monkeypatch.setattr(_simplex, "feasible", lambda a, b: calls.append(1) or feasible(a, b))
+    rng = random.Random(21)
+    for dim in (1, 2):
+        for _ in range(20):
+            rand_polytope(rng, dim, max_vertices=9)
+    assert not calls
+    from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (F(1, 4), F(1, 4), F(1, 4))])
+    assert calls
+    # the membership oracle stays an LP, independent of the hull code
+    calls.clear()
+    assert contains_oracle(UNIT_SQUARE, (F(1, 2), F(1, 2)))
+    assert calls
+
+
+def test_pruned_l2_distance_equals_min_over_all_faces():
+    rng = random.Random(22)
+    seen = 0
+    while seen < 150:
+        p = rand_polytope(rng, 2, max_vertices=8)
+        if p.affine_dim < 2:
+            continue
+        pts = [rand_point(rng, 2, lo=-6, hi=6, dens=(1, 3, 4)) for _ in range(3)]
+        outside = [x for x in pts if not contains(p, x)]
+        if not outside:
+            continue
+        seen += 1
+        faces = _distance_faces(p)
+        full = [min(_sqdist_to_simplex(x, f) for f in faces) for x in outside]
+        for x, sq in zip(outside, full):
+            assert distance_point_to_polytope(x, p) == sqrt_upper(sq)
+        y = from_vertices(pts)
+        assert directed_hausdorff(y, p) == sqrt_upper(max(full))
 
 
 # --- membership --------------------------------------------------------------
