@@ -29,14 +29,13 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cellcomplex import arrangement
 from .constructible import (
     ConstructibleFunction,
     Verdict,
     equals,
     euler_integral,
-    evaluate,
     from_terms,
+    nonzero_cells,
     normalize,
     zero_function,
 )
@@ -244,20 +243,14 @@ def metric_eval(
         return RoundedReal(Fraction(abs(euler_integral(f) - euler_integral(g))))
     if f.dimension > 2:
         raise ValueError("L1/SUP metrics require dimension <= 2")
-    cc = arrangement(f.supports() + g.supports(), f.dimension)
+    # f - g is constant on each cell of its own arrangement, and cells where
+    # it vanishes add nothing to either metric
+    cells = list(nonzero_cells(f - g))
     if kind is MetricKind.SUP:
-        worst = 0
-        for cell in cc.cells:
-            worst = max(worst, abs(evaluate(f, cell.representative) - evaluate(g, cell.representative)))
-        return RoundedReal(Fraction(worst))
-    total = Fraction(0)
-    for cell in cc.cells:
-        if cell.volume is None:
-            continue
-        d = evaluate(f, cell.representative) - evaluate(g, cell.representative)
-        if d:
-            total += abs(d) * cell.volume
-    return RoundedReal(total)
+        return RoundedReal(Fraction(max((abs(v) for _, v in cells), default=0)))
+    return RoundedReal(
+        sum((abs(v) * cell.volume for cell, v in cells if cell.volume is not None), Fraction(0))
+    )
 
 
 @dataclass(frozen=True)

@@ -41,27 +41,12 @@ class WorkspaceConfig:
             raise SchemaError("sample_density must be positive")
 
 
-def _load_config(args: argparse.Namespace) -> WorkspaceConfig:
-    fields: dict = {}
-    if args.config:
-        raw = _read_json(args.config)
-        if not isinstance(raw, dict):
-            raise SchemaError(f"{args.config}: config must be a JSON object")
-        for key in ("dimension", "sample_density"):
-            # `type(x) is int` as in jsonio: a JSON true, 2.7 or "1" is no integer
-            if key in raw and type(raw[key]) is not int:
-                raise SchemaError(f"{args.config}: {key} must be an integer: {raw[key]!r}")
-        for key in ("dimension", "norm", "tol_dist", "sample_density"):
-            if key in raw:
-                fields[key] = raw[key]
-    if args.norm:
-        fields["norm"] = args.norm
-    if args.tol_dist:
-        fields["tol_dist"] = args.tol_dist
-    if args.sample_density:
-        fields["sample_density"] = args.sample_density
-    if args.dimension:
-        fields["dimension"] = args.dimension
+_CONFIG_KEYS = ("dimension", "norm", "tol_dist", "sample_density")
+
+
+def _typed(values: dict) -> dict:
+    """Raw config or flag values, with norm and tol_dist as WorkspaceConfig takes them."""
+    fields = dict(values)
     if "norm" in fields:
         try:
             fields["norm"] = Norm(str(fields["norm"]).lower())
@@ -69,7 +54,27 @@ def _load_config(args: argparse.Namespace) -> WorkspaceConfig:
             raise SchemaError(f"unknown norm: {fields['norm']!r}") from None
     if "tol_dist" in fields:
         fields["tol_dist"] = jsonio.parse_rational(fields["tol_dist"])
-    return WorkspaceConfig(**fields)
+    return fields
+
+
+def _load_config(args: argparse.Namespace) -> WorkspaceConfig:
+    fields: dict = {}
+    if args.config:
+        raw = _read_json(args.config)
+        if not isinstance(raw, dict):
+            raise SchemaError(f"{args.config}: config must be a JSON object")
+        try:
+            for key in ("dimension", "sample_density"):
+                # `type(x) is int` as in jsonio: a JSON true, 2.7 or "1" is no integer
+                if key in raw and type(raw[key]) is not int:
+                    raise SchemaError(f"{key} must be an integer: {raw[key]!r}")
+            fields = _typed({k: raw[k] for k in _CONFIG_KEYS if k in raw})
+            WorkspaceConfig(**fields)  # range errors in the file name the file
+        except ValueError as exc:
+            raise SchemaError(f"{args.config}: {exc}") from None
+    # a flag given as 0 or "" is still given, and is rejected if out of range
+    flags = {k: getattr(args, k) for k in _CONFIG_KEYS if getattr(args, k) is not None}
+    return WorkspaceConfig(**{**fields, **_typed(flags)})
 
 
 def _read_json(path: str):
@@ -78,6 +83,10 @@ def _read_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"{path}: no such file") from None
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: malformed JSON ({exc.msg} at line {exc.lineno})") from None
 

@@ -13,10 +13,10 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import _simplex
-from .cellcomplex import arrangement
+from .cellcomplex import Cell, arrangement
 from .geometry import (
     AffineMap,
     Point,
@@ -121,15 +121,26 @@ def oracle_integral(f: ConstructibleFunction) -> int:
     """
     if f.dimension > 2:
         raise ValueError("oracle integral requires dimension <= 2")
-    cc = arrangement(f.supports(), f.dimension)
     total = 0
-    for cell in cc.cells:
-        if not cell.bounded:
-            continue
-        v = evaluate(f, cell.representative)
-        if v:
+    for cell, v in nonzero_cells(f):
+        if cell.bounded:
             total += v if cell.dimension % 2 == 0 else -v
     return total
+
+
+def nonzero_cells(f: ConstructibleFunction) -> Iterator[tuple[Cell, int]]:
+    """The cells of the arrangement of f's own supports where f is nonzero.
+
+    Yields each such cell with f's value on it, in cell order (dimensions 1
+    and 2).  f is constant on every cell, so f is zero exactly when nothing
+    is yielded; a function without terms builds no arrangement at all.
+    """
+    if not f.terms:
+        return
+    for cell in arrangement(f.supports(), f.dimension).cells:
+        v = evaluate(f, cell.representative)
+        if v:
+            yield cell, v
 
 
 class Verdict(Enum):
@@ -151,24 +162,27 @@ def equals(
     sample_density: int = 64,
     seed: int = 7,
 ) -> EvalReport:
-    """Pointwise equality.
+    """Pointwise equality, decided on the difference h = f - g.
 
-    Exact through the cell decomposition in dimensions 1 and 2 (every cell of
-    every dimension is probed, so boundary effects are visible).  Dimension 3
-    falls back to deterministic sampling and can only answer probably-equal.
+    Normalizing h cancels terms with structurally equal supports, so equal
+    functions written alike leave no term and need no geometry.  Otherwise
+    h is decided exactly through the cell decomposition of its own supports
+    in dimensions 1 and 2 (every cell of every dimension is probed, so
+    boundary effects are visible), and the witness is a point where f and g
+    differ.  Dimension 3 probes deterministic samples taken from the
+    supports of f and g and can only answer probably-equal.
     """
     if f.dimension != g.dimension:
         raise ValueError("dimension mismatch")
-    supports = f.supports() + g.supports()
+    h = f - g
     if f.dimension <= 2:
-        cc = arrangement(supports, f.dimension)
-        for cell in cc.cells:
-            if evaluate(f, cell.representative) != evaluate(g, cell.representative):
-                return EvalReport(Verdict.NOT_EQUAL, cell.representative)
+        for cell, _ in nonzero_cells(h):
+            return EvalReport(Verdict.NOT_EQUAL, cell.representative)
         return EvalReport(Verdict.EQUAL)
-    for pt in _probe_points(supports, f.dimension, sample_density, seed):
-        if evaluate(f, pt) != evaluate(g, pt):
-            return EvalReport(Verdict.NOT_EQUAL, pt)
+    if h.terms:
+        for pt in _probe_points(f.supports() + g.supports(), f.dimension, sample_density, seed):
+            if evaluate(h, pt):
+                return EvalReport(Verdict.NOT_EQUAL, pt)
     return EvalReport(Verdict.PROBABLY_EQUAL)
 
 

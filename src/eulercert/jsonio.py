@@ -9,7 +9,7 @@ reproduces a structurally equal value.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any
+from typing import Any, Optional
 
 from .certify import Certificate, CertificateStep
 from .constructible import ConstructibleFunction, from_terms
@@ -71,13 +71,26 @@ def polytope_to_json(p: Polytope) -> dict:
     return {"vertices": [point_to_json(v) for v in p.vertices]}
 
 
-def polytope_from_json(obj: Any) -> Polytope:
+def polytope_from_json(obj: Any, polytopes: Optional[dict] = None) -> Polytope:
+    """Parse and hull one polytope.
+
+    `polytopes` maps each parsed vertex tuple already hulled to its
+    Polytope; one dict per document lets every repeat of a vertex list
+    share one hull and its cached chart.  The vertices are still parsed and
+    checked on every occurrence.
+    """
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise SchemaError("polytope must be an object with a 'vertices' list")
     verts = obj["vertices"]
     if not isinstance(verts, list) or not verts:
         raise SchemaError("polytope needs a nonempty vertex list")
-    return from_vertices([point_from_json(v) for v in verts])
+    key = tuple(point_from_json(v) for v in verts)
+    if polytopes is None:
+        return from_vertices(key)
+    poly = polytopes.get(key)
+    if poly is None:
+        poly = polytopes[key] = from_vertices(key)
+    return poly
 
 
 def cf_to_json(f: ConstructibleFunction) -> dict:
@@ -89,7 +102,10 @@ def cf_to_json(f: ConstructibleFunction) -> dict:
     }
 
 
-def cf_from_json(obj: Any) -> ConstructibleFunction:
+def cf_from_json(obj: Any, polytopes: Optional[dict] = None) -> ConstructibleFunction:
+    """Parse a constructible function; `polytopes` as in `polytope_from_json`."""
+    if polytopes is None:
+        polytopes = {}
     if not isinstance(obj, dict) or "dimension" not in obj or "terms" not in obj:
         raise SchemaError("constructible function needs 'dimension' and 'terms'")
     dim = _dimension(obj)
@@ -100,7 +116,7 @@ def cf_from_json(obj: Any) -> ConstructibleFunction:
         coeff = t["coeff"]
         if type(coeff) is not int:
             raise SchemaError(f"coefficient must be an integer: {coeff!r}")
-        pairs.append((coeff, polytope_from_json(t["polytope"])))
+        pairs.append((coeff, polytope_from_json(t["polytope"], polytopes)))
     return from_terms(dim, pairs)
 
 
@@ -119,7 +135,10 @@ def sheaf_to_json(s: SheafSum) -> dict:
     }
 
 
-def sheaf_from_json(obj: Any) -> SheafSum:
+def sheaf_from_json(obj: Any, polytopes: Optional[dict] = None) -> SheafSum:
+    """Parse a sheaf sum; `polytopes` as in `polytope_from_json`."""
+    if polytopes is None:
+        polytopes = {}
     if not isinstance(obj, dict) or "dimension" not in obj or "summands" not in obj:
         raise SchemaError("sheaf sum needs 'dimension' and 'summands'")
     dim = _dimension(obj)
@@ -127,9 +146,9 @@ def sheaf_from_json(obj: Any) -> SheafSum:
     for sm in _list(obj, "summands"):
         if not isinstance(sm, dict) or "outer" not in sm:
             raise SchemaError("summand needs at least an 'outer' polytope")
-        outer = polytope_from_json(sm["outer"])
+        outer = polytope_from_json(sm["outer"], polytopes)
         inner = sm.get("inner")
-        support = Support(outer, None if inner is None else polytope_from_json(inner))
+        support = Support(outer, None if inner is None else polytope_from_json(inner, polytopes))
         shift = sm.get("shift", 0)
         mult = sm.get("multiplicity", 1)
         if type(shift) is not int or type(mult) is not int:
@@ -190,24 +209,25 @@ def cert_to_json(cert: Certificate) -> dict:
 def cert_from_json(obj: Any) -> Certificate:
     if not isinstance(obj, dict) or not {"epsilon", "source", "target", "steps"} <= obj.keys():
         raise SchemaError("certificate needs 'epsilon', 'source', 'target' and 'steps'")
+    polytopes: dict = {}
     steps = []
     for s in _list(obj, "steps"):
         if not isinstance(s, dict) or not {"F", "G", "bound", "chi_F", "chi_G"} <= s.keys():
             raise SchemaError("certificate step needs 'F', 'G', 'bound', 'chi_F', 'chi_G'")
         steps.append(
             CertificateStep(
-                sheaf_from_json(s["F"]),
-                sheaf_from_json(s["G"]),
+                sheaf_from_json(s["F"], polytopes),
+                sheaf_from_json(s["G"], polytopes),
                 RoundedReal(parse_rational(s["bound"])),
-                cf_from_json(s["chi_F"]),
-                cf_from_json(s["chi_G"]),
+                cf_from_json(s["chi_F"], polytopes),
+                cf_from_json(s["chi_G"], polytopes),
             )
         )
     if not steps:
         raise SchemaError("certificate needs at least one step")
     return Certificate(
-        cf_from_json(obj["source"]),
-        cf_from_json(obj["target"]),
+        cf_from_json(obj["source"], polytopes),
+        cf_from_json(obj["target"], polytopes),
         parse_rational(obj["epsilon"]),
         tuple(steps),
     )

@@ -7,9 +7,22 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from eulercert.constructible import ConstructibleFunction, from_terms
+from eulercert.cellcomplex import arrangement
+from eulercert.certify import MetricKind
+from eulercert.constructible import ConstructibleFunction, EvalReport, Verdict, evaluate, from_terms
 from eulercert.distance import Bound, pair_bound
-from eulercert.geometry import Norm, Point, Polytope, from_vertices, translate, vadd, vscale
+from eulercert.geometry import (
+    Norm,
+    Point,
+    Polytope,
+    RoundedReal,
+    _ccw_sorted,
+    from_vertices,
+    translate,
+    vadd,
+    vscale,
+    vsub,
+)
 from eulercert.sheafsum import SheafSum, Summand, Support, difference, plain, sheaf_sum
 from eulercert.geometry import homothet
 
@@ -104,6 +117,59 @@ def rand_nearby_sheaf(rng: random.Random, s: SheafSum, max_mult: int = 3, reach:
     return sheaf_sum(dim, out + extra)
 
 
+def split_indicator(rng: random.Random, p: Polytope) -> ConstructibleFunction:
+    """The indicator of p written with other terms: p cut along a chord.
+
+    The two pieces minus the chord; a point, which has no chord, stays as it
+    is.
+    """
+    dim = p.dimension
+    if len(p.vertices) == 1:
+        return from_terms(dim, [(1, p)])
+    if len(p.vertices) == 2:
+        a, b = p.vertices
+        m = vadd(a, vscale(Fraction(rng.randint(1, 3), 4), vsub(b, a)))
+        return from_terms(dim, [(1, from_vertices([a, m])), (1, from_vertices([m, b])), (-1, from_vertices([m]))])
+    ring = _ccw_sorted(p.vertices)
+    if len(ring) == 3:
+        mid = vscale(Fraction(1, 2), vadd(ring[1], ring[2]))
+        ring = [ring[0], ring[1], mid, ring[2]]
+        j = 2
+    else:
+        j = rng.randint(2, len(ring) - 2)
+    pieces = [ring[: j + 1], ring[j:] + ring[:1], [ring[0], ring[j]]]
+    return from_terms(dim, [(1, from_vertices(pieces[0])), (1, from_vertices(pieces[1])), (-1, from_vertices(pieces[2]))])
+
+
+def rand_equality_pair(rng: random.Random, dim: int) -> tuple[ConstructibleFunction, ConstructibleFunction]:
+    """Two functions for equality tests, f and g of one of four kinds.
+
+    g is f with one support cut along a chord (equal, written with other
+    terms), f plus a term and its structurally equal rewrite subtracted
+    (cancelling terms), f plus a cut polytope minus the polytope (terms that
+    cancel only pointwise), or f moved by one point mass at a vertex, an edge
+    point or a random point (one-point perturbation, possibly on top of a
+    cut).
+    """
+    f = rand_cf(rng, dim, max_terms=3, max_vertices=5)
+    kind = rng.randrange(4)
+    t = rng.choice(f.terms)
+    cut = f + t.coeff * (split_indicator(rng, t.support) - from_terms(dim, [(1, t.support)]))
+    if kind == 0:
+        return f, cut
+    if kind == 1:
+        p = rand_polytope(rng, dim, 5)
+        same = from_vertices(p.vertices + (interior_point(rng, p),))
+        return f, from_terms(dim, [(tt.coeff, tt.support) for tt in f.terms] + [(2, p), (-2, same)])
+    if kind == 2:
+        p = rand_polytope(rng, dim, 5)
+        return f, f + split_indicator(rng, p) - from_terms(dim, [(1, p)])
+    verts = rng.choice(f.terms).support.vertices
+    a, b = rng.choice(verts), rng.choice(verts)
+    pt = rng.choice([a, vscale(Fraction(1, 2), vadd(a, b)), rand_point(rng, dim)])
+    return f, rng.choice([f, cut]) + from_terms(dim, [(rng.choice([-1, 1]), from_vertices([pt]))])
+
+
 # --- independent oracles -----------------------------------------------------
 
 
@@ -149,6 +215,35 @@ def _barycentric(subset: Sequence[Point], x: Point) -> Optional[list[Fraction]]:
     for i, c in enumerate(pivots):
         lam[c] = rows[i][-1]
     return lam
+
+
+def brute_equals(f: ConstructibleFunction, g: ConstructibleFunction) -> EvalReport:
+    """Equality by the arrangement of every support of f and g (dimensions 1, 2).
+
+    Compares the values of f and g on each cell, with no cancellation first.
+    """
+    for cell in arrangement(f.supports() + g.supports(), f.dimension).cells:
+        if evaluate(f, cell.representative) != evaluate(g, cell.representative):
+            return EvalReport(Verdict.NOT_EQUAL, cell.representative)
+    return EvalReport(Verdict.EQUAL)
+
+
+def brute_metric(kind: MetricKind, f: ConstructibleFunction, g: ConstructibleFunction) -> RoundedReal:
+    """SUP or L1 distance of f and g over the arrangement of all their supports."""
+    cc = arrangement(f.supports() + g.supports(), f.dimension)
+    if kind is MetricKind.SUP:
+        worst = 0
+        for cell in cc.cells:
+            worst = max(worst, abs(evaluate(f, cell.representative) - evaluate(g, cell.representative)))
+        return RoundedReal(Fraction(worst))
+    total = Fraction(0)
+    for cell in cc.cells:
+        if cell.volume is None:
+            continue
+        d = evaluate(f, cell.representative) - evaluate(g, cell.representative)
+        if d:
+            total += abs(d) * cell.volume
+    return RoundedReal(total)
 
 
 def brute_bottleneck(

@@ -1,9 +1,12 @@
 import dataclasses
+import json
+import os
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from eulercert import constructible
 from eulercert.certify import (
     MetricKind,
     concentrate_basepoints,
@@ -22,8 +25,9 @@ from eulercert.constructible import (
     zero_function,
 )
 from eulercert.geometry import RoundedReal, from_vertices, homothet
+from eulercert.jsonio import cert_from_json
 
-from helpers import rand_cf
+from helpers import brute_metric, rand_cf, rand_equality_pair
 
 UNIT_SQUARE = from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
 SEG = from_vertices([(0,), (4,)])
@@ -171,6 +175,26 @@ def test_metric_examples():
     assert metric_eval(MetricKind.SUP, f, f).value == 0
     point_mass = from_terms(2, [(1, from_vertices([(0, 0)]))])
     assert metric_eval(MetricKind.INTEGRAL_GAP, indicator(UNIT_SQUARE), point_mass).value == 0
+
+
+def test_verify_of_valid_certificate_builds_no_arrangement(monkeypatch):
+    # every equality a sound certificate asks for cancels term by term
+    built = []
+    real = constructible.arrangement
+    monkeypatch.setattr(constructible, "arrangement", lambda *a: built.append(a) or real(*a))
+    with open(os.path.join(os.path.dirname(__file__), "data", "link2d.cert.json"), encoding="utf-8") as fh:
+        cert = cert_from_json(json.load(fh))
+    assert verify(cert).passed
+    assert built == []
+
+
+def test_metric_agrees_with_arrangement_of_all_supports():
+    rng = random.Random(75)
+    for _ in range(40):
+        f, g = rand_equality_pair(rng, rng.choice([1, 2]))
+        for kind in (MetricKind.SUP, MetricKind.L1):
+            assert metric_eval(kind, f, g) == brute_metric(kind, f, g)
+            assert metric_eval(kind, f, zero_function(f.dimension)) == brute_metric(kind, f, zero_function(f.dimension))
 
 
 def test_metric_dimension_guard():

@@ -236,6 +236,7 @@ def test_schema_error_names_path(tmp_path, capsys):
     assert "bad.json" in capsys.readouterr().err
 
 
+DIRECTORY = object()
 SHEAF_SUMMAND = {"outer": {"vertices": [["0"], ["1"]]}, "inner": None, "shift": 0, "multiplicity": 1}
 
 
@@ -253,6 +254,8 @@ SHEAF_SUMMAND = {"outer": {"vertices": [["0"], ["1"]]}, "inner": None, "shift": 
         (["chi", "BAD"], {"dimension": 1, "summands": [dict(SHEAF_SUMMAND, multiplicity=0)]}),
         (["integrate", "BAD"], "{not json"),
         (["integrate", "BAD"], None),
+        (["integrate", "BAD"], DIRECTORY),
+        (["integrate", "BAD"], b'{"dimension": 1, "terms": []}\xff'),
     ],
     ids=[
         "terms-not-list",
@@ -266,12 +269,20 @@ SHEAF_SUMMAND = {"outer": {"vertices": [["0"], ["1"]]}, "inner": None, "shift": 
         "multiplicity-zero",
         "malformed-json",
         "missing-file",
+        "directory",
+        "not-utf8",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(argv, blob, square, tmp_path):
-    # blob is the file's JSON value, its raw text, or None for no file at all
+    # blob is the file's JSON value, its raw text or bytes, DIRECTORY for a
+    # directory in its place, or None for no file at all
     path = str(tmp_path / "bad.json")
-    if blob is not None:
+    if blob is DIRECTORY:
+        os.mkdir(path)
+    elif isinstance(blob, bytes):
+        with open(path, "wb") as fh:
+            fh.write(blob)
+    elif blob is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(blob if isinstance(blob, str) else json.dumps(blob))
     argv = [{"BAD": path, "SQUARE": square}.get(a, a) for a in argv]
@@ -316,6 +327,40 @@ def test_config_integers_must_be_json_integers(config, square, tmp_path, capsys)
     assert run(["--config", cfg, "integrate", square]) == 2
     (key,) = config
     assert capsys.readouterr().err.startswith(f"error: {cfg}: {key} must be an integer")
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"dimension": 5}, "unsupported dimension: 5"),
+        ({"tol_dist": "abc"}, "not a rational: 'abc'"),
+        ({"tol_dist": "-1/2"}, "tol_dist must be positive"),
+        ({"sample_density": 0}, "sample_density must be positive"),
+        ({"norm": "l7"}, "unknown norm: 'l7'"),
+    ],
+    ids=["dimension-range", "tol-not-rational", "tol-negative", "density-zero", "norm-unknown"],
+)
+def test_config_value_errors_name_the_file(config, message, square, tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", config)
+    assert run(["--config", cfg, "integrate", square]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--dimension", "5"], "unsupported dimension: 5"),
+        (["--dimension", "0"], "unsupported dimension: 0"),
+        (["--sample-density", "0"], "sample_density must be positive"),
+        (["--tol-dist", "abc"], "not a rational: 'abc'"),
+        (["--tol-dist", "0"], "tol_dist must be positive"),
+    ],
+    ids=["dimension-range", "dimension-zero", "density-zero", "tol-not-rational", "tol-zero"],
+)
+def test_flag_value_errors_are_rejected_as_given(flags, message, square, capsys):
+    # a zero is a given value, not a missing one
+    assert run([*flags, "integrate", square]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_dimension_validation(square, capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from eulercert import constructible
 from eulercert.cellcomplex import arrangement
 from eulercert.constructible import (
     ConstructibleFunction,
@@ -21,7 +22,7 @@ from eulercert.constructible import (
 )
 from eulercert.geometry import affine_map, from_vertices, homothet
 
-from helpers import rand_cf, rand_point
+from helpers import brute_equals, interior_point, rand_cf, rand_equality_pair, rand_point, rand_polytope
 
 UNIT_SQUARE = from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
 INNER = homothet(UNIT_SQUARE, (0, 0), F(1, 2))
@@ -120,6 +121,37 @@ def test_equals_boundary_sensitivity():
     open_ish = from_terms(1, [(1, from_vertices([(0,), (1,)])), (-1, from_vertices([(1,)]))])
     assert equals(closed, open_ish).verdict is Verdict.NOT_EQUAL
     assert equals(closed, open_ish).witness == ((F(1),))
+
+
+def test_equals_agrees_with_arrangement_of_all_supports():
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(80):
+        dim = rng.choice([1, 2])
+        f, g = rand_equality_pair(rng, dim)
+        rep = equals(f, g)
+        assert rep.verdict is brute_equals(f, g).verdict
+        if rep.verdict is Verdict.NOT_EQUAL:
+            assert evaluate(f, rep.witness) != evaluate(g, rep.witness)
+        seen.add((rep.verdict, bool((f - g).terms)))
+    # cancelled, equal only pointwise, and unequal inputs all occurred
+    assert seen == {(Verdict.EQUAL, False), (Verdict.EQUAL, True), (Verdict.NOT_EQUAL, True)}
+
+
+def test_equals_builds_no_arrangement_when_difference_cancels(monkeypatch):
+    built = []
+    real = constructible.arrangement
+    monkeypatch.setattr(constructible, "arrangement", lambda *a: built.append(a) or real(*a))
+    rng = random.Random(38)
+    for dim in (1, 2, 1, 2):
+        f = rand_cf(rng, dim)
+        p = rand_polytope(rng, dim)
+        rewritten = from_vertices(p.vertices + (interior_point(rng, p),))
+        g = from_terms(dim, [(t.coeff, t.support) for t in reversed(f.terms)] + [(3, p), (-3, rewritten)])
+        assert equals(f, g).verdict is Verdict.EQUAL
+    assert built == []
+    assert equals(f, f + indicator(from_vertices([p.vertices[0]]))).verdict is Verdict.NOT_EQUAL
+    assert len(built) == 1
 
 
 def test_equals_sampled_in_dimension_3():

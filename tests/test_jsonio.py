@@ -1,4 +1,5 @@
 import json
+import os
 import random
 from fractions import Fraction as F
 
@@ -11,6 +12,8 @@ from eulercert.geometry import Norm, from_vertices
 from eulercert.jsonio import SchemaError
 
 from helpers import rand_cf, rand_sheaf
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def test_polytope_round_trip():
@@ -50,6 +53,43 @@ def test_certificate_round_trip():
     ]
     # emitting the parsed value reproduces the same bytes
     assert json.dumps(jsonio.cert_to_json(parsed)) == blob
+
+
+def _vertex_lists(blob) -> list:
+    if isinstance(blob, dict):
+        own = [blob["vertices"]] if "vertices" in blob else []
+        return own + [v for value in blob.values() for v in _vertex_lists(value)]
+    if isinstance(blob, list):
+        return [v for item in blob for v in _vertex_lists(item)]
+    return []
+
+
+def _polytopes(cert) -> list:
+    cfs = [cert.source, cert.target] + [f for s in cert.steps for f in (s.chi_left, s.chi_right)]
+    sheaves = [sh for s in cert.steps for sh in (s.left, s.right)]
+    supports = [sm.support for sh in sheaves for sm in sh.summands]
+    return (
+        [t.support for f in cfs for t in f.terms]
+        + [sup.outer for sup in supports]
+        + [sup.inner for sup in supports if sup.inner is not None]
+    )
+
+
+def test_certificate_hulls_each_distinct_vertex_list_once(monkeypatch):
+    with open(os.path.join(DATA, "link2d.cert.json"), encoding="utf-8") as fh:
+        blob = json.load(fh)
+    hulled = []
+    real = jsonio.from_vertices
+    monkeypatch.setattr(jsonio, "from_vertices", lambda pts: hulled.append(tuple(pts)) or real(pts))
+    cert = jsonio.cert_from_json(blob)
+    lists = {tuple(tuple(F(c) for c in v) for v in verts) for verts in _vertex_lists(blob)}
+    assert len(_vertex_lists(blob)) > len(lists)  # the fixture repeats vertex lists
+    assert sorted(hulled) == sorted(lists)
+    # every occurrence of one vertex list is the same object
+    objects: dict = {}
+    for p in _polytopes(cert):
+        objects.setdefault(p.vertices, set()).add(id(p))
+    assert all(len(ids) == 1 for ids in objects.values())
 
 
 def test_affine_map_schema():
