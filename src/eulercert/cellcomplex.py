@@ -22,9 +22,9 @@ from typing import Optional, Sequence
 from .geometry import (
     Point,
     Polytope,
-    _ccw_sorted,
     _polygon_area,
     _primitive,
+    _ring_of,
     dot,
     vadd,
     vscale,
@@ -44,9 +44,6 @@ class Cell:
 class CellComplex:
     dimension: int
     cells: tuple[Cell, ...]
-
-    def bounded_cells(self) -> tuple[Cell, ...]:
-        return tuple(c for c in self.cells if c.bounded)
 
 
 def arrangement(polytopes: Sequence[Polytope], dimension: Optional[int] = None) -> CellComplex:
@@ -125,7 +122,7 @@ def _lines_of(p: Polytope) -> list[_Line]:
         d = vsub(b, a)
         caps = [_make_line(d[0], d[1], dot(d, e)) for e in (a, b)]
         return [_line_through(a, b)] + caps
-    ring = _ccw_sorted(verts)
+    ring = _ring_of(p)
     return [_line_through(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
 
 

@@ -89,6 +89,8 @@ def _read_json(path: str):
         raise SchemaError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: malformed JSON ({exc.msg} at line {exc.lineno})") from None
+    except RecursionError:
+        raise SchemaError(f"{path}: malformed JSON (nested too deeply)") from None
 
 
 def _load(path: str, parse):
@@ -118,8 +120,11 @@ def _parse_point(text: str):
 def _emit(obj: dict, out: Optional[str]) -> None:
     text = json.dumps(obj)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise SchemaError(f"{out}: cannot write ({exc.strerror})") from None
     else:
         print(text)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Norm, Point, Polytope, RoundedReal, as_point, contains, homothet, reach
+from .geometry import Norm, Point, Polytope, RoundedReal, _homothet, as_point, contains, reach
 from .sheafsum import SheafSum, Summand, Support, sheaf_sum
 
 
@@ -29,7 +29,8 @@ def build_flag(base: Polytope, center, steps: int, norm: Norm = Norm.L2) -> Flag
         raise ValueError("a flag needs at least one step")
     if not contains(base, c):
         raise ValueError("flag center must lie in the base polytope")
-    levels = tuple(homothet(base, c, Fraction(i, steps)) for i in range(steps + 1))
+    # the center is checked once here, not once per level
+    levels = tuple(_homothet(base, c, Fraction(i, steps)) for i in range(steps + 1))
     spacing = reach(base, c, norm) / steps
     return Flag(base, c, steps, levels, spacing)
 

@@ -15,6 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import _simplex
@@ -169,18 +170,32 @@ class Polytope:
     """Canonical V-representation: the sorted tuple of extreme points.
 
     Build through :func:`from_vertices`; structural equality of two polytopes
-    is then equality as point sets.
+    is then equality as point sets.  The vertices are the public, hashed and
+    serialized form.  Beside them a polytope caches its hash, its integer
+    form (:func:`_integer_form`) and its chart, each computed from its own
+    vertices on first use.
     """
 
     vertices: tuple[Point, ...]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.vertices)
 
     @property
     def dimension(self) -> int:
         return len(self.vertices[0])
 
     @cached_property
+    def _ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        return _integer_form(self.vertices)
+
+    @cached_property
     def _chart(self) -> "_Chart":
-        return _Chart(self)
+        return _Chart(*self._ints)
 
     @property
     def affine_dim(self) -> int:
@@ -206,9 +221,11 @@ def _in_hull_lp(points: Sequence[Point], x: Point) -> bool:
 def from_vertices(points: Iterable) -> Polytope:
     """Canonicalize a point list to the extreme points of its convex hull.
 
-    Exact orientation tests decide extremeness in dimensions 1 and 2 (the
-    end points, or the counterclockwise ring); dimension 3 asks one
-    convex-combination LP per point.
+    Exact integer tests on the points' integer form decide extremeness, with
+    no LP in any dimension: the two lexicographic ends of points on a line,
+    the counterclockwise ring of points in a plane (in 3-space, in the
+    projection that drops one axis), and in a full-dimensional 3-D set the
+    points whose facet planes have normals of rank 3.
     """
     pts = [as_point(p) for p in points]
     if not pts:
@@ -219,13 +236,22 @@ def from_vertices(points: Iterable) -> Polytope:
     if n not in (1, 2, 3):
         raise ValueError(f"unsupported dimension {n}")
     uniq = sorted(set(pts))
-    if n == 1:
-        keep = {uniq[0], uniq[-1]}
-    elif n == 2:
-        keep = set(_ccw_sorted(uniq))
+    den, nums = _integer_form(uniq)
+    chart = _Chart(den, nums)
+    if chart.k == 3:
+        # a point is a vertex iff the facet planes through it meet only there
+        keep = []
+        for i, v in enumerate(nums):
+            q = v + (-den,)
+            through = [r[:3] for r in chart.ineqs if not sum(map(mul, r, q))]
+            if len(_basis(through, 3)) == 3:
+                keep.append(i)
+    elif chart.k == 2:
+        keep = sorted(chart.ring)
     else:
-        keep = {p for p in uniq if not _in_hull_lp([q for q in uniq if q != p], p)}
-    return Polytope(tuple(sorted(keep)))
+        # a point, or points on one line: lexicographic order runs along the line
+        keep = sorted({0, len(uniq) - 1})
+    return Polytope(tuple(uniq[i] for i in keep))
 
 
 def translate(p: Polytope, v: Point) -> Polytope:
@@ -247,6 +273,7 @@ def _ccw_sorted(points: Sequence[Point]) -> list[Point]:
     hull right to left, over the sorted distinct points.  Only strict left
     turns are kept, so duplicate, collinear and edge-interior points drop.
     The ring starts at the least point; points on one line give its two ends.
+    Works on rational and on integer coordinates alike.
     """
     pts = sorted(set(points))
     lower: list[Point] = []
@@ -272,137 +299,193 @@ def _primitive(coeffs: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(ints)
 
 
-class _Chart:
-    """Cached exact containment/face data for one polytope."""
-
-    def __init__(self, poly: Polytope):
-        verts = poly.vertices
-        self.ambient = len(verts[0])
-        self.v0 = verts[0]
-        self.dirs: list[Point] = []
-        echelon: list[list[Fraction]] = []
-        for v in verts[1:]:
-            vec = list(vsub(v, self.v0))
-            red = _eliminate(vec, echelon)
-            if any(x != 0 for x in red):
-                echelon.append(red)
-                self.dirs.append(vsub(v, self.v0))
-        self.k = len(self.dirs)
-        self.proj_poly: Optional[Polytope] = None
-        self.proj_of: dict[Point, Point] = {}
-        self.ineqs: list[tuple[Point, Fraction]] = []
-        self.interval: Optional[tuple[Fraction, Fraction]] = None
-        n = self.ambient
-        if self.k == n:
-            if n == 1:
-                self.interval = (verts[0][0], verts[-1][0])
-            elif n == 2:
-                self.ineqs = _polygon_ineqs(verts)
-            else:
-                self.ineqs = _polyhedron_ineqs(verts)
-        elif self.k > 0:
-            proj_pts = []
-            for v in verts:
-                coords = _solve_coords(self.dirs, vsub(v, self.v0))
-                assert coords is not None
-                pt = tuple(coords)
-                proj_pts.append(pt)
-                self.proj_of[pt] = v
-            self.proj_poly = Polytope(tuple(sorted(proj_pts)))
-
-    def contains(self, x: Point) -> bool:
-        if self.k == self.ambient:
-            if self.interval is not None:
-                lo, hi = self.interval
-                return lo <= x[0] <= hi
-            return all(dot(a, x) <= b for a, b in self.ineqs)
-        if self.k == 0:
-            return x == self.v0
-        coords = _solve_coords(self.dirs, vsub(x, self.v0))
-        if coords is None:
-            return False
-        assert self.proj_poly is not None
-        return contains(self.proj_poly, tuple(coords))
+# --- the integer chart kernel -----------------------------------------------
+#
+# Predicates run on integer numerators over a common denominator (Yap,
+# "Towards Exact Geometric Computation", 1997): a point set is held as
+# (D, nums) with point i equal to nums[i] / D, and a polytope as integer rows
+# (a_1, ..., a_n, b) of the plane or half-space a.x = b or a.x <= b.
 
 
-def _eliminate(vec: list[Fraction], echelon: list[list[Fraction]]) -> list[Fraction]:
-    red = list(vec)
-    for row in echelon:
-        lead = next(i for i, v in enumerate(row) if v != 0)
-        if red[lead] != 0:
-            f = red[lead] / row[lead]
-            red = [a - f * b for a, b in zip(red, row)]
-    return red
+def _integer_form(points: Sequence[Point]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, nums): the least common denominator D of every coordinate, and
+    each point times D, so that point i equals nums[i] / D exactly."""
+    den = 1
+    for p in points:
+        for c in p:
+            if den % c.denominator:
+                den = math.lcm(den, c.denominator)
+    return den, tuple(tuple(c.numerator * (den // c.denominator) for c in p) for p in points)
 
 
-def _solve_coords(dirs: Sequence[Point], target: Point) -> Optional[list[Fraction]]:
-    """Coordinates of target in span(dirs), or None if outside the span."""
-    n = len(target)
-    k = len(dirs)
-    aug = [[dirs[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, n) if aug[i][c] != 0), -1)
-        if pr < 0:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        piv = aug[r][c]
-        aug[r] = [v / piv for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][-1] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][-1]
-    return sol
+def _basis(vectors: Iterable[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    """A basis of the span of integer vectors in n <= 3 dimensions, by echelon.
 
-
-def _polygon_ineqs(verts: Sequence[Point]) -> list[tuple[Point, Fraction]]:
-    # the interior lies to the left of every edge of the counterclockwise ring
-    ring = _ccw_sorted(verts)
-    ineqs = []
-    m = len(ring)
-    for i in range(m):
-        p, q = ring[i], ring[(i + 1) % m]
-        a: Point = (q[1] - p[1], p[0] - q[0])
-        ineqs.append((a, dot(a, p)))
-    return ineqs
-
-
-def _polyhedron_ineqs(verts: Sequence[Point]) -> list[tuple[Point, Fraction]]:
-    seen: dict[tuple[tuple[int, ...], Fraction], tuple[Point, Fraction]] = {}
-    for i, j, k in combinations(range(len(verts)), 3):
-        nrm = _cross3(vsub(verts[j], verts[i]), vsub(verts[k], verts[i]))
-        if nrm == (0, 0, 0):
-            continue
-        b = dot(nrm, verts[i])
-        sides = [dot(nrm, v) - b for v in verts]
-        if all(s <= 0 for s in sides):
-            a, off = nrm, b
-        elif all(s >= 0 for s in sides):
-            a, off = (-nrm[0], -nrm[1], -nrm[2]), -b
+    Each vector is kept when it is independent of those kept before it: when
+    it is nonzero, then when its cross product with the first is nonzero,
+    then when its determinant with the first two is nonzero.
+    """
+    basis: list[tuple[int, ...]] = []
+    for v in vectors:
+        if not basis:
+            ok = any(v)
+        elif len(basis) == 1:
+            ok = _cross2(basis[0], v) != 0 if n == 2 else any(_cross3(basis[0], v))
         else:
+            w = _cross3(basis[0], basis[1])
+            ok = w[0] * v[0] + w[1] * v[1] + w[2] * v[2] != 0
+        if ok:
+            basis.append(v)
+            if len(basis) == n:
+                break
+    return basis
+
+
+def _kept_axes(normal: tuple[int, ...]) -> tuple[int, int]:
+    """The two axes left by dropping the first axis a plane's normal uses.
+
+    Projecting onto them is one-to-one on that plane.
+    """
+    axis = next(i for i in range(3) if normal[i])
+    return (1, 2) if axis == 0 else (0, 2) if axis == 1 else (0, 1)
+
+
+def _ring(nums: Sequence[tuple[int, ...]], keep: tuple[int, int]) -> list[int]:
+    """Indices of the counterclockwise ring of coplanar points, in the projection onto `keep`."""
+    i, j = keep
+    flat = [(v[i], v[j]) for v in nums]
+    index = {q: k for k, q in enumerate(flat)}
+    return [index[q] for q in _ccw_sorted(flat)]
+
+
+def _facet_planes(nums: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The facet planes of the hull of a full-dimensional set of 3-D integer points.
+
+    Every plane through three of the points that leaves them all on one side,
+    as a primitive row (a_1, a_2, a_3, b) with a.v <= b for every point v.
+    The triples are enumerated on integer cross products; a plane met again
+    through another triple is not tested again.
+    """
+    planes: list[tuple[int, ...]] = []
+    tried: set[tuple[int, ...]] = set()
+    for i, j, k in combinations(range(len(nums)), 3):
+        p = nums[i]
+        a0, a1, a2 = _cross3(vsub(nums[j], p), vsub(nums[k], p))
+        b = a0 * p[0] + a1 * p[1] + a2 * p[2]
+        g = math.gcd(a0, a1, a2, b)
+        if g == 0:  # collinear triple
             continue
-        prim = _primitive(list(a) + [off])
-        canon_a = tuple(Fraction(v) for v in prim[:3])
-        canon_b = Fraction(prim[3])
-        seen[(prim[:3], canon_b)] = (canon_a, canon_b)
-    return list(seen.values())
+        row = (a0 // g, a1 // g, a2 // g, b // g)
+        if row in tried:
+            continue
+        flipped = (-row[0], -row[1], -row[2], -row[3])
+        tried.add(row)
+        tried.add(flipped)
+        vals = [a0 * x + a1 * y + a2 * z for x, y, z in nums]
+        if max(vals) == b:
+            planes.append(row)
+        elif min(vals) == b:
+            planes.append(flipped)
+    return planes
+
+
+def _scaled_row(row: Sequence[int], den: int) -> tuple[int, ...]:
+    """A row a.v <= b on numerators v = D x, as the primitive row of x."""
+    out = [den * a for a in row[:-1]] + [row[-1]]
+    g = math.gcd(*out)
+    return tuple(c // g for c in out)
+
+
+class _Chart:
+    """Cached exact face data of one polytope, in integers.
+
+    Built from the polytope's integer form (D, nums) alone.  The polytope is
+    the set of points x with a.x = b on every row of `eqs` and a.x <= b on
+    every row of `ineqs`, rows being primitive integer tuples (a_1, ..., a_n,
+    b).  By affine dimension k:
+
+    * k = 0: one equality per axis;
+    * k = 1 (a segment, also in 1-D): its line, as one equality per axis
+      other than the first one its direction d moves along, and the one
+      parameter t = d.(x - v0) / d.d in [0, 1] as two caps;
+    * k = 2 (a polygon): in 3-space its plane, and in both cases the edges of
+      the counterclockwise `ring` of vertex indices, taken in the projection
+      that drops one axis;
+    * k = 3: the facet planes of :func:`_facet_planes`.
+    """
+
+    __slots__ = ("ambient", "k", "eqs", "ineqs", "ring")
+
+    def __init__(self, den: int, nums: tuple[tuple[int, ...], ...]):
+        n = self.ambient = len(nums[0])
+        o = nums[0]
+        basis = _basis([vsub(v, o) for v in nums[1:]], n)
+        k = self.k = len(basis)
+        self.ring: Optional[tuple[int, ...]] = None
+        eqs: list[Sequence[int]] = []
+        ineqs: list[Sequence[int]] = []
+        if k == 0:
+            eqs = [tuple(int(i == j) for j in range(n)) + (o[i],) for i in range(n)]
+        elif k == 1:
+            d = basis[0]
+            lead = next(i for i in range(n) if d[i])
+            for i in range(n):
+                if i != lead:
+                    row = [0] * n
+                    row[i], row[lead] = d[lead], -d[i]
+                    eqs.append(row + [d[lead] * o[i] - d[i] * o[lead]])
+            ts = [sum(map(mul, d, v)) for v in nums]
+            ineqs = [tuple(-a for a in d) + (-min(ts),), d + (max(ts),)]
+        elif k == 2:
+            keep = (0, 1)
+            if n == 3:
+                w = _cross3(basis[0], basis[1])
+                eqs = [w + (sum(map(mul, w, o)),)]
+                keep = _kept_axes(w)
+            ring = self.ring = tuple(_ring(nums, keep))
+            x, y = keep
+            for s, t in zip(ring, ring[1:] + ring[:1]):
+                p, q = nums[s], nums[t]
+                row = [0] * (n + 1)
+                # outward normal of the edge p -> q, the interior on its left
+                row[x], row[y] = q[y] - p[y], p[x] - q[x]
+                row[n] = row[x] * p[x] + row[y] * p[y]
+                ineqs.append(row)
+        else:
+            ineqs = _facet_planes(nums)
+        self.eqs = [_scaled_row(r, den) for r in eqs]
+        self.ineqs = [_scaled_row(r, den) for r in ineqs]
+
+    def holds(self, num: tuple[int, ...], den: int) -> bool:
+        """Whether the point num / den lies in the polytope: a.num = b den on
+        every equality row and a.num <= b den on every inequality row."""
+        q = num + (-den,)
+        return all(not sum(map(mul, r, q)) for r in self.eqs) and all(
+            sum(map(mul, r, q)) <= 0 for r in self.ineqs
+        )
+
+
+def _ring_of(p: Polytope) -> list[Point]:
+    """The counterclockwise vertex ring of a polygon (affine dimension 2)."""
+    ring = p._chart.ring
+    assert ring is not None
+    return [p.vertices[i] for i in ring]
 
 
 def contains(p: Polytope, x) -> bool:
-    """Exact membership in the closed hull, decided in rational arithmetic."""
+    """Exact membership in the closed hull, decided in integer arithmetic."""
     pt = as_point(x)
     if len(pt) != p.dimension:
         raise ValueError("dimension mismatch")
-    return p._chart.contains(pt)
+    den, (num,) = _integer_form((pt,))
+    return p._chart.holds(num, den)
+
+
+def _outside(y: Polytope, x: Polytope) -> list[Point]:
+    """The vertices of y that lie outside x."""
+    holds = x._chart.holds
+    den, nums = y._ints
+    return [v for v, num in zip(y.vertices, nums) if not holds(num, den)]
 
 
 def contains_oracle(p: Polytope, x) -> bool:
@@ -421,14 +504,18 @@ def homothet(p: Polytope, c, t) -> Polytope:
         raise ValueError("homothety ratio must lie in [0, 1]")
     if not contains(p, center):
         raise ValueError("homothety center must lie in the polytope")
+    return _homothet(p, center, ratio)
+
+
+def _homothet(p: Polytope, center: Point, ratio: Fraction) -> Polytope:
+    """:func:`homothet` for a center and ratio the caller has checked."""
     if ratio == 1:
         return p
     if ratio == 0:
         return Polytope((center,))
-    s = 1 - ratio
-    scaled = tuple(sorted(vadd(vscale(s, center), vscale(ratio, v)) for v in p.vertices))
+    fixed = vscale(1 - ratio, center)
     # homotheties with t > 0 are affine bijections, extremeness is preserved
-    return Polytope(scaled)
+    return Polytope(tuple(sorted(vadd(fixed, vscale(ratio, v)) for v in p.vertices)))
 
 
 def reach(p: Polytope, c, norm: Norm = Norm.L2) -> RoundedReal:
@@ -463,12 +550,9 @@ def _distance_faces(p: Polytope) -> list[tuple[Point, ...]]:
             return [(verts[0],), (verts[-1],)]
         return [(verts[0], verts[-1])]
     if k == 2:
+        ring = _ring_of(p)
         if n == 2:
-            ring = _ccw_sorted(verts)
             return [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
-        assert ch.proj_poly is not None
-        ring2 = _ccw_sorted(ch.proj_poly.vertices)
-        ring = [ch.proj_of[q] for q in ring2]
         return [(ring[0], ring[i], ring[i + 1]) for i in range(1, len(ring) - 1)]
     # k == 3: triangulated facets
     tris: list[tuple[Point, ...]] = []
@@ -479,17 +563,42 @@ def _distance_faces(p: Polytope) -> list[tuple[Point, ...]]:
 
 def _facet_rings(p: Polytope) -> list[list[Point]]:
     """Cyclically ordered vertex rings of the facets of a full-dim 3-polytope."""
+    den, nums = p._ints
     rings = []
-    for a, b in p._chart.ineqs:
-        on = [v for v in p.vertices if dot(a, v) == b]
-        if len(on) < 3:
-            continue
-        axis = next(i for i in range(3) if a[i] != 0)
-        keep = [i for i in range(3) if i != axis]
-        flat = {(v[keep[0]], v[keep[1]]): v for v in on}
-        ring2 = _ccw_sorted(list(flat.keys()))
-        rings.append([flat[q] for q in ring2])
+    for row in p._chart.ineqs:
+        on = [i for i, v in enumerate(nums) if not sum(map(mul, row, v + (-den,)))]
+        ring = _ring([nums[i] for i in on], _kept_axes(row))
+        rings.append([p.vertices[on[i]] for i in ring])
     return rings
+
+
+def _solve_coords(dirs: Sequence[Point], target: Point) -> Optional[list[Fraction]]:
+    """Coordinates of target in span(dirs), or None if outside the span."""
+    n = len(target)
+    k = len(dirs)
+    aug = [[dirs[j][i] for j in range(k)] + [target[i]] for i in range(n)]
+    pivots = []
+    r = 0
+    for c in range(k):
+        pr = next((i for i in range(r, n) if aug[i][c] != 0), -1)
+        if pr < 0:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        piv = aug[r][c]
+        aug[r] = [v / piv for v in aug[r]]
+        for i in range(n):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    for i in range(r, n):
+        if aug[i][-1] != 0:
+            return None
+    sol = [Fraction(0)] * k
+    for i, c in enumerate(pivots):
+        sol[c] = aug[i][-1]
+    return sol
 
 
 def _sqdist_to_simplex(x: Point, simplex: tuple[Point, ...]) -> Fraction:
@@ -590,7 +699,7 @@ def directed_hausdorff(y: Polytope, x: Polytope, norm: Norm = Norm.L2) -> Rounde
     """Least eps with y inside the eps-thickening of x; exact 0 on containment."""
     if y.dimension != x.dimension:
         raise ValueError("dimension mismatch")
-    outside = [v for v in y.vertices if not contains(x, v)]
+    outside = _outside(y, x)
     if not outside:
         return ZERO_REAL
     if norm is Norm.L2:
@@ -674,7 +783,7 @@ def volume(p: Polytope) -> Fraction:
     if n == 1:
         return verts[-1][0] - verts[0][0]
     if n == 2:
-        return _polygon_area(_ccw_sorted(verts))
+        return _polygon_area(_ring_of(p))
     c = vertex_centroid(p)
     total = Fraction(0)
     for facet in _facet_rings(p):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .constructible import ConstructibleFunction, from_terms
-from .geometry import Polytope, contains
+from .geometry import Polytope, _outside
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class Support:
                 raise ValueError("dimension mismatch in support")
             if self.inner == self.outer:
                 raise ValueError("difference support needs inner != outer")
-            if not all(contains(self.outer, v) for v in self.inner.vertices):
+            if _outside(self.inner, self.outer):
                 raise ValueError("inner polytope not contained in outer")
 
     @property

@@ -17,6 +17,10 @@ from eulercert.geometry import (
     Polytope,
     RoundedReal,
     _ccw_sorted,
+    _cross3,
+    _in_hull_lp,
+    _primitive,
+    dot,
     from_vertices,
     translate,
     vadd,
@@ -182,6 +186,48 @@ def caratheodory_contains(points: Sequence[Point], x: Point) -> bool:
             if lam is not None and all(l >= 0 for l in lam):
                 return True
     return False
+
+
+def lp_hull(points: Sequence[Point]) -> tuple[Point, ...]:
+    """Sorted extreme points: those outside the hull of the others, by one LP each."""
+    uniq = set(points)
+    return tuple(sorted(p for p in uniq if not _in_hull_lp([q for q in uniq if q != p], p)))
+
+
+def polygon_ineqs(verts: Sequence[Point]) -> list[tuple[Point, Fraction]]:
+    """Rational half-planes (a, b), a.x <= b, of a full-dimensional polygon."""
+    # the interior lies to the left of every edge of the counterclockwise ring
+    ring = _ccw_sorted(verts)
+    ineqs = []
+    m = len(ring)
+    for i in range(m):
+        p, q = ring[i], ring[(i + 1) % m]
+        a: Point = (q[1] - p[1], p[0] - q[0])
+        ineqs.append((a, dot(a, p)))
+    return ineqs
+
+
+def polyhedron_ineqs(verts: Sequence[Point]) -> list[tuple[Point, Fraction]]:
+    """Rational facet half-spaces (a, b), a.x <= b, of a full-dimensional 3-polytope,
+    each as its primitive integer row, from every vertex triple."""
+    seen: dict[tuple[tuple[int, ...], Fraction], tuple[Point, Fraction]] = {}
+    for i, j, k in itertools.combinations(range(len(verts)), 3):
+        nrm = _cross3(vsub(verts[j], verts[i]), vsub(verts[k], verts[i]))
+        if nrm == (0, 0, 0):
+            continue
+        b = dot(nrm, verts[i])
+        sides = [dot(nrm, v) - b for v in verts]
+        if all(s <= 0 for s in sides):
+            a, off = nrm, b
+        elif all(s >= 0 for s in sides):
+            a, off = (-nrm[0], -nrm[1], -nrm[2]), -b
+        else:
+            continue
+        prim = _primitive(list(a) + [off])
+        canon_a = tuple(Fraction(v) for v in prim[:3])
+        canon_b = Fraction(prim[3])
+        seen[(prim[:3], canon_b)] = (canon_a, canon_b)
+    return list(seen.values())
 
 
 def _barycentric(subset: Sequence[Point], x: Point) -> Optional[list[Fraction]]:

@@ -136,11 +136,13 @@ def test_bound_output_is_byte_identical(name, fixture, options, capsys):
         assert capsys.readouterr().out == fh.read()
 
 
-# Certificates written by `link` at eps = 1/16 before hulls and rings in
-# dimensions 1 and 2 moved from simplex LPs to Andrew's monotone chain.  The
-# inputs list duplicate, edge-interior and interior vertices, so the hull
+# Certificates written by `link` at eps = 1/16 while hulls were still solved
+# by simplex LPs: link2d and link3d before dimensions 1 and 2 moved to
+# Andrew's monotone chain, link3dflat (triangles in slanted planes) and
+# link3dline (segments in space) before dimension 3 moved to integer charts.
+# The inputs list duplicate, edge-interior and interior vertices, so the hull
 # canonicalization shows in the certificate bytes.
-@pytest.mark.parametrize("fixture", ["link2d", "link3d"])
+@pytest.mark.parametrize("fixture", ["link2d", "link3d", "link3dflat", "link3dline"])
 def test_link_certificate_is_byte_identical(fixture, tmp_path, capsys):
     left, right = (os.path.join(DATA, f"{fixture}_{side}.json") for side in "FG")
     out = tmp_path / "cert.json"
@@ -237,6 +239,7 @@ def test_schema_error_names_path(tmp_path, capsys):
 
 
 DIRECTORY = object()
+MISSING_DIR = object()
 SHEAF_SUMMAND = {"outer": {"vertices": [["0"], ["1"]]}, "inner": None, "shift": 0, "multiplicity": 1}
 
 
@@ -256,6 +259,8 @@ SHEAF_SUMMAND = {"outer": {"vertices": [["0"], ["1"]]}, "inner": None, "shift": 
         (["integrate", "BAD"], None),
         (["integrate", "BAD"], DIRECTORY),
         (["integrate", "BAD"], b'{"dimension": 1, "terms": []}\xff'),
+        (["integrate", "BAD"], "[" * 200_000),
+        (["link", "SQUARE", "SQUARE", "--epsilon", "1/4", "--out", "BAD"], MISSING_DIR),
     ],
     ids=[
         "terms-not-list",
@@ -271,13 +276,18 @@ SHEAF_SUMMAND = {"outer": {"vertices": [["0"], ["1"]]}, "inner": None, "shift": 
         "missing-file",
         "directory",
         "not-utf8",
+        "deep-nesting",
+        "unwritable-output",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(argv, blob, square, tmp_path):
     # blob is the file's JSON value, its raw text or bytes, DIRECTORY for a
-    # directory in its place, or None for no file at all
+    # directory in its place, MISSING_DIR for a path in a directory that does
+    # not exist, or None for no file at all
     path = str(tmp_path / "bad.json")
-    if blob is DIRECTORY:
+    if blob is MISSING_DIR:
+        path = str(tmp_path / "nodir" / "bad.json")
+    elif blob is DIRECTORY:
         os.mkdir(path)
     elif isinstance(blob, bytes):
         with open(path, "wb") as fh:

@@ -3,15 +3,32 @@ from fractions import Fraction as F
 
 import pytest
 
+from eulercert import flags, geometry
 from eulercert.constructible import Verdict, equals, euler_integral, indicator
 from eulercert.distance import sum_bound
 from eulercert.flags import build_flag, graded_sheaf
-from eulercert.geometry import TOL_DIST, Polytope, directed_hausdorff, from_vertices, reach
+from eulercert.geometry import TOL_DIST, Polytope, directed_hausdorff, from_vertices, homothet, reach
 from eulercert.sheafsum import local_euler, plain, sheaf_sum
 
 from helpers import interior_point, rand_polytope
 
 UNIT_SQUARE = from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
+
+
+def test_build_flag_tests_its_center_once(monkeypatch):
+    calls = []
+    real = geometry.contains
+
+    def counting(p, x):
+        calls.append(1)
+        return real(p, x)
+
+    monkeypatch.setattr(geometry, "contains", counting)
+    monkeypatch.setattr(flags, "contains", counting)
+    c = (F(1, 3), F(1, 4))
+    fl = build_flag(UNIT_SQUARE, c, 12)
+    assert len(calls) == 1
+    assert fl.levels == tuple(homothet(UNIT_SQUARE, c, F(i, 12)) for i in range(13))
 
 
 def test_flag_of_segment():

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from eulercert import _simplex
 from eulercert.geometry import (
@@ -27,11 +27,19 @@ from eulercert.geometry import (
     vertex_centroid,
     volume,
     _distance_faces,
-    _in_hull_lp,
+    _primitive,
     _sqdist_to_simplex,
 )
 
-from helpers import caratheodory_contains, interior_point, rand_point, rand_polytope
+from helpers import (
+    caratheodory_contains,
+    interior_point,
+    lp_hull,
+    polygon_ineqs,
+    polyhedron_ineqs,
+    rand_point,
+    rand_polytope,
+)
 
 UNIT_SQUARE = from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
 
@@ -68,52 +76,78 @@ def test_3d_hull_of_cube_with_interior_points():
     assert len(p.vertices) == 8
 
 
-_COORD = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5]))
+_COORD = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7]))
+
+
+def _combination(points, weights):
+    total = sum(weights)
+    return tuple(sum(w * p[i] for w, p in zip(weights, points)) / total for i in range(len(points[0])))
 
 
 @st.composite
-def _hull_input(draw):
-    """Points in dimension 1 or 2 with duplicates, on-segment and collinear extras."""
-    dim = draw(st.sampled_from([1, 2]))
+def _hull_input(draw, dims=(1, 2, 3)):
+    """Points with duplicates, and with points on a line, in a plane, on a
+    segment between two of them (edge-interior for hull neighbours) and inside
+    a triangle of three of them (facet-interior for points of one facet)."""
+    dim = draw(st.sampled_from(dims))
     point = st.tuples(*[_COORD] * dim)
     base = draw(st.lists(point, min_size=1, max_size=7))
-    if draw(st.booleans()):
-        # all on one line through the first point
-        step = draw(point)
-        ks = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=6))
-        base = [tuple(a + k * d for a, d in zip(base[0], step)) for k in ks]
-    # t = 0 repeats a point; a pair of hull neighbours gives an edge-interior one
-    on_segment = st.tuples(
-        st.sampled_from(base), st.sampled_from(base), st.sampled_from([F(0), F(1, 3), F(1, 2)])
-    )
+    # span 1 puts every point on a line through the first, span 2 in a plane
+    span = draw(st.sampled_from([0, 1, 2]))
+    if span:
+        steps = [draw(point) for _ in range(span)]
+        ks = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * span), min_size=1, max_size=6))
+        base = [tuple(a + sum(k * d[i] for k, d in zip(kk, steps)) for i, a in enumerate(base[0])) for kk in ks]
+    pick = st.sampled_from(base)
+    on_segment = st.tuples(pick, pick, st.sampled_from([F(0), F(1, 3), F(1, 2)]))
     extra = [
         tuple(x + t * (y - x) for x, y in zip(a, b)) for a, b, t in draw(st.lists(on_segment, max_size=4))
     ]
+    for tri in draw(st.lists(st.tuples(pick, pick, pick), max_size=2)):
+        extra.append(_combination(tri, [1, 1, 1]))
     return base + extra
 
 
 @given(_hull_input())
 def test_from_vertices_keeps_what_the_lp_keeps(pts):
-    uniq = set(pts)
-    kept = sorted(p for p in uniq if not _in_hull_lp([q for q in uniq if q != p], p))
-    assert from_vertices(pts).vertices == tuple(kept)
+    assert from_vertices(pts).vertices == lp_hull(pts)
 
 
-def test_hulls_solve_no_lp_below_dimension_3(monkeypatch):
+@given(_hull_input(), st.data())
+def test_contains_agrees_with_the_lp(pts, data):
+    # vertices, points on edges and facets, points on the affine hull beyond
+    # the polytope (a negative weight) and points off it
+    p = from_vertices(pts)
+    picks = data.draw(st.lists(st.sampled_from(p.vertices), min_size=1, max_size=3))
+    weights = data.draw(st.lists(st.integers(-1, 3), min_size=len(picks), max_size=len(picks)))
+    if sum(weights) == 0:
+        weights[0] += 1
+    near = _combination(picks, weights)
+    x = data.draw(st.sampled_from([near, data.draw(st.tuples(*[_COORD] * p.dimension))]))
+    assert contains(p, x) == contains_oracle(p, x)
+
+
+@given(_hull_input(dims=(2, 3)))
+def test_chart_planes_are_the_rational_facet_planes(pts):
+    p = from_vertices(pts)
+    assume(p.affine_dim == p.dimension)
+    oracle = polygon_ineqs if p.dimension == 2 else polyhedron_ineqs
+    assert set(p._chart.ineqs) == {_primitive(list(a) + [b]) for a, b in oracle(p.vertices)}
+
+
+def test_hulls_solve_no_lp(monkeypatch):
     calls = []
     feasible = _simplex.feasible
     monkeypatch.setattr(_simplex, "feasible", lambda a, b: calls.append(1) or feasible(a, b))
     rng = random.Random(21)
-    for dim in (1, 2):
+    for dim in (1, 2, 3):
         for _ in range(20):
             rand_polytope(rng, dim, max_vertices=9)
-    assert not calls
     from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (F(1, 4), F(1, 4), F(1, 4))])
-    assert calls
+    assert not calls
     # the membership oracle stays an LP, independent of the hull code
-    calls.clear()
     assert contains_oracle(UNIT_SQUARE, (F(1, 2), F(1, 2)))
-    assert calls
+    assert calls == [1]
 
 
 def test_pruned_l2_distance_equals_min_over_all_faces():
