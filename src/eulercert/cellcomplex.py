@@ -23,8 +23,6 @@ from .geometry import (
     Point,
     Polytope,
     _polygon_area,
-    _primitive,
-    _ring_of,
     dot,
     vadd,
     vscale,
@@ -83,9 +81,9 @@ def _arrangement_1d(polytopes: Sequence[Polytope]) -> CellComplex:
 @dataclass(frozen=True)
 class _Line:
     # a x + b y = c with (a, b, c) primitive integers, (a, b) lex-positive
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    a: int
+    b: int
+    c: int
 
     def side(self, p: Point) -> Fraction:
         return self.a * p[0] + self.b * p[1] - self.c
@@ -95,44 +93,22 @@ class _Line:
 
     def anchor(self) -> Point:
         if self.b != 0:
-            return (Fraction(0), self.c / self.b)
-        return (self.c / self.a, Fraction(0))
-
-
-def _line_through(p: Point, q: Point) -> _Line:
-    d = vsub(q, p)
-    return _make_line(-d[1], d[0], -d[1] * p[0] + d[0] * p[1])
-
-
-def _make_line(a: Fraction, b: Fraction, c: Fraction) -> _Line:
-    ia, ib, ic = _primitive([a, b, c])
-    if ia < 0 or (ia == 0 and ib < 0):
-        ia, ib, ic = -ia, -ib, -ic
-    return _Line(Fraction(ia), Fraction(ib), Fraction(ic))
+            return (Fraction(0), Fraction(self.c, self.b))
+        return (Fraction(self.c, self.a), Fraction(0))
 
 
 def _lines_of(p: Polytope) -> list[_Line]:
+    """The lines of p's chart rows: two axis lines through a point, a
+    segment's line and its two end caps, or a polygon's edge lines."""
     ch = p._chart
-    verts = p.vertices
-    if ch.k == 0:
-        v = verts[0]
-        return [_make_line(Fraction(1), Fraction(0), v[0]), _make_line(Fraction(0), Fraction(1), v[1])]
-    if ch.k == 1:
-        a, b = verts[0], verts[-1]
-        d = vsub(b, a)
-        caps = [_make_line(d[0], d[1], dot(d, e)) for e in (a, b)]
-        return [_line_through(a, b)] + caps
-    ring = _ring_of(p)
-    return [_line_through(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
+    return [_Line(*r) if r[:2] > (0, 0) else _Line(-r[0], -r[1], -r[2]) for r in ch.eqs + ch.ineqs]
 
 
 def _intersect(l1: _Line, l2: _Line) -> Optional[Point]:
     det = l1.a * l2.b - l2.a * l1.b
     if det == 0:
         return None
-    x = (l1.c * l2.b - l2.c * l1.b) / det
-    y = (l1.a * l2.c - l2.a * l1.c) / det
-    return (x, y)
+    return (Fraction(l1.c * l2.b - l2.c * l1.b, det), Fraction(l1.a * l2.c - l2.a * l1.c, det))
 
 
 def _split(poly: list[Point], line: _Line) -> list[list[Point]]:

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-One invocation carries one workspace configuration (norm, tolerance,
-sample density), given by --config and overridden by flags.
+One invocation carries one workspace configuration (expected dimension,
+norm, tolerance), given by --config and overridden by flags; a config key
+other than these is an input error.
 Outputs are deterministic: identical invocations print identical bytes.
 Exit codes: 0 success, 1 verification failure, 2 input error.
 """
@@ -30,18 +31,15 @@ class WorkspaceConfig:
     dimension: Optional[int] = None
     norm: Norm = Norm.L2
     tol_dist: Fraction = TOL_DIST
-    sample_density: int = 64
 
     def __post_init__(self):
         if self.dimension is not None and self.dimension not in (1, 2, 3):
             raise SchemaError(f"unsupported dimension: {self.dimension}")
         if self.tol_dist <= 0:
             raise SchemaError("tol_dist must be positive")
-        if self.sample_density < 1:
-            raise SchemaError("sample_density must be positive")
 
 
-_CONFIG_KEYS = ("dimension", "norm", "tol_dist", "sample_density")
+_CONFIG_KEYS = ("dimension", "norm", "tol_dist")
 
 
 def _typed(values: dict) -> dict:
@@ -64,11 +62,13 @@ def _load_config(args: argparse.Namespace) -> WorkspaceConfig:
         if not isinstance(raw, dict):
             raise SchemaError(f"{args.config}: config must be a JSON object")
         try:
-            for key in ("dimension", "sample_density"):
-                # `type(x) is int` as in jsonio: a JSON true, 2.7 or "1" is no integer
-                if key in raw and type(raw[key]) is not int:
-                    raise SchemaError(f"{key} must be an integer: {raw[key]!r}")
-            fields = _typed({k: raw[k] for k in _CONFIG_KEYS if k in raw})
+            for key in raw:
+                if key not in _CONFIG_KEYS:
+                    raise SchemaError(f"unknown key: {key!r}")
+            # `type(x) is int` as in jsonio: a JSON true, 2.7 or "1" is no integer
+            if "dimension" in raw and type(raw["dimension"]) is not int:
+                raise SchemaError(f"dimension must be an integer: {raw['dimension']!r}")
+            fields = _typed(raw)
             WorkspaceConfig(**fields)  # range errors in the file name the file
         except ValueError as exc:
             raise SchemaError(f"{args.config}: {exc}") from None
@@ -135,7 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--dimension", type=int, help="expected ambient dimension (validation)")
     ap.add_argument("--norm", choices=[n.value for n in Norm], help="workspace norm")
     ap.add_argument("--tol-dist", dest="tol_dist", help="comparison tolerance for bounds")
-    ap.add_argument("--sample-density", dest="sample_density", type=int)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("integrate", help="Euler integral of a constructible function")
@@ -235,9 +234,7 @@ def _dispatch(args: argparse.Namespace, cfg: WorkspaceConfig) -> int:
         return 0
     if cmd == "verify":
         cert = _load(args.cert, jsonio.cert_from_json)
-        report = verify(cert, cfg.norm, cfg.tol_dist, cfg.sample_density)
-        for note in report.notes:
-            print(f"note: {note}")
+        report = verify(cert, cfg.norm, cfg.tol_dist)
         if report.passed:
             print("PASS")
             return 0

@@ -9,7 +9,6 @@ integral, for pushforward values and for equality testing.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -21,12 +20,11 @@ from .geometry import (
     AffineMap,
     Point,
     Polytope,
+    _cross3,
     affine_image,
     as_point,
     contains,
-    vertex_centroid,
-    vadd,
-    vscale,
+    from_vertices,
 )
 
 
@@ -146,7 +144,6 @@ def nonzero_cells(f: ConstructibleFunction) -> Iterator[tuple[Cell, int]]:
 class Verdict(Enum):
     EQUAL = "equal"
     NOT_EQUAL = "not-equal"
-    PROBABLY_EQUAL = "probably-equal"
 
 
 @dataclass(frozen=True)
@@ -155,22 +152,29 @@ class EvalReport:
     witness: Optional[Point] = None
 
 
-def equals(
-    f: ConstructibleFunction,
-    g: ConstructibleFunction,
-    *,
-    sample_density: int = 64,
-    seed: int = 7,
-) -> EvalReport:
-    """Pointwise equality, decided on the difference h = f - g.
+def equals(f: ConstructibleFunction, g: ConstructibleFunction) -> EvalReport:
+    """Pointwise equality, decided exactly on the difference h = f - g.
 
     Normalizing h cancels terms with structurally equal supports, so equal
     functions written alike leave no term and need no geometry.  Otherwise
-    h is decided exactly through the cell decomposition of its own supports
-    in dimensions 1 and 2 (every cell of every dimension is probed, so
-    boundary effects are visible), and the witness is a point where f and g
-    differ.  Dimension 3 probes deterministic samples taken from the
-    supports of f and g and can only answer probably-equal.
+    h is decided through the cell decomposition of its own supports in
+    dimensions 1 and 2 (every cell of every dimension is probed, so boundary
+    effects are visible), and the witness is a point where f and g differ.
+
+    Dimension 3 is sliced along z (Viro, "Some integral calculus based on
+    Euler characteristic", 1988; Schapira, "Operations on constructible
+    functions", 1991).  The chart rows of h's supports cut space into an
+    arrangement of planes, and h is constant on each of its cells.  Those
+    planes span R^3, so no cell contains a line and every cell has a vertex
+    in its closure, a point where three independent rows meet.  A cell where
+    h != 0 lies in a support, so it is bounded and its closure is the hull
+    of such vertices: its z-range is a point of Z, the set of their heights
+    (:func:`_event_heights`), or an open interval between two points of Z,
+    which holds the midpoint of a gap of Z.  So h = 0 if and only if every
+    slice h_z = sum of c_i 1[P_i meets {z}] vanishes, z running over Z and
+    one midpoint per gap; each slice is a 2-D function decided as above, and
+    its witness is lifted to its height.  With R distinct rows, |Z| <=
+    C(R, 3) and at most 2|Z| - 1 slices are decided.
     """
     if f.dimension != g.dimension:
         raise ValueError("dimension mismatch")
@@ -179,48 +183,52 @@ def equals(
         for cell, _ in nonzero_cells(h):
             return EvalReport(Verdict.NOT_EQUAL, cell.representative)
         return EvalReport(Verdict.EQUAL)
-    if h.terms:
-        for pt in _probe_points(f.supports() + g.supports(), f.dimension, sample_density, seed):
-            if evaluate(h, pt):
-                return EvalReport(Verdict.NOT_EQUAL, pt)
-    return EvalReport(Verdict.PROBABLY_EQUAL)
+    if not h.terms:
+        return EvalReport(Verdict.EQUAL)
+    zs = _event_heights(h.supports())
+    mids = [(a + b) / 2 for a, b in zip(zs, zs[1:])]
+    for z in zs + mids:
+        sliced = [(t.coeff, _slice(t.support, z)) for t in h.terms]
+        h_z = from_terms(2, [(c, s) for c, s in sliced if s is not None])
+        for cell, _ in nonzero_cells(h_z):
+            return EvalReport(Verdict.NOT_EQUAL, cell.representative + (z,))
+    return EvalReport(Verdict.EQUAL)
 
 
-def _probe_points(
-    supports: Sequence[Polytope], dimension: int, density: int, seed: int
-) -> list[Point]:
-    pts: set[Point] = {tuple(Fraction(0) for _ in range(dimension))}
-    delta = Fraction(1, 1024)
-    for p in supports:
-        verts = p.vertices
-        pts.update(verts)
-        pts.add(vertex_centroid(p))
-        for i, a in enumerate(verts):
-            for b in verts[i + 1 :]:
-                pts.add(vscale(Fraction(1, 2), vadd(a, b)))
-            for axis in range(dimension):
-                for sign in (1, -1):
-                    shift = tuple(
-                        c + sign * delta if k == axis else c for k, c in enumerate(a)
-                    )
-                    pts.add(shift)
-    if supports:
-        coords = [v for p in supports for v in p.vertices]
-        lo = [min(c[i] for c in coords) - 1 for i in range(dimension)]
-        hi = [max(c[i] for c in coords) + 1 for i in range(dimension)]
-        vol = 1
-        for a, b in zip(lo, hi):
-            vol *= b - a
-        rng = random.Random(seed)
-        grid = 1 << 20
-        for _ in range(density * (int(vol) + 1)):
-            pts.add(
-                tuple(
-                    a + (b - a) * Fraction(rng.randrange(grid + 1), grid)
-                    for a, b in zip(lo, hi)
-                )
-            )
-    return sorted(pts)
+def _event_heights(supports: Sequence[Polytope]) -> list[Fraction]:
+    """The sorted heights z of the points where three independent chart rows
+    of 3-D supports meet, by Cramer's rule on the integer rows."""
+    # a plane's rows differ at most in sign: keep the one with lex-positive normal
+    rows = list(
+        {
+            r if r[:3] > (0, 0, 0) else tuple(-c for c in r)
+            for p in supports
+            for r in p._chart.eqs + p._chart.ineqs
+        }
+    )
+    zs = set()
+    for i, a in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            b = rows[j]
+            w = _cross3(a, b)
+            wz = _cross3((a[0], a[1], a[3]), (b[0], b[1], b[3]))
+            for c in rows[j + 1 :]:
+                det = w[0] * c[0] + w[1] * c[1] + w[2] * c[2]
+                if det:
+                    zs.add(Fraction(wz[0] * c[0] + wz[1] * c[1] + wz[2] * c[3], det))
+    return sorted(zs)
+
+
+def _slice(p: Polytope, z: Fraction) -> Optional[Polytope]:
+    """The 2-D polytope p meets {z} in: the hull of p's vertices at height z and
+    of the points where segments joining vertices on either side cross it."""
+    pts = [v[:2] for v in p.vertices if v[2] == z]
+    above = [v for v in p.vertices if v[2] > z]
+    for a in (v for v in p.vertices if v[2] < z):
+        for b in above:
+            t = (z - a[2]) / (b[2] - a[2])
+            pts.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
+    return from_vertices(pts) if pts else None
 
 
 def pushforward(f: ConstructibleFunction, m: AffineMap) -> ConstructibleFunction:

@@ -8,6 +8,7 @@ reproduces a structurally equal value.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -46,9 +47,28 @@ def _dimension(obj: dict) -> int:
     return dim
 
 
+# Longest run of digits, and longest exponent, a rational may be written with.
+# Fraction computes 10**exponent in full, so "1e-3000000" alone would cost
+# seconds and megabits; these keep the cost of a number within its length.
+MAX_DIGITS = 1000
+MAX_EXPONENT_DIGITS = 3
+_DIGIT_RUNS = re.compile(r"[\d_]+")
+
+
 def parse_rational(s: Any) -> Fraction:
+    text = str(s)
+    # a short string without an exponent passes on one substring test
+    if "e" in text.lower() or len(text) > MAX_DIGITS:
+        exponent = text.lower().partition("e")[2].lstrip("+-")
+        if len(exponent) > MAX_EXPONENT_DIGITS or any(
+            len(run) > MAX_DIGITS for run in _DIGIT_RUNS.findall(text)
+        ):
+            raise SchemaError(
+                f"rational with over {MAX_DIGITS} digits in a run or over "
+                f"{MAX_EXPONENT_DIGITS} in its exponent: {text[:40]!r}"
+            )
     try:
-        return Fraction(str(s))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"not a rational: {s!r}") from exc
 

@@ -24,6 +24,7 @@ from eulercert.geometry import (
     from_vertices,
     translate,
     vadd,
+    vertex_centroid,
     vscale,
     vsub,
 )
@@ -124,7 +125,8 @@ def rand_nearby_sheaf(rng: random.Random, s: SheafSum, max_mult: int = 3, reach:
 def split_indicator(rng: random.Random, p: Polytope) -> ConstructibleFunction:
     """The indicator of p written with other terms: p cut along a chord.
 
-    The two pieces minus the chord; a point, which has no chord, stays as it
+    The two pieces minus the chord; in 3-D the chord is p's section by a
+    plane through a point inside p.  A point, which has no chord, stays as it
     is.
     """
     dim = p.dimension
@@ -134,6 +136,20 @@ def split_indicator(rng: random.Random, p: Polytope) -> ConstructibleFunction:
         a, b = p.vertices
         m = vadd(a, vscale(Fraction(rng.randint(1, 3), 4), vsub(b, a)))
         return from_terms(dim, [(1, from_vertices([a, m])), (1, from_vertices([m, b])), (-1, from_vertices([m]))])
+    if dim == 3:
+        # cut by a plane through a relative interior point, with a random normal
+        normal = (rng.randint(1, 3), rng.randint(-3, 3), rng.randint(-3, 3))
+        level = dot(normal, interior_point(rng, p))
+        side = {v: dot(normal, v) - level for v in p.vertices}
+        section = [v for v in p.vertices if side[v] == 0] + [
+            vadd(a, vscale(side[a] / (side[a] - side[b]), vsub(b, a)))
+            for a in p.vertices
+            for b in p.vertices
+            if side[a] < 0 < side[b]
+        ]
+        below = [v for v in p.vertices if side[v] < 0] + section
+        above = [v for v in p.vertices if side[v] > 0] + section
+        return from_terms(3, [(1, from_vertices(below)), (1, from_vertices(above)), (-1, from_vertices(section))])
     ring = _ccw_sorted(p.vertices)
     if len(ring) == 3:
         mid = vscale(Fraction(1, 2), vadd(ring[1], ring[2]))
@@ -272,6 +288,41 @@ def brute_equals(f: ConstructibleFunction, g: ConstructibleFunction) -> EvalRepo
         if evaluate(f, cell.representative) != evaluate(g, cell.representative):
             return EvalReport(Verdict.NOT_EQUAL, cell.representative)
     return EvalReport(Verdict.EQUAL)
+
+
+def sampled_points(supports: Sequence[Polytope], dimension: int, density: int, seed: int = 7) -> list[Point]:
+    """Deterministic probe points for a function on these supports (any dimension).
+
+    Each vertex, each vertex shifted by 1/1024 along each axis, each
+    vertex midpoint and centroid, the origin, and `density` seeded random
+    points per unit volume of the bounding box grown by 1.  A point where
+    two functions differ proves them unequal; no set of samples proves them
+    equal, so this is an oracle for NOT_EQUAL only.
+    """
+    pts: set[Point] = {tuple(Fraction(0) for _ in range(dimension))}
+    delta = Fraction(1, 1024)
+    for p in supports:
+        verts = p.vertices
+        pts.update(verts)
+        pts.add(vertex_centroid(p))
+        for i, a in enumerate(verts):
+            for b in verts[i + 1 :]:
+                pts.add(vscale(Fraction(1, 2), vadd(a, b)))
+            for axis in range(dimension):
+                for sign in (1, -1):
+                    pts.add(tuple(c + sign * delta if k == axis else c for k, c in enumerate(a)))
+    if supports:
+        coords = [v for p in supports for v in p.vertices]
+        lo = [min(c[i] for c in coords) - 1 for i in range(dimension)]
+        hi = [max(c[i] for c in coords) + 1 for i in range(dimension)]
+        vol = 1
+        for a, b in zip(lo, hi):
+            vol *= b - a
+        rng = random.Random(seed)
+        grid = 1 << 20
+        for _ in range(density * (int(vol) + 1)):
+            pts.add(tuple(a + (b - a) * Fraction(rng.randrange(grid + 1), grid) for a, b in zip(lo, hi)))
+    return sorted(pts)
 
 
 def brute_metric(kind: MetricKind, f: ConstructibleFunction, g: ConstructibleFunction) -> RoundedReal:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from eulercert.cellcomplex import arrangement
+from eulercert.cellcomplex import _intersect, _Line, _lines_of, arrangement
 from eulercert.geometry import contains, from_vertices, volume
 
 from helpers import rand_polytope
@@ -46,6 +46,21 @@ def test_dimension_3_rejected():
     cube = from_vertices([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
     with pytest.raises(ValueError):
         arrangement([cube])
+
+
+def test_lines_are_the_lex_positive_chart_rows():
+    point = from_vertices([(F(1, 2), F(1, 3))])
+    assert sorted(_lines_of(point), key=lambda l: (l.a, l.b)) == [_Line(0, 3, 1), _Line(2, 0, 1)]
+    seg = from_vertices([(0, 0), (2, 1)])
+    assert set(_lines_of(seg)) == {_Line(1, -2, 0), _Line(2, 1, 0), _Line(2, 1, 5)}
+    assert set(_lines_of(UNIT_SQUARE)) == {_Line(1, 0, 0), _Line(1, 0, 1), _Line(0, 1, 0), _Line(0, 1, 1)}
+
+
+def test_lines_meet_in_exact_rationals():
+    x, y = _intersect(_Line(1, 1, 1), _Line(3, -1, 0))
+    assert (x, y) == (F(1, 4), F(3, 4))
+    assert type(x) is F and type(y) is F
+    assert _intersect(_Line(1, 2, 0), _Line(1, 2, 5)) is None
 
 
 def test_representatives_classify_membership():

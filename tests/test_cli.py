@@ -179,6 +179,18 @@ def test_link_verify_round_trip(square, tmp_path, capsys):
     assert capsys.readouterr().out.strip().endswith("PASS")
 
 
+def test_verify_in_dimension_3_prints_only_the_verdict(tmp_path, capsys):
+    cube = [[str(x), str(y), str(z)] for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    moved = [[str(x + 2), y, z] for x, y, z in ((int(v[0]), v[1], v[2]) for v in cube)]
+    a = _write(tmp_path, "a.json", {"dimension": 3, "terms": [{"coeff": 1, "polytope": {"vertices": cube}}]})
+    b = _write(tmp_path, "b.json", {"dimension": 3, "terms": [{"coeff": 1, "polytope": {"vertices": moved}}]})
+    cert = str(tmp_path / "cert.json")
+    assert run(["link", a, b, "--epsilon", "0.5", "--out", cert]) == 0
+    capsys.readouterr()
+    assert run(["verify", cert]) == 0
+    assert capsys.readouterr().out == "PASS\n"
+
+
 def test_link_integral_mismatch_exits_2(square, tmp_path, capsys):
     double = _write(tmp_path, "double.json", DOUBLE)
     assert run(["link", square, double, "--epsilon", "0.25"]) == 2
@@ -261,6 +273,7 @@ SHEAF_SUMMAND = {"outer": {"vertices": [["0"], ["1"]]}, "inner": None, "shift": 
         (["integrate", "BAD"], b'{"dimension": 1, "terms": []}\xff'),
         (["integrate", "BAD"], "[" * 200_000),
         (["link", "SQUARE", "SQUARE", "--epsilon", "1/4", "--out", "BAD"], MISSING_DIR),
+        (["integrate", "BAD"], {"dimension": 1, "terms": [{"coeff": 1, "polytope": {"vertices": [["1e-3000000"]]}}]}),
     ],
     ids=[
         "terms-not-list",
@@ -278,6 +291,7 @@ SHEAF_SUMMAND = {"outer": {"vertices": [["0"], ["1"]]}, "inner": None, "shift": 
         "not-utf8",
         "deep-nesting",
         "unwritable-output",
+        "exponent-bomb",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(argv, blob, square, tmp_path):
@@ -324,13 +338,11 @@ def test_config_file_with_flag_override(square, tmp_path, capsys):
 @pytest.mark.parametrize(
     "config",
     [
-        {"sample_density": True},
-        {"sample_density": 2.7},
         {"dimension": "1"},
         {"dimension": "x"},
         {"dimension": 2.0},
     ],
-    ids=["density-bool", "density-float", "dimension-digit-string", "dimension-word", "dimension-float"],
+    ids=["dimension-digit-string", "dimension-word", "dimension-float"],
 )
 def test_config_integers_must_be_json_integers(config, square, tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", config)
@@ -345,10 +357,11 @@ def test_config_integers_must_be_json_integers(config, square, tmp_path, capsys)
         ({"dimension": 5}, "unsupported dimension: 5"),
         ({"tol_dist": "abc"}, "not a rational: 'abc'"),
         ({"tol_dist": "-1/2"}, "tol_dist must be positive"),
-        ({"sample_density": 0}, "sample_density must be positive"),
         ({"norm": "l7"}, "unknown norm: 'l7'"),
+        ({"sampel_density": 3, "dimenson": 9}, "unknown key: 'sampel_density'"),
+        ({"dimension": 2, "sample_density": 64}, "unknown key: 'sample_density'"),
     ],
-    ids=["dimension-range", "tol-not-rational", "tol-negative", "density-zero", "norm-unknown"],
+    ids=["dimension-range", "tol-not-rational", "tol-negative", "norm-unknown", "unknown-keys", "removed-sample-density"],
 )
 def test_config_value_errors_name_the_file(config, message, square, tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", config)
@@ -361,16 +374,22 @@ def test_config_value_errors_name_the_file(config, message, square, tmp_path, ca
     [
         (["--dimension", "5"], "unsupported dimension: 5"),
         (["--dimension", "0"], "unsupported dimension: 0"),
-        (["--sample-density", "0"], "sample_density must be positive"),
         (["--tol-dist", "abc"], "not a rational: 'abc'"),
         (["--tol-dist", "0"], "tol_dist must be positive"),
     ],
-    ids=["dimension-range", "dimension-zero", "density-zero", "tol-not-rational", "tol-zero"],
+    ids=["dimension-range", "dimension-zero", "tol-not-rational", "tol-zero"],
 )
 def test_flag_value_errors_are_rejected_as_given(flags, message, square, capsys):
     # a zero is a given value, not a missing one
     assert run([*flags, "integrate", square]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_removed_sample_density_flag_is_a_usage_error(square, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--sample-density=64", "integrate", square])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sample-density=64" in capsys.readouterr().err
 
 
 def test_dimension_validation(square, capsys):

@@ -1,4 +1,8 @@
+import itertools
+import math
+import operator
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +11,7 @@ from eulercert import constructible
 from eulercert.cellcomplex import arrangement
 from eulercert.constructible import (
     ConstructibleFunction,
+    EvalReport,
     Term,
     Verdict,
     equals,
@@ -22,7 +27,16 @@ from eulercert.constructible import (
 )
 from eulercert.geometry import affine_map, from_vertices, homothet
 
-from helpers import brute_equals, interior_point, rand_cf, rand_equality_pair, rand_point, rand_polytope
+from helpers import (
+    brute_equals,
+    interior_point,
+    rand_cf,
+    rand_equality_pair,
+    rand_point,
+    rand_polytope,
+    sampled_points,
+    split_indicator,
+)
 
 UNIT_SQUARE = from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
 INNER = homothet(UNIT_SQUARE, (0, 0), F(1, 2))
@@ -155,12 +169,136 @@ def test_equals_builds_no_arrangement_when_difference_cancels(monkeypatch):
 
 
 def test_equals_sampled_in_dimension_3():
+    # dimension 3 is decided exactly: two verdicts, no sampling
     cube = from_vertices([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
-    rep = equals(indicator(cube), indicator(cube))
-    assert rep.verdict is Verdict.PROBABLY_EQUAL
+    assert equals(indicator(cube), indicator(cube)) == EvalReport(Verdict.EQUAL)
     shrunk = homothet(cube, (0, 0, 0), F(1, 2))
     rep2 = equals(indicator(cube), indicator(shrunk))
     assert rep2.verdict is Verdict.NOT_EQUAL
+    assert evaluate(indicator(cube), rep2.witness) != evaluate(indicator(shrunk), rep2.witness)
+    assert [v.value for v in Verdict] == ["equal", "not-equal"]
+
+
+def test_equals_sees_a_difference_only_between_event_heights():
+    # an open segment and an open cube vanish on every slice through a vertex;
+    # only the heights between vertices see them
+    seg = from_vertices([(0, 0, 0), (1, 2, 4)])
+    open_seg = from_terms(3, [(1, seg)] + [(-1, from_vertices([v])) for v in seg.vertices])
+    corners = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    facets = [[v for v in corners if v[i] == c] for i in range(3) for c in (0, 1)]
+    edges = [[a, b] for a, b in itertools.combinations(corners, 2) if sum(map(operator.ne, a, b)) == 1]
+    open_cube = from_terms(
+        3,
+        [(1, from_vertices(corners))]
+        + [(-1, from_vertices(f)) for f in facets]
+        + [(1, from_vertices(e)) for e in edges]
+        + [(-1, from_vertices([v])) for v in corners],
+    )
+    for h in (open_seg, open_cube):
+        rep = equals(h, zero_function(3))
+        assert rep.verdict is Verdict.NOT_EQUAL
+        assert evaluate(h, rep.witness) != 0
+
+
+def _box(lo, hi):
+    return from_vertices([(x, y, z) for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
+
+
+def _prism(f):
+    return from_terms(3, [(t.coeff, from_vertices([v + (z,) for v in t.support.vertices for z in (0, 1)])) for t in f.terms])
+
+
+def test_equals_on_prisms_gives_the_2d_verdict():
+    rng = random.Random(71)
+    seen = set()
+    for _ in range(12):
+        f, g = rand_equality_pair(rng, 2)
+        rep = equals(_prism(f), _prism(g))
+        assert rep.verdict is equals(f, g).verdict
+        if rep.verdict is Verdict.NOT_EQUAL:
+            assert evaluate(_prism(f), rep.witness) != evaluate(_prism(g), rep.witness)
+        seen.add((rep.verdict, bool((f - g).terms)))
+    assert seen == {(Verdict.EQUAL, False), (Verdict.EQUAL, True), (Verdict.NOT_EQUAL, True)}
+
+
+def test_equals_in_dimension_3_against_the_sampler():
+    # the sampler can only prove inequality: it must find nothing where equals says EQUAL
+    rng = random.Random(72)
+    seen = set()
+    for _ in range(14):
+        f, g = rand_equality_pair(rng, 3)
+        rep = equals(f, g)
+        h = f - g
+        if rep.verdict is Verdict.NOT_EQUAL:
+            assert evaluate(f, rep.witness) != evaluate(g, rep.witness)
+        else:
+            assert not any(evaluate(h, x) for x in sampled_points(f.supports() + g.supports(), 3, 1))
+        seen.add((rep.verdict, bool(h.terms)))
+    assert seen == {(Verdict.EQUAL, False), (Verdict.EQUAL, True), (Verdict.NOT_EQUAL, True)}
+
+
+def _solid(rng):
+    while True:
+        p = rand_polytope(rng, 3, 5, -2, 2, (1, 2))
+        if p.affine_dim == 3:
+            return p
+
+
+def test_equals_catches_3d_point_edge_and_facet_perturbations():
+    rng = random.Random(73)
+    for kind in ("point", "edge", "facet") * 2:
+        p = _solid(rng)
+        f = from_terms(3, [(2, p), (-1, rand_polytope(rng, 3, 2))])
+        rows = p._chart.ineqs
+        tight = {v: {r for r in rows if sum(a * c for a, c in zip(r, v + (-1,))) == 0} for v in p.vertices}
+        if kind == "point":
+            feature = [rng.choice(p.vertices)]
+        elif kind == "edge":
+            a = rng.choice(p.vertices)
+            feature = [a, rng.choice([b for b in p.vertices if len(tight[a] & tight[b]) >= 2])]
+        else:
+            r = rng.choice(rows)
+            feature = [v for v in p.vertices if r in tight[v]]
+        cut = f + 2 * (split_indicator(rng, p) - indicator(p))
+        g = cut + from_terms(3, [(rng.choice([-1, 1]), from_vertices(feature))])
+        rep = equals(f, g)
+        assert rep.verdict is Verdict.NOT_EQUAL, kind
+        assert evaluate(f, rep.witness) != evaluate(g, rep.witness)
+
+
+def test_equals_decides_at_most_two_slices_per_event_height(monkeypatch):
+    calls = []
+    real = constructible.nonzero_cells
+    monkeypatch.setattr(constructible, "nonzero_cells", lambda h: calls.append(h) or real(h))
+    rng = random.Random(74)
+    for _ in range(4):
+        p = _solid(rng)
+        f = from_terms(3, [(1, p), (-2, rand_polytope(rng, 3, 3))])
+        g = f + split_indicator(rng, p) - indicator(p)
+        h = f - g
+        rows = {min(r, tuple(-c for c in r)) for p in h.supports() for r in p._chart.eqs + p._chart.ineqs}
+        heights = constructible._event_heights(h.supports())
+        calls.clear()
+        assert equals(f, g).verdict is Verdict.EQUAL
+        assert all(c.dimension == 2 for c in calls)
+        assert 0 < len(calls) <= 2 * len(heights) - 1
+        assert len(heights) <= math.comb(len(rows), 3)
+
+
+def test_equals_decides_a_split_cube_of_side_10_6_within_a_second():
+    s = 10**6
+    cube = _box((0, 0, 0), (s, s, s))
+    split = from_terms(
+        3,
+        [
+            (1, _box((0, 0, 0), (s, s, s // 2))),
+            (1, _box((0, 0, s // 2), (s, s, s))),
+            (-1, from_vertices([(x, y, s // 2) for x in (0, s) for y in (0, s)])),
+        ],
+    )
+    start = time.perf_counter()
+    assert equals(indicator(cube), split).verdict is Verdict.EQUAL
+    assert time.perf_counter() - start < 1
 
 
 def test_pushforward_examples():

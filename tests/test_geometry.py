@@ -85,15 +85,18 @@ def _combination(points, weights):
 
 
 @st.composite
-def _hull_input(draw, dims=(1, 2, 3)):
+def _hull_input(draw, dims=(1, 2, 3), full=False):
     """Points with duplicates, and with points on a line, in a plane, on a
     segment between two of them (edge-interior for hull neighbours) and inside
-    a triangle of three of them (facet-interior for points of one facet)."""
+    a triangle of three of them (facet-interior for points of one facet).
+
+    `full` draws only inputs that can span their space: no line or plane, and
+    at least dim + 1 base points."""
     dim = draw(st.sampled_from(dims))
     point = st.tuples(*[_COORD] * dim)
-    base = draw(st.lists(point, min_size=1, max_size=7))
+    base = draw(st.lists(point, min_size=dim + 1 if full else 1, max_size=7))
     # span 1 puts every point on a line through the first, span 2 in a plane
-    span = draw(st.sampled_from([0, 1, 2]))
+    span = 0 if full else draw(st.sampled_from([0, 1, 2]))
     if span:
         steps = [draw(point) for _ in range(span)]
         ks = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * span), min_size=1, max_size=6))
@@ -127,7 +130,7 @@ def test_contains_agrees_with_the_lp(pts, data):
     assert contains(p, x) == contains_oracle(p, x)
 
 
-@given(_hull_input(dims=(2, 3)))
+@given(_hull_input(dims=(2, 3), full=True))
 def test_chart_planes_are_the_rational_facet_planes(pts):
     p = from_vertices(pts)
     assume(p.affine_dim == p.dimension)

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -123,3 +124,22 @@ def test_schema_errors_are_descriptive():
         jsonio.cf_from_json(
             {"dimension": 1, "terms": [{"coeff": "1", "polytope": {"vertices": [["0"]]}}]}
         )
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e-3000000", "1E+10000000", "2.5e1_000", "1e0001", "1" * (jsonio.MAX_DIGITS + 1), "0." + "0" * 2000 + "1"],
+    ids=["exponent-bomb", "exponent-bomb-upper", "exponent-underscores", "exponent-leading-zeros", "digit-run", "decimal-run"],
+)
+def test_parse_rational_rejects_numbers_longer_than_the_limits(text):
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match="exponent"):
+        jsonio.parse_rational(text)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_parse_rational_accepts_numbers_within_the_limits():
+    assert jsonio.parse_rational("1e-999") == F(1, 10**999)
+    assert jsonio.parse_rational("-2.5E3") == -2500
+    assert jsonio.parse_rational("1" * jsonio.MAX_DIGITS) == int("1" * jsonio.MAX_DIGITS)
+    assert jsonio.parse_rational("3/4") == F(3, 4)
