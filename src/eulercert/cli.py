@@ -91,6 +91,9 @@ def _read_json(path: str):
         raise SchemaError(f"{path}: malformed JSON ({exc.msg} at line {exc.lineno})") from None
     except RecursionError:
         raise SchemaError(f"{path}: malformed JSON (nested too deeply)") from None
+    except ValueError as exc:
+        # an integer literal over the interpreter's digit limit
+        raise SchemaError(f"{path}: malformed JSON ({exc})") from None
 
 
 def _load(path: str, parse):

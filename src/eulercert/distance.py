@@ -41,6 +41,7 @@ when its bucket is not forced.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -146,12 +147,22 @@ def pair_bound(a: Optional[Summand], b: Optional[Summand], norm: Norm = Norm.L2)
 
 def _bucket(s: Summand) -> tuple:
     """Key shared by possible edge ends: plain summands of one shift, and
-    differences of one shift that are equal or exact translates of each other."""
+    differences of one shift that are equal or exact translates of each other.
+
+    A difference is keyed by its vertices less the first outer vertex, in
+    lowest terms: integer numerators over the least common denominator, with
+    the outer vertex count that splits them into outer and inner.
+    """
     if not s.support.is_difference:
         return (s.shift,)
-    origin = s.support.outer.vertices[0]
-    polys = (s.support.outer, s.support.inner)
-    return (s.shift,) + tuple(tuple(vsub(p, origin) for p in q.vertices) for q in polys)
+    (dout, outer), (din, inner) = s.support.outer._ints, s.support.inner._ints
+    den = math.lcm(dout, din)
+    so, si = den // dout, den // din
+    origin = [c * so for c in outer[0]]
+    rel = [c * so - o for v in outer for c, o in zip(v, origin)]
+    rel += [c * si - o for v in inner for c, o in zip(v, origin)]
+    g = math.gcd(den, *rel)
+    return (s.shift, len(outer), den // g) + tuple(c // g for c in rel)
 
 
 SOURCE, SINK = "source", "sink"

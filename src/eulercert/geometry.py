@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Optional, Sequence
 
 from . import _simplex
@@ -172,8 +172,8 @@ class Polytope:
     Build through :func:`from_vertices`; structural equality of two polytopes
     is then equality as point sets.  The vertices are the public, hashed and
     serialized form.  Beside them a polytope caches its hash, its integer
-    form (:func:`_integer_form`) and its chart, each computed from its own
-    vertices on first use.
+    form (:func:`_integer_form`), its chart and its distance faces, each
+    computed from its own vertices on first use.
     """
 
     vertices: tuple[Point, ...]
@@ -196,6 +196,10 @@ class Polytope:
     @cached_property
     def _chart(self) -> "_Chart":
         return _Chart(*self._ints)
+
+    @cached_property
+    def _faces(self) -> tuple:
+        return _distance_faces(self)
 
     @property
     def affine_dim(self) -> int:
@@ -481,11 +485,11 @@ def contains(p: Polytope, x) -> bool:
     return p._chart.holds(num, den)
 
 
-def _outside(y: Polytope, x: Polytope) -> list[Point]:
-    """The vertices of y that lie outside x."""
+def _outside(y: Polytope, x: Polytope) -> list[int]:
+    """The indices of the vertices of y that lie outside x."""
     holds = x._chart.holds
     den, nums = y._ints
-    return [v for v, num in zip(y.vertices, nums) if not holds(num, den)]
+    return [i for i, num in enumerate(nums) if not holds(num, den)]
 
 
 def contains_oracle(p: Polytope, x) -> bool:
@@ -531,116 +535,134 @@ def reach(p: Polytope, c, norm: Norm = Norm.L2) -> RoundedReal:
 
 
 # --- point-to-polytope distance --------------------------------------------
+#
+# The L2 kernel works on integer numerators: the query points and the target
+# polytope are brought to one common denominator L, so that every squared
+# distance below is an integer ratio (num, den) over L^2.  Nearest points are
+# closed-form on a segment (one clamped projection parameter) and on a
+# triangle (Ericson's Voronoi-region test, *Real-Time Collision Detection*,
+# 2005, sec. 5.1.5), both exact, and candidates are compared by
+# cross-multiplication.
 
 
-def _distance_faces(p: Polytope) -> list[tuple[Point, ...]]:
-    """Simplices (1 to 3 vertices) whose union contains every closest point.
+def _idot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
 
-    Full-dimensional polytopes contribute their boundary faces (the query
-    point is screened for containment first); lower-dimensional ones
-    contribute a triangulation of themselves.
+
+def _isub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    return tuple(map(sub, a, b))
+
+
+def _fan(ring: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Vertex index faces covering a convex ring: itself when it has at most
+    two vertices, otherwise its fan of triangles from the first vertex."""
+    if len(ring) < 3:
+        return (tuple(ring),)
+    return tuple((ring[0], ring[i], ring[i + 1]) for i in range(1, len(ring) - 1))
+
+
+def _distance_faces(p: Polytope) -> tuple[tuple[Optional[tuple[int, ...]], tuple[tuple[int, ...], ...]], ...]:
+    """Faces (1 to 3 vertex indices) whose union holds every nearest point of
+    p to a point outside it, grouped as (facet row, faces).
+
+    A full-dimensional polytope gives one group per facet: an endpoint, a
+    ring edge or the fan triangles of a facet polygon.  A nearest point y of
+    an outside point x lies on a facet that x faces, a.x > b: x - y is a
+    nonnegative combination of the outward normals of the facets through y,
+    and as its square is positive, so is its product with one of them.  A
+    lower-dimensional polytope gives one group, with no row, of faces that
+    cover the polytope itself.
     """
     ch = p._chart
-    n, k = ch.ambient, ch.k
-    verts = p.vertices
-    if k == 0:
-        return [(verts[0],)]
-    if k == 1:
-        if n == 1:
-            return [(verts[0],), (verts[-1],)]
-        return [(verts[0], verts[-1])]
-    if k == 2:
-        ring = _ring_of(p)
-        if n == 2:
-            return [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
-        return [(ring[0], ring[i], ring[i + 1]) for i in range(1, len(ring) - 1)]
-    # k == 3: triangulated facets
-    tris: list[tuple[Point, ...]] = []
-    for facet in _facet_rings(p):
-        tris.extend((facet[0], facet[i], facet[i + 1]) for i in range(1, len(facet) - 1))
-    return tris
-
-
-def _facet_rings(p: Polytope) -> list[list[Point]]:
-    """Cyclically ordered vertex rings of the facets of a full-dim 3-polytope."""
+    if ch.k < ch.ambient:
+        ring = ch.ring if ch.k == 2 else range(len(p.vertices))
+        return ((None, _fan(ring)),)
     den, nums = p._ints
-    rings = []
-    for row in p._chart.ineqs:
+    groups = []
+    for row in ch.ineqs:
         on = [i for i, v in enumerate(nums) if not sum(map(mul, row, v + (-den,)))]
-        ring = _ring([nums[i] for i in on], _kept_axes(row))
-        rings.append([p.vertices[on[i]] for i in ring])
-    return rings
+        if len(on) > 2:  # a facet polygon of a 3-polytope, in cyclic order
+            on = [on[i] for i in _ring([nums[i] for i in on], _kept_axes(row))]
+        groups.append((row, _fan(on)))
+    return tuple(groups)
 
 
-def _solve_coords(dirs: Sequence[Point], target: Point) -> Optional[list[Fraction]]:
-    """Coordinates of target in span(dirs), or None if outside the span."""
-    n = len(target)
-    k = len(dirs)
-    aug = [[dirs[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, n) if aug[i][c] != 0), -1)
-        if pr < 0:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        piv = aug[r][c]
-        aug[r] = [v / piv for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][-1] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][-1]
-    return sol
+def _face_sqdist(y: tuple[int, ...], face: tuple[int, ...], pts: Sequence[tuple[int, ...]]) -> tuple[int, int]:
+    """Squared distance (num, den) from the integer point y to a face of pts."""
+    a = pts[face[0]]
+    ap = _isub(y, a)
+    if len(face) == 1:
+        return _idot(ap, ap), 1
+    if len(face) == 2:
+        # the segment a + t d, t = w.d / d.d clamped to [0, 1]
+        d = _isub(pts[face[1]], a)
+        t = _idot(ap, d)
+        if t <= 0:
+            return _idot(ap, ap), 1
+        dd = _idot(d, d)
+        if t >= dd:
+            e = _isub(ap, d)
+            return _idot(e, e), 1
+        return _idot(ap, ap) * dd - t * t, dd
+    # a triangle in 3-space: find the Voronoi region of y among its vertices,
+    # edges and interior
+    b, c = pts[face[1]], pts[face[2]]
+    ab, ac = _isub(b, a), _isub(c, a)
+    d1, d2 = _idot(ab, ap), _idot(ac, ap)
+    if d1 <= 0 and d2 <= 0:
+        return _idot(ap, ap), 1
+    bp = _isub(y, b)
+    d3, d4 = _idot(ab, bp), _idot(ac, bp)
+    if d3 >= 0 and d4 <= d3:
+        return _idot(bp, bp), 1
+    if d1 >= 0 and d3 <= 0 and d1 * d4 - d3 * d2 <= 0:
+        dd = d1 - d3  # ab.ab
+        return _idot(ap, ap) * dd - d1 * d1, dd
+    cp = _isub(y, c)
+    d5, d6 = _idot(ab, cp), _idot(ac, cp)
+    if d6 >= 0 and d5 <= d6:
+        return _idot(cp, cp), 1
+    if d2 >= 0 and d6 <= 0 and d5 * d2 - d1 * d6 <= 0:
+        dd = d2 - d6  # ac.ac
+        return _idot(ap, ap) * dd - d2 * d2, dd
+    if d4 >= d3 and d5 >= d6 and d3 * d6 - d5 * d4 <= 0:
+        t = d4 - d3  # bp.bc
+        dd = t + d5 - d6  # bc.bc
+        return _idot(bp, bp) * dd - t * t, dd
+    nrm = _cross3(ab, ac)
+    s = _idot(ap, nrm)
+    return s * s, _idot(nrm, nrm)
 
 
-def _sqdist_to_simplex(x: Point, simplex: tuple[Point, ...]) -> Fraction:
-    best: Optional[Fraction] = None
-    m = len(simplex)
-    for size in range(1, m + 1):
-        for subset in combinations(simplex, size):
-            w0 = subset[0]
-            dirs = [vsub(w, w0) for w in subset[1:]]
-            rel = vsub(x, w0)
-            if not dirs:
-                cand = sqnorm(rel)
-            else:
-                g = [[dot(di, dj) for dj in dirs] for di in dirs]
-                r = [dot(di, rel) for di in dirs]
-                s = _solve_coords([tuple(col) for col in zip(*g)], tuple(r))
-                if s is None:
-                    continue
-                if any(si < 0 for si in s) or sum(s) > 1:
-                    continue
-                proj = w0
-                for si, di in zip(s, dirs):
-                    proj = vadd(proj, vscale(si, di))
-                cand = sqnorm(vsub(x, proj))
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best
+def _sqdist_outside(den: int, queries: Sequence[tuple[int, ...]], p: Polytope) -> Fraction:
+    """The largest squared L2 distance to p of the points num / den outside it.
 
-
-def _sqdist_outside(x: Point, p: Polytope, faces: list[tuple[Point, ...]]) -> Fraction:
-    """Squared L2 distance to p of a point x outside it, over p's distance faces.
-
-    Against a full-dimensional polygon only the ring edges that x lies
-    strictly to the right of are tried.  The nearest point y lies on one of
-    them: x - y is a nonnegative combination of the outward normals of the
-    edges through y, and as its square is positive, so is its product with
-    one of those normals.
+    Against a full-dimensional polytope only the faces of the facets that a
+    point faces are tried (see :func:`_distance_faces`).
     """
-    if len(x) == 2 and p._chart.k == 2:
-        faces = [(a, b) for a, b in faces if _cross2(vsub(b, a), vsub(x, a)) < 0]
-    return min(_sqdist_to_simplex(x, f) for f in faces)
+    pden, pnums = p._ints
+    big = math.lcm(den, pden)
+    if big != den:
+        s = big // den
+        queries = [tuple(c * s for c in y) for y in queries]
+    if big != pden:
+        s = big // pden
+        pnums = tuple(tuple(c * s for c in v) for v in pnums)
+    groups = p._faces
+    worst, worst_den = 0, 1
+    for y in queries:
+        q = y + (-big,)
+        best, best_den = -1, 1
+        for row, faces in groups:
+            if row is not None and sum(map(mul, row, q)) <= 0:
+                continue
+            for face in faces:
+                num, d = _face_sqdist(y, face, pnums)
+                if best < 0 or num * best_den < best * d:
+                    best, best_den = num, d
+        if best * worst_den > worst * best_den:
+            worst, worst_den = best, best_den
+    return Fraction(worst, worst_den * big * big)
 
 
 def _polyhedral_distance_lp(x: Point, p: Polytope, norm: Norm) -> Fraction:
@@ -688,10 +710,11 @@ def distance_point_to_polytope(x, p: Polytope, norm: Norm = Norm.L2) -> RoundedR
     pt = as_point(x)
     if len(pt) != p.dimension:
         raise ValueError("dimension mismatch")
-    if contains(p, pt):
+    den, nums = _integer_form((pt,))
+    if p._chart.holds(nums[0], den):
         return ZERO_REAL
     if norm is Norm.L2:
-        return sqrt_upper(_sqdist_outside(pt, p, _distance_faces(p)))
+        return sqrt_upper(_sqdist_outside(den, nums, p))
     return RoundedReal(_polyhedral_distance_lp(pt, p, norm))
 
 
@@ -703,10 +726,9 @@ def directed_hausdorff(y: Polytope, x: Polytope, norm: Norm = Norm.L2) -> Rounde
     if not outside:
         return ZERO_REAL
     if norm is Norm.L2:
-        faces = _distance_faces(x)
-        worst = max(_sqdist_outside(v, x, faces) for v in outside)
-        return sqrt_upper(worst)
-    vals = [_polyhedral_distance_lp(v, x, norm) for v in outside]
+        den, nums = y._ints
+        return sqrt_upper(_sqdist_outside(den, [nums[i] for i in outside], x))
+    vals = [_polyhedral_distance_lp(y.vertices[i], x, norm) for i in outside]
     return RoundedReal(max(vals))
 
 
@@ -786,13 +808,10 @@ def volume(p: Polytope) -> Fraction:
         return _polygon_area(_ring_of(p))
     c = vertex_centroid(p)
     total = Fraction(0)
-    for facet in _facet_rings(p):
-        for i in range(1, len(facet) - 1):
-            e1 = vsub(facet[0], c)
-            e2 = vsub(facet[i], c)
-            e3 = vsub(facet[i + 1], c)
-            det = dot(e1, _cross3(e2, e3))
-            total += abs(det)
+    for _, faces in p._faces:  # fan triangles of each facet
+        for face in faces:
+            e1, e2, e3 = (vsub(verts[i], c) for i in face)
+            total += abs(dot(e1, _cross3(e2, e3)))
     return total / 6
 
 

@@ -246,6 +246,76 @@ def polyhedron_ineqs(verts: Sequence[Point]) -> list[tuple[Point, Fraction]]:
     return list(seen.values())
 
 
+def _solve_coords(dirs: Sequence[Point], target: Point) -> Optional[list[Fraction]]:
+    """Coordinates of target in span(dirs), or None if outside the span."""
+    n = len(target)
+    k = len(dirs)
+    aug = [[dirs[j][i] for j in range(k)] + [target[i]] for i in range(n)]
+    pivots = []
+    r = 0
+    for c in range(k):
+        pr = next((i for i in range(r, n) if aug[i][c] != 0), -1)
+        if pr < 0:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        piv = aug[r][c]
+        aug[r] = [v / piv for v in aug[r]]
+        for i in range(n):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    for i in range(r, n):
+        if aug[i][-1] != 0:
+            return None
+    sol = [Fraction(0)] * k
+    for i, c in enumerate(pivots):
+        sol[c] = aug[i][-1]
+    return sol
+
+
+def gram_sqdist(x: Point, simplex: Sequence[Point]) -> Fraction:
+    """Squared L2 distance from x to the hull of a few points, in Fractions.
+
+    Every subset of the points is tried: the projection of x onto its affine
+    hull, from the Gram system of its edge vectors, counts when its
+    coordinates make a convex combination.  Each candidate is a point of the
+    hull, and the nearest point lies inside some affinely independent
+    subset, whose projection is unique, so the least candidate is exact.
+    """
+    best: Optional[Fraction] = None
+    for size in range(1, len(simplex) + 1):
+        for subset in itertools.combinations(simplex, size):
+            w0 = subset[0]
+            dirs = [vsub(w, w0) for w in subset[1:]]
+            rel = vsub(x, w0)
+            if not dirs:
+                cand = dot(rel, rel)
+            else:
+                g = [[dot(di, dj) for dj in dirs] for di in dirs]
+                r = [dot(di, rel) for di in dirs]
+                s = _solve_coords([tuple(col) for col in zip(*g)], tuple(r))
+                if s is None or any(si < 0 for si in s) or sum(s) > 1:
+                    continue
+                proj = w0
+                for si, di in zip(s, dirs):
+                    proj = vadd(proj, vscale(si, di))
+                cand = dot(vsub(x, proj), vsub(x, proj))
+            if best is None or cand < best:
+                best = cand
+    assert best is not None
+    return best
+
+
+def oracle_sqdist(x: Point, p: Polytope) -> Fraction:
+    """Squared L2 distance from x to p with no face structure: by Caratheodory
+    p is the union of the simplices on n + 1 of its vertices (fewer when it
+    has fewer), so the least :func:`gram_sqdist` over those is exact."""
+    size = min(len(x) + 1, len(p.vertices))
+    return min(gram_sqdist(x, s) for s in itertools.combinations(p.vertices, size))
+
+
 def _barycentric(subset: Sequence[Point], x: Point) -> Optional[list[Fraction]]:
     # solve sum lam_i v_i = x, sum lam_i = 1 by plain Gaussian elimination
     k = len(subset)

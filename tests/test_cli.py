@@ -119,7 +119,11 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 # summand-level one: a 2-D flag against its translate (L2 and L1), two 1-D
 # flags with different step counts and multiplicities 3 and 5, and plain and
 # difference summands across shifts, where the matching pairs differences
-# through the triangle rule.
+# through the triangle rule.  bound3d was recorded from the Gram-solve L2
+# distances that preceded the integer kernel: a 3-D octahedron flag against
+# its translate, with differences whose nearest points lie at vertices, on
+# edges and inside facets of 3-polytopes, on edges and inside polygons in
+# slanted planes, and inside segments in space.
 @pytest.mark.parametrize(
     "name, fixture, options",
     [
@@ -127,6 +131,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
         ("translate_l1", "translate", ["--norm", "l1"]),
         ("steps", "steps", []),
         ("shifts", "shifts", []),
+        ("bound3d", "bound3d", []),
     ],
 )
 def test_bound_output_is_byte_identical(name, fixture, options, capsys):
@@ -274,6 +279,7 @@ SHEAF_SUMMAND = {"outer": {"vertices": [["0"], ["1"]]}, "inner": None, "shift": 
         (["integrate", "BAD"], "[" * 200_000),
         (["link", "SQUARE", "SQUARE", "--epsilon", "1/4", "--out", "BAD"], MISSING_DIR),
         (["integrate", "BAD"], {"dimension": 1, "terms": [{"coeff": 1, "polytope": {"vertices": [["1e-3000000"]]}}]}),
+        (["integrate", "BAD"], '{"dimension": 1, "terms": [{"coeff": 1' + "0" * 5000 + ', "polytope": {"vertices": [["0"]]}}]}'),
     ],
     ids=[
         "terms-not-list",
@@ -292,6 +298,7 @@ SHEAF_SUMMAND = {"outer": {"vertices": [["0"], ["1"]]}, "inner": None, "shift": 
         "deep-nesting",
         "unwritable-output",
         "exponent-bomb",
+        "int-digit-limit",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(argv, blob, square, tmp_path):

@@ -9,8 +9,8 @@ import eulercert.distance
 import eulercert.geometry
 from eulercert.distance import INFINITE, Matching, bottleneck_bound, pair_bound, sum_bound
 from eulercert.flags import build_flag, graded_sheaf
-from eulercert.geometry import Norm, TOL_DIST, from_vertices, norm_value, translate
-from eulercert.sheafsum import difference, global_sections, plain, sheaf_sum
+from eulercert.geometry import Norm, TOL_DIST, from_vertices, norm_value, translate, vsub
+from eulercert.sheafsum import Summand, Support, difference, global_sections, plain, sheaf_sum
 
 from helpers import (
     brute_bottleneck,
@@ -239,3 +239,38 @@ def test_sum_bound_computes_each_vanishing_bound_once(monkeypatch):
     )
     sum_bound(f, g)
     assert 0 < len(calls) <= differences + 2 * plain_pairs
+
+
+def _fraction_bucket(s):
+    # the key the integer `_bucket` replaced: vertices less the first outer
+    # vertex, as Fractions
+    if not s.support.is_difference:
+        return (s.shift,)
+    origin = s.support.outer.vertices[0]
+    polys = (s.support.outer, s.support.inner)
+    return (s.shift,) + tuple(tuple(vsub(p, origin) for p in q.vertices) for q in polys)
+
+
+def _partition(summands, key):
+    groups = {}
+    for k, s in enumerate(summands):
+        groups.setdefault(key(s), set()).add(k)
+    return {frozenset(g) for g in groups.values()}
+
+
+def test_integer_bucket_key_partitions_like_the_fraction_key():
+    rng = random.Random(91)
+    for dim in (1, 2, 3):
+        for _ in range(12):
+            summands = list(rand_sheaf(rng, dim, max_summands=6).summands)
+            summands += crowded_bucket_pair(rng, dim)[0].summands
+            # translates by vectors with denominators new to both polytopes,
+            # some to another shift
+            for s in [s for s in summands if s.support.is_difference]:
+                for _ in range(2):
+                    v = tuple(F(rng.randint(-300, 300), rng.choice([101, 103, 1024 * 3])) for _ in range(dim))
+                    moved = Support(translate(s.support.outer, v), translate(s.support.inner, v))
+                    summands.append(Summand(moved, s.shift + rng.choice([0, 0, 1]), 1))
+            expect = _partition(summands, _fraction_bucket)
+            assert len(expect) < len(summands)  # translates share a bucket
+            assert _partition(summands, eulercert.distance._bucket) == expect

@@ -3,9 +3,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from eulercert import _simplex
+from eulercert import _simplex, geometry
 from eulercert.geometry import (
     Norm,
     RoundedReal,
@@ -26,15 +26,17 @@ from eulercert.geometry import (
     translate,
     vertex_centroid,
     volume,
-    _distance_faces,
+    _integer_form,
     _primitive,
-    _sqdist_to_simplex,
+    _sqdist_outside,
 )
 
 from helpers import (
     caratheodory_contains,
+    gram_sqdist,
     interior_point,
     lp_hull,
+    oracle_sqdist,
     polygon_ineqs,
     polyhedron_ineqs,
     rand_point,
@@ -155,22 +157,84 @@ def test_hulls_solve_no_lp(monkeypatch):
 
 def test_pruned_l2_distance_equals_min_over_all_faces():
     rng = random.Random(22)
-    seen = 0
-    while seen < 150:
-        p = rand_polytope(rng, 2, max_vertices=8)
-        if p.affine_dim < 2:
-            continue
-        pts = [rand_point(rng, 2, lo=-6, hi=6, dens=(1, 3, 4)) for _ in range(3)]
-        outside = [x for x in pts if not contains(p, x)]
-        if not outside:
-            continue
-        seen += 1
-        faces = _distance_faces(p)
-        full = [min(_sqdist_to_simplex(x, f) for f in faces) for x in outside]
-        for x, sq in zip(outside, full):
+    for dim, count in ((2, 150), (3, 40), (1, 40)):
+        seen = 0
+        while seen < count:
+            p = rand_polytope(rng, dim, max_vertices=8)
+            if p.affine_dim < dim:
+                continue
+            pts = [rand_point(rng, dim, lo=-6, hi=6, dens=(1, 3, 4)) for _ in range(3)]
+            outside = [x for x in pts if not contains(p, x)]
+            if not outside:
+                continue
+            seen += 1
+            faces = [[p.vertices[i] for i in f] for _, group in p._faces for f in group]
+            full = [min(gram_sqdist(x, f) for f in faces) for x in outside]
+            for x, sq in zip(outside, full):
+                assert distance_point_to_polytope(x, p) == sqrt_upper(sq)
+            y = from_vertices(pts)
+            assert directed_hausdorff(y, p) == sqrt_upper(max(full))
+
+
+_QUERY_COORD = st.builds(F, st.integers(-8 * 1024, 8 * 1024), st.integers(1, 1024))
+
+
+# one input of each chart kind: a point, segments in 1-, 2- and 3-space,
+# polygons in the plane and in space, and a 3-polytope
+@settings(deadline=None)  # the oracle tries every simplex of n + 1 vertices
+@given(_hull_input(), st.data())
+@example([(F(1, 3),)], None)
+@example([(F(0),), (F(5, 2),)], None)
+@example([(F(0), F(1)), (F(3), F(-2, 7))], None)
+@example([(F(0), F(1), F(2)), (F(3), F(-2, 7), F(1, 5))], None)
+@example([(F(0), F(0)), (F(4), F(1)), (F(1), F(3)), (F(-1, 2), F(2))], None)
+@example([(F(6), F(0), F(0)), (F(0), F(3), F(0)), (F(0), F(0), F(2)), (F(4), F(2), F(-2, 3))], None)
+@example([(F(x), F(y), F(z)) for x in (0, 2) for y in (0, 3) for z in (0, 1)] + [(F(1), F(5, 2), F(4))], None)
+def test_l2_distance_equals_the_gram_oracle(pts, data):
+    # queries inside and outside: convex and affine combinations of vertices
+    # (beyond the polytope on its affine hull for a negative weight), and
+    # points anywhere, with denominators up to 1024
+    p = from_vertices(pts)
+    if data is None:  # an explicit example: fixed queries around p
+        c = _combination(p.vertices, [1] * len(p.vertices))
+        queries = [c, tuple(2 * a - b for a, b in zip(p.vertices[0], c))]
+        queries += [tuple(a + F(k, 1024) for a in c) for k in (-3 * 1024 - 1, 5 * 1024 + 7)]
+        queries += [tuple(a + F(k + i, 97) for i, a in enumerate(c)) for k in (-300, 250)]
+    else:
+        picks = data.draw(st.lists(st.sampled_from(p.vertices), min_size=1, max_size=3))
+        weights = data.draw(st.lists(st.integers(-2, 3), min_size=len(picks), max_size=len(picks)))
+        if sum(weights) == 0:
+            weights[0] += 1
+        queries = [_combination(picks, weights), data.draw(st.tuples(*[_QUERY_COORD] * p.dimension))]
+    for x in queries:
+        sq = oracle_sqdist(x, p)
+        den, nums = _integer_form((x,))
+        if contains(p, x):
+            assert sq == 0 and distance_point_to_polytope(x, p) == RoundedReal(F(0))
+        else:
+            assert _sqdist_outside(den, nums, p) == sq
             assert distance_point_to_polytope(x, p) == sqrt_upper(sq)
-        y = from_vertices(pts)
-        assert directed_hausdorff(y, p) == sqrt_upper(max(full))
+
+
+def test_3d_pruning_tries_only_facets_facing_the_point(monkeypatch):
+    cube = from_vertices([(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)])
+    tried = []
+    face_sqdist = geometry._face_sqdist
+
+    def spy(y, face, pts):
+        tried.append(tuple(pts[i] for i in face))
+        return face_sqdist(y, face, pts)
+
+    monkeypatch.setattr(geometry, "_face_sqdist", spy)
+    # beyond one, two and three facets: two fan triangles per facet faced
+    for x, facing, sq in (((3, 1, 1), [0], 1), ((3, 3, 1), [0, 1], 2), ((3, 3, 4), [0, 1, 2], 6)):
+        tried.clear()
+        assert distance_point_to_polytope(x, cube) == sqrt_upper(F(sq))
+        assert len(tried) == 2 * len(facing)
+        # the numerators are over the common denominator 1: the cube's facets
+        # facing x are those at coordinate 2 on the axes where x exceeds 2
+        on = {axis: sum(all(v[axis] == 2 for v in face) for face in tried) for axis in range(3)}
+        assert on == {axis: 2 if axis in facing else 0 for axis in range(3)}
 
 
 # --- membership --------------------------------------------------------------
