@@ -22,7 +22,9 @@ from typing import Optional, Sequence
 from .geometry import (
     Point,
     Polytope,
+    _planes,
     _polygon_area,
+    centroid,
     dot,
     vadd,
     vscale,
@@ -97,13 +99,6 @@ class _Line:
         return (Fraction(self.c, self.a), Fraction(0))
 
 
-def _lines_of(p: Polytope) -> list[_Line]:
-    """The lines of p's chart rows: two axis lines through a point, a
-    segment's line and its two end caps, or a polygon's edge lines."""
-    ch = p._chart
-    return [_Line(*r) if r[:2] > (0, 0) else _Line(-r[0], -r[1], -r[2]) for r in ch.eqs + ch.ineqs]
-
-
 def _intersect(l1: _Line, l2: _Line) -> Optional[Point]:
     det = l1.a * l2.b - l2.a * l1.b
     if det == 0:
@@ -138,15 +133,10 @@ def _split(poly: list[Point], line: _Line) -> list[list[Point]]:
     return out or [poly]
 
 
-def _centroid(ring: Sequence[Point]) -> Point:
-    acc = ring[0]
-    for p in ring[1:]:
-        acc = vadd(acc, p)
-    return vscale(Fraction(1, len(ring)), acc)
-
-
 def _arrangement_2d(polytopes: Sequence[Polytope]) -> CellComplex:
-    lines = sorted({ln for p in polytopes for ln in _lines_of(p)}, key=lambda l: (l.a, l.b, l.c))
+    # the chart rows: two axis lines through a point, a segment's line and its
+    # two end caps, or a polygon's edge lines
+    lines = [_Line(*r) for r in _planes(polytopes)]
     verts: set[Point] = set()
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
@@ -181,7 +171,7 @@ def _arrangement_2d(polytopes: Sequence[Polytope]) -> CellComplex:
         pieces = [part for piece in pieces for part in _split(piece, ln)]
     for piece in pieces:
         touches = any(v[0] in (x0, x1) or v[1] in (y0, y1) for v in piece)
-        rep = _centroid(piece)
+        rep = centroid(piece)
         if touches:
             cells.append(Cell(2, rep, False))
         else:

@@ -129,10 +129,6 @@ def concentrate_basepoints(
     return CertificateStep(left, right, declared, fn, chi_right)
 
 
-def _segment(a: Point, b: Point) -> Polytope:
-    return from_vertices([a, b])
-
-
 def concentrate_to_point(
     f: ConstructibleFunction, x, epsilon, norm: Norm = Norm.L2
 ) -> Certificate:
@@ -155,7 +151,7 @@ def concentrate_to_point(
 
     # segment terms merge only when their centroids coincide, so the
     # basepoint of a merged segment term is well defined
-    seg_pairs = [(t.coeff, _segment(c, target_pt)) for t, c in zip(fn.terms, centroids)]
+    seg_pairs = [(t.coeff, from_vertices([c, target_pt])) for t, c in zip(fn.terms, centroids)]
     base_of: dict[Polytope, Point] = {}
     for (_, seg), c in zip(seg_pairs, centroids):
         assert base_of.setdefault(seg, c) == c

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -132,6 +133,7 @@ def _emit(obj: dict, out: Optional[str]) -> None:
         print(text)
 
 
+@functools.cache  # built once per process; each parse_args returns a fresh Namespace
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="eulercert", description=__doc__)
     ap.add_argument("--config", help="JSON workspace config file")

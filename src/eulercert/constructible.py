@@ -14,13 +14,14 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from . import _simplex
 from .cellcomplex import Cell, arrangement
 from .geometry import (
     AffineMap,
     Point,
     Polytope,
     _cross3,
+    _in_hull_lp,
+    _planes,
     affine_image,
     as_point,
     contains,
@@ -198,14 +199,7 @@ def equals(f: ConstructibleFunction, g: ConstructibleFunction) -> EvalReport:
 def _event_heights(supports: Sequence[Polytope]) -> list[Fraction]:
     """The sorted heights z of the points where three independent chart rows
     of 3-D supports meet, by Cramer's rule on the integer rows."""
-    # a plane's rows differ at most in sign: keep the one with lex-positive normal
-    rows = list(
-        {
-            r if r[:3] > (0, 0, 0) else tuple(-c for c in r)
-            for p in supports
-            for r in p._chart.eqs + p._chart.ineqs
-        }
-    )
+    rows = _planes(supports)
     zs = set()
     for i, a in enumerate(rows):
         for j in range(i + 1, len(rows)):
@@ -249,7 +243,8 @@ def oracle_pushforward_at(f: ConstructibleFunction, m: AffineMap, y) -> int:
     """Direct image value at y from the definition: per-fiber slices.
 
     Decides emptiness of each slice support /\\ m^{-1}(y) by exact rational
-    feasibility, independent of the hull-image construction.
+    feasibility: y is a convex combination of the images of the support's
+    vertices.  This is independent of the hull-image construction.
     """
     if m.domain_dim != f.dimension:
         raise ValueError("dimension mismatch")
@@ -258,19 +253,6 @@ def oracle_pushforward_at(f: ConstructibleFunction, m: AffineMap, y) -> int:
         raise ValueError("dimension mismatch")
     total = 0
     for t in f.terms:
-        if _slice_nonempty(t.support, m, target):
+        if _in_hull_lp([m(v) for v in t.support.vertices], target):
             total += t.coeff
     return total
-
-
-def _slice_nonempty(p: Polytope, m: AffineMap, y: Point) -> bool:
-    imgs = [m(v) for v in p.vertices]
-    k = len(imgs)
-    rows = []
-    rhs = []
-    for i in range(m.codomain_dim):
-        rows.append([imgs[j][i] - m.offset[i] for j in range(k)])
-        rhs.append(y[i] - m.offset[i])
-    rows.append([Fraction(1)] * k)
-    rhs.append(Fraction(1))
-    return _simplex.feasible(rows, rhs)

@@ -107,8 +107,29 @@ def _vanishing(s: Summand, norm: Norm) -> Bound:
     return Bound(directed_hausdorff(sup.outer, sup.inner, norm).half())
 
 
-def _pair_rule(a: Summand, b: Summand, va: Bound, vb: Bound, norm: Norm) -> Bound:
-    """Bound between two nonzero summands whose vanishing bounds are va, vb."""
+def _edge(a: Summand, b: Summand, norm: Norm) -> RoundedReal:
+    """Cost of pairing two summands of one bucket (see `_bucket`): the
+    Hausdorff distance of plain supports, and for differences, which the
+    bucket key makes exact translates, the norm of the translation."""
+    if not a.support.is_difference:
+        return hausdorff(a.support.outer, b.support.outer, norm)
+    return norm_value(vsub(b.support.outer.vertices[0], a.support.outer.vertices[0]), norm)
+
+
+def pair_bound(a: Optional[Summand], b: Optional[Summand], norm: Norm = Norm.L2) -> Bound:
+    """Certified bound between two summands, either possibly zero.
+
+    Multiplicities are ignored: the bound applies to matching single copies,
+    and equal multiplicities inherit it copy by copy.  This is the reference
+    rule: it tests exact translates in Fractions, independently of the
+    matcher's bucket key.
+    """
+    if a is None and b is None:
+        return ZERO_BOUND
+    if a is None:
+        return _vanishing(b, norm)
+    if b is None:
+        return _vanishing(a, norm)
     if a.support.outer.dimension != b.support.outer.dimension:
         raise ValueError("dimension mismatch")
     da, db = a.support.is_difference, b.support.is_difference
@@ -120,7 +141,7 @@ def _pair_rule(a: Summand, b: Summand, va: Bound, vb: Bound, norm: Norm) -> Boun
         return INFINITE  # global sections k vs 0
     if a.shift == b.shift and a.support == b.support:
         return ZERO_BOUND
-    triangle = Bound(va.value + vb.value)  # through zero; both are finite
+    triangle = Bound(_vanishing(a, norm).value + _vanishing(b, norm).value)  # through zero
     if a.shift == b.shift:
         v = vsub(b.support.outer.vertices[0], a.support.outer.vertices[0])
         if translate(a.support.outer, v) == b.support.outer and translate(a.support.inner, v) == b.support.inner:
@@ -128,21 +149,6 @@ def _pair_rule(a: Summand, b: Summand, va: Bound, vb: Bound, norm: Norm) -> Boun
             if moved.value < triangle.value.value:
                 return Bound(moved)
     return triangle
-
-
-def pair_bound(a: Optional[Summand], b: Optional[Summand], norm: Norm = Norm.L2) -> Bound:
-    """Certified bound between two summands, either possibly zero.
-
-    Multiplicities are ignored: the bound applies to matching single copies,
-    and equal multiplicities inherit it copy by copy.
-    """
-    if a is None and b is None:
-        return ZERO_BOUND
-    if a is None:
-        return _vanishing(b, norm)
-    if b is None:
-        return _vanishing(a, norm)
-    return _pair_rule(a, b, _vanishing(a, norm), _vanishing(b, norm), norm)
 
 
 def _bucket(s: Summand) -> tuple:
@@ -246,8 +252,8 @@ class _Matcher:
             below: dict = {}  # edge costs under v, the only thresholds that beat v
             for j in rs:
                 for i in ls:
-                    cost = _pair_rule(self.left[i], self.right[j], vb, vb, norm).value
-                    if cost is not None and (v is None or cost.value < 2 * v):
+                    cost = _edge(self.left[i], self.right[j], norm)
+                    if v is None or cost.value < 2 * v:
                         self.edges[i, j] = cost
                         if v is None or cost.value < v:
                             below.setdefault(cost.value, cost)

@@ -13,6 +13,12 @@ from fractions import Fraction
 from .geometry import Norm, Point, Polytope, RoundedReal, _homothet, as_point, contains, reach
 from .sheafsum import SheafSum, Summand, Support, sheaf_sum
 
+#: Most steps a flag may have.  Every level is built and kept, and `flag`,
+#: `concentrate`, `link` and `probe` build their levels here alone, so their
+#: work stays within this many levels per term whatever epsilon or step count
+#: is written in the input.
+MAX_FLAG_STEPS = 10**4
+
 
 @dataclass(frozen=True)
 class Flag:
@@ -27,6 +33,8 @@ def build_flag(base: Polytope, center, steps: int, norm: Norm = Norm.L2) -> Flag
     c = as_point(center)
     if steps < 1:
         raise ValueError("a flag needs at least one step")
+    if steps > MAX_FLAG_STEPS:
+        raise ValueError(f"a flag may have at most {MAX_FLAG_STEPS} steps")
     if not contains(base, c):
         raise ValueError("flag center must lie in the base polytope")
     # the center is checked once here, not once per level

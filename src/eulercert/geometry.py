@@ -36,7 +36,7 @@ class Norm(Enum):
 
 
 # ---------------------------------------------------------------------------
-# points
+# points (the vector helpers serve Fraction points and integer numerators alike)
 
 
 def as_point(coords: Iterable) -> Point:
@@ -48,7 +48,7 @@ def vadd(a: Point, b: Point) -> Point:
 
 
 def vsub(a: Point, b: Point) -> Point:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vscale(t: Fraction, a: Point) -> Point:
@@ -56,7 +56,7 @@ def vscale(t: Fraction, a: Point) -> Point:
 
 
 def dot(a: Point, b: Point) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    return sum(map(mul, a, b))
 
 
 def sqnorm(a: Point) -> Fraction:
@@ -229,7 +229,9 @@ def from_vertices(points: Iterable) -> Polytope:
     no LP in any dimension: the two lexicographic ends of points on a line,
     the counterclockwise ring of points in a plane (in 3-space, in the
     projection that drops one axis), and in a full-dimensional 3-D set the
-    points whose facet planes have normals of rank 3.
+    points whose facet planes have normals of rank 3.  The polytope of the
+    sorted distinct points holds the chart these tests read, and is returned
+    as it is when every point is extreme.
     """
     pts = [as_point(p) for p in points]
     if not pts:
@@ -239,35 +241,40 @@ def from_vertices(points: Iterable) -> Polytope:
         raise ValueError("mixed coordinate dimensions")
     if n not in (1, 2, 3):
         raise ValueError(f"unsupported dimension {n}")
-    uniq = sorted(set(pts))
-    den, nums = _integer_form(uniq)
-    chart = _Chart(den, nums)
+    poly = Polytope(tuple(sorted(set(pts))))
+    den, nums = poly._ints
+    chart = poly._chart
     if chart.k == 3:
         # a point is a vertex iff the facet planes through it meet only there
         keep = []
         for i, v in enumerate(nums):
             q = v + (-den,)
-            through = [r[:3] for r in chart.ineqs if not sum(map(mul, r, q))]
+            through = [r[:3] for r in chart.ineqs if not dot(r, q)]
             if len(_basis(through, 3)) == 3:
                 keep.append(i)
     elif chart.k == 2:
         keep = sorted(chart.ring)
     else:
         # a point, or points on one line: lexicographic order runs along the line
-        keep = sorted({0, len(uniq) - 1})
-    return Polytope(tuple(uniq[i] for i in keep))
+        keep = sorted({0, len(nums) - 1})
+    if len(keep) == len(nums):  # every point extreme: the chart built is the hull's
+        return poly
+    return Polytope(tuple(poly.vertices[i] for i in keep))
 
 
 def translate(p: Polytope, v: Point) -> Polytope:
     return Polytope(tuple(sorted(vadd(w, v) for w in p.vertices)))
 
 
-def vertex_centroid(p: Polytope) -> Point:
-    k = Fraction(1, len(p.vertices))
-    acc = p.vertices[0]
-    for v in p.vertices[1:]:
+def centroid(points: Sequence[Point]) -> Point:
+    acc = points[0]
+    for v in points[1:]:
         acc = vadd(acc, v)
-    return vscale(k, acc)
+    return vscale(Fraction(1, len(points)), acc)
+
+
+def vertex_centroid(p: Polytope) -> Point:
+    return centroid(p.vertices)
 
 
 def _ccw_sorted(points: Sequence[Point]) -> list[Point]:
@@ -288,19 +295,6 @@ def _ccw_sorted(points: Sequence[Point]) -> list[Point]:
                 chain.pop()
             chain.append(p)
     return lower[:-1] + upper[:-1] or pts
-
-
-def _primitive(coeffs: Sequence[Fraction]) -> tuple[int, ...]:
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
 
 
 # --- the integer chart kernel -----------------------------------------------
@@ -438,13 +432,13 @@ class _Chart:
                     row = [0] * n
                     row[i], row[lead] = d[lead], -d[i]
                     eqs.append(row + [d[lead] * o[i] - d[i] * o[lead]])
-            ts = [sum(map(mul, d, v)) for v in nums]
+            ts = [dot(d, v) for v in nums]
             ineqs = [tuple(-a for a in d) + (-min(ts),), d + (max(ts),)]
         elif k == 2:
             keep = (0, 1)
             if n == 3:
                 w = _cross3(basis[0], basis[1])
-                eqs = [w + (sum(map(mul, w, o)),)]
+                eqs = [w + (dot(w, o),)]
                 keep = _kept_axes(w)
             ring = self.ring = tuple(_ring(nums, keep))
             x, y = keep
@@ -464,16 +458,21 @@ class _Chart:
         """Whether the point num / den lies in the polytope: a.num = b den on
         every equality row and a.num <= b den on every inequality row."""
         q = num + (-den,)
-        return all(not sum(map(mul, r, q)) for r in self.eqs) and all(
-            sum(map(mul, r, q)) <= 0 for r in self.ineqs
-        )
+        return all(not dot(r, q) for r in self.eqs) and all(dot(r, q) <= 0 for r in self.ineqs)
 
 
-def _ring_of(p: Polytope) -> list[Point]:
-    """The counterclockwise vertex ring of a polygon (affine dimension 2)."""
-    ring = p._chart.ring
-    assert ring is not None
-    return [p.vertices[i] for i in ring]
+def _planes(polytopes: Iterable[Polytope]) -> list[tuple[int, ...]]:
+    """The distinct hyperplanes of the polytopes' chart rows, sorted.
+
+    A row (a, b) of a.x = b or a.x <= b is flipped, if need be, so that its
+    normal a is lexicographically positive: the two sides of one plane give
+    one row.
+    """
+    rows = set()
+    for p in polytopes:
+        for r in p._chart.eqs + p._chart.ineqs:
+            rows.add(r if r[:-1] > (0,) * (len(r) - 1) else tuple(-c for c in r))
+    return sorted(rows)
 
 
 def contains(p: Polytope, x) -> bool:
@@ -518,8 +517,9 @@ def _homothet(p: Polytope, center: Point, ratio: Fraction) -> Polytope:
     if ratio == 0:
         return Polytope((center,))
     fixed = vscale(1 - ratio, center)
-    # homotheties with t > 0 are affine bijections, extremeness is preserved
-    return Polytope(tuple(sorted(vadd(fixed, vscale(ratio, v)) for v in p.vertices)))
+    # homotheties with t > 0 are affine bijections that keep extremeness and,
+    # as increasing in every coordinate, the lexicographic order of the vertices
+    return Polytope(tuple(vadd(fixed, vscale(ratio, v)) for v in p.vertices))
 
 
 def reach(p: Polytope, c, norm: Norm = Norm.L2) -> RoundedReal:
@@ -543,14 +543,6 @@ def reach(p: Polytope, c, norm: Norm = Norm.L2) -> RoundedReal:
 # triangle (Ericson's Voronoi-region test, *Real-Time Collision Detection*,
 # 2005, sec. 5.1.5), both exact, and candidates are compared by
 # cross-multiplication.
-
-
-def _idot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(map(mul, a, b))
-
-
-def _isub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(map(sub, a, b))
 
 
 def _fan(ring: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -580,7 +572,7 @@ def _distance_faces(p: Polytope) -> tuple[tuple[Optional[tuple[int, ...]], tuple
     den, nums = p._ints
     groups = []
     for row in ch.ineqs:
-        on = [i for i, v in enumerate(nums) if not sum(map(mul, row, v + (-den,)))]
+        on = [i for i, v in enumerate(nums) if not dot(row, v + (-den,))]
         if len(on) > 2:  # a facet polygon of a 3-polytope, in cyclic order
             on = [on[i] for i in _ring([nums[i] for i in on], _kept_axes(row))]
         groups.append((row, _fan(on)))
@@ -590,48 +582,48 @@ def _distance_faces(p: Polytope) -> tuple[tuple[Optional[tuple[int, ...]], tuple
 def _face_sqdist(y: tuple[int, ...], face: tuple[int, ...], pts: Sequence[tuple[int, ...]]) -> tuple[int, int]:
     """Squared distance (num, den) from the integer point y to a face of pts."""
     a = pts[face[0]]
-    ap = _isub(y, a)
+    ap = vsub(y, a)
     if len(face) == 1:
-        return _idot(ap, ap), 1
+        return dot(ap, ap), 1
     if len(face) == 2:
         # the segment a + t d, t = w.d / d.d clamped to [0, 1]
-        d = _isub(pts[face[1]], a)
-        t = _idot(ap, d)
+        d = vsub(pts[face[1]], a)
+        t = dot(ap, d)
         if t <= 0:
-            return _idot(ap, ap), 1
-        dd = _idot(d, d)
+            return dot(ap, ap), 1
+        dd = dot(d, d)
         if t >= dd:
-            e = _isub(ap, d)
-            return _idot(e, e), 1
-        return _idot(ap, ap) * dd - t * t, dd
+            e = vsub(ap, d)
+            return dot(e, e), 1
+        return dot(ap, ap) * dd - t * t, dd
     # a triangle in 3-space: find the Voronoi region of y among its vertices,
     # edges and interior
     b, c = pts[face[1]], pts[face[2]]
-    ab, ac = _isub(b, a), _isub(c, a)
-    d1, d2 = _idot(ab, ap), _idot(ac, ap)
+    ab, ac = vsub(b, a), vsub(c, a)
+    d1, d2 = dot(ab, ap), dot(ac, ap)
     if d1 <= 0 and d2 <= 0:
-        return _idot(ap, ap), 1
-    bp = _isub(y, b)
-    d3, d4 = _idot(ab, bp), _idot(ac, bp)
+        return dot(ap, ap), 1
+    bp = vsub(y, b)
+    d3, d4 = dot(ab, bp), dot(ac, bp)
     if d3 >= 0 and d4 <= d3:
-        return _idot(bp, bp), 1
+        return dot(bp, bp), 1
     if d1 >= 0 and d3 <= 0 and d1 * d4 - d3 * d2 <= 0:
         dd = d1 - d3  # ab.ab
-        return _idot(ap, ap) * dd - d1 * d1, dd
-    cp = _isub(y, c)
-    d5, d6 = _idot(ab, cp), _idot(ac, cp)
+        return dot(ap, ap) * dd - d1 * d1, dd
+    cp = vsub(y, c)
+    d5, d6 = dot(ab, cp), dot(ac, cp)
     if d6 >= 0 and d5 <= d6:
-        return _idot(cp, cp), 1
+        return dot(cp, cp), 1
     if d2 >= 0 and d6 <= 0 and d5 * d2 - d1 * d6 <= 0:
         dd = d2 - d6  # ac.ac
-        return _idot(ap, ap) * dd - d2 * d2, dd
+        return dot(ap, ap) * dd - d2 * d2, dd
     if d4 >= d3 and d5 >= d6 and d3 * d6 - d5 * d4 <= 0:
         t = d4 - d3  # bp.bc
         dd = t + d5 - d6  # bc.bc
-        return _idot(bp, bp) * dd - t * t, dd
+        return dot(bp, bp) * dd - t * t, dd
     nrm = _cross3(ab, ac)
-    s = _idot(ap, nrm)
-    return s * s, _idot(nrm, nrm)
+    s = dot(ap, nrm)
+    return s * s, dot(nrm, nrm)
 
 
 def _sqdist_outside(den: int, queries: Sequence[tuple[int, ...]], p: Polytope) -> Fraction:
@@ -654,7 +646,7 @@ def _sqdist_outside(den: int, queries: Sequence[tuple[int, ...]], p: Polytope) -
         q = y + (-big,)
         best, best_den = -1, 1
         for row, faces in groups:
-            if row is not None and sum(map(mul, row, q)) <= 0:
+            if row is not None and dot(row, q) <= 0:
                 continue
             for face in faces:
                 num, d = _face_sqdist(y, face, pnums)
@@ -805,7 +797,7 @@ def volume(p: Polytope) -> Fraction:
     if n == 1:
         return verts[-1][0] - verts[0][0]
     if n == 2:
-        return _polygon_area(_ring_of(p))
+        return _polygon_area([verts[i] for i in ch.ring])
     c = vertex_centroid(p)
     total = Fraction(0)
     for _, faces in p._faces:  # fan triangles of each facet

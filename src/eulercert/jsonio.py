@@ -73,12 +73,8 @@ def parse_rational(s: Any) -> Fraction:
         raise SchemaError(f"not a rational: {s!r}") from exc
 
 
-def rational_str(q: Fraction) -> str:
-    return str(q)
-
-
 def point_to_json(p: Point) -> list[str]:
-    return [rational_str(c) for c in p]
+    return [str(c) for c in p]
 
 
 def point_from_json(obj: Any) -> Point:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -19,7 +20,6 @@ from eulercert.geometry import (
     _ccw_sorted,
     _cross3,
     _in_hull_lp,
-    _primitive,
     dot,
     from_vertices,
     translate,
@@ -221,6 +221,20 @@ def polygon_ineqs(verts: Sequence[Point]) -> list[tuple[Point, Fraction]]:
         a: Point = (q[1] - p[1], p[0] - q[0])
         ineqs.append((a, dot(a, p)))
     return ineqs
+
+
+def _primitive(coeffs: Sequence[Fraction]) -> tuple[int, ...]:
+    """The primitive integer tuple with the direction of a rational one."""
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    ints = [int(c * den) for c in coeffs]
+    g = 0
+    for v in ints:
+        g = math.gcd(g, abs(v))
+    if g > 1:
+        ints = [v // g for v in ints]
+    return tuple(ints)
 
 
 def polyhedron_ineqs(verts: Sequence[Point]) -> list[tuple[Point, Fraction]]:

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from eulercert.cellcomplex import _intersect, _Line, _lines_of, arrangement
-from eulercert.geometry import contains, from_vertices, volume
+from eulercert.cellcomplex import _intersect, _Line, arrangement
+from eulercert.geometry import _planes, contains, from_vertices, volume
 
 from helpers import rand_polytope
 
@@ -50,10 +50,19 @@ def test_dimension_3_rejected():
 
 def test_lines_are_the_lex_positive_chart_rows():
     point = from_vertices([(F(1, 2), F(1, 3))])
-    assert sorted(_lines_of(point), key=lambda l: (l.a, l.b)) == [_Line(0, 3, 1), _Line(2, 0, 1)]
+    assert _planes([point]) == [(0, 3, 1), (2, 0, 1)]
     seg = from_vertices([(0, 0), (2, 1)])
-    assert set(_lines_of(seg)) == {_Line(1, -2, 0), _Line(2, 1, 0), _Line(2, 1, 5)}
-    assert set(_lines_of(UNIT_SQUARE)) == {_Line(1, 0, 0), _Line(1, 0, 1), _Line(0, 1, 0), _Line(0, 1, 1)}
+    assert _planes([seg]) == [(1, -2, 0), (2, 1, 0), (2, 1, 5)]
+    assert _planes([UNIT_SQUARE]) == [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)]
+    # a plane shared by two polytopes, from either side, is one row
+    above = from_vertices([(0, 1), (1, 1), (0, 2)])
+    assert _planes([UNIT_SQUARE, above]) == [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 2)]
+    cube = from_vertices([(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)])
+    assert _planes([cube]) == [(0, 0, 1, 0), (0, 0, 1, 2), (0, 1, 0, 0), (0, 1, 0, 2), (1, 0, 0, 0), (1, 0, 0, 2)]
+    # the plane 6x + 3y + 2z = 6, and the edge rows of the triangle's
+    # projection onto the y, z axes
+    slanted = from_vertices([(1, 0, 0), (0, 2, 0), (0, 0, 3)])
+    assert _planes([slanted]) == [(0, 0, 1, 0), (0, 1, 0, 0), (0, 3, 2, 6), (6, 3, 2, 6)]
 
 
 def test_lines_meet_in_exact_rationals():

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ import pytest
 
 import eulercert
 from eulercert.cli import run
+from eulercert.flags import MAX_FLAG_STEPS
 
 SQUARE = {
     "dimension": 2,
@@ -402,6 +404,68 @@ def test_removed_sample_density_flag_is_a_usage_error(square, capsys):
 def test_dimension_validation(square, capsys):
     assert run(["--dimension", "1", "integrate", square]) == 2
     assert "dimension" in capsys.readouterr().err
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def _fresh(argv, timeout=60):
+    """Exit code, stdout and stderr of one command in a new interpreter of at
+    most 1 GiB, killed after `timeout` seconds."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eulercert.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "eulercert.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout, preexec_fn=_limit_memory,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_commands_in_one_process_match_fresh_processes(square, tmp_path, capsys):
+    # the parser is built once per process: no option may carry over to the
+    # next command
+    rect = _write(tmp_path, "rect.json", RECT)
+    seg = _write(tmp_path, "seg.json", {"vertices": [["0", "0"], ["1", "1"]]})
+    out = tmp_path / "cert.json"
+    commands = [
+        ["--norm", "l1", "flag", seg, "--center", "0,0", "--steps", "2"],
+        ["flag", seg, "--center", "0,0", "--steps", "2"],
+        ["link", square, rect, "--epsilon", "1/4", "--out", str(out)],
+        ["link", square, rect, "--epsilon", "1/4"],
+    ]
+    for argv in commands:
+        code = run(argv)
+        got = capsys.readouterr()
+        written = out.read_text() if out.exists() else None
+        out.unlink(missing_ok=True)
+        assert (code, got.out, got.err) == _fresh(argv)
+        assert written == (out.read_text() if out.exists() else None)
+        out.unlink(missing_ok=True)
+    assert json.loads(got.out)["steps"]  # the last link printed its certificate
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flag", "POLY", "--center", "0,0", "--steps", "1000000000000"],
+        ["link", "SQUARE", "SQUARE", "--epsilon", "1e-999"],
+        ["concentrate", "SQUARE", "--epsilon", "1e-999"],
+        ["probe", "SQUARE", "--metric", "gap", "--schedule", "1,1e-999"],
+    ],
+    ids=["flag-steps", "link-epsilon", "concentrate-epsilon", "probe-schedule"],
+)
+def test_flag_step_limit_exits_2_at_once(argv, square, tmp_path, capsys):
+    poly = _write(tmp_path, "poly.json", SQUARE["terms"][0]["polytope"])
+    argv = [{"POLY": poly, "SQUARE": square}.get(a, a) for a in argv]
+    # first in a child with a deadline, so that a builder without the limit
+    # fails here instead of filling memory
+    code, stdout, stderr = _fresh(argv, timeout=5)
+    message = f"error: a flag may have at most {MAX_FLAG_STEPS} steps\n"
+    assert (code, stdout, stderr) == (2, "", message)
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == message
 
 
 def test_deterministic_output(square, tmp_path, capsys):

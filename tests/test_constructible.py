@@ -327,6 +327,29 @@ def test_oracle_pushforward_examples():
     assert oracle_pushforward_at(f, proj, (F(1, 2),)) == 0
 
 
+@pytest.mark.parametrize("n, m", [(1, 2), (2, 3), (3, 3), (3, 1)], ids=["1to2", "2to3", "3to3", "3to1"])
+def test_oracle_pushforward_matches_the_hull_image(n, m):
+    rng = random.Random(36 + 4 * n + m)
+    for _ in range(4):
+        f = rand_cf(rng, n, max_terms=3, max_vertices=5)
+        offset = [rng.choice([-1, 1]) * F(rng.randint(1, 9), rng.choice([1, 2, 3])) for _ in range(m)]
+        mp = affine_map([[rand_point(rng, 1)[0] for _ in range(n)] for _ in range(m)], offset)
+        img = pushforward(f, mp)
+        # image vertices and edge midpoints lie on boundaries, centroids and
+        # images of interior points inside, and a random point anywhere
+        probes = [rand_point(rng, m)]
+        for t in f.terms:
+            verts = [mp(v) for v in t.support.vertices]
+            probes += verts + [mp(interior_point(rng, t.support))]
+            probes += [tuple((x + y) / 2 for x, y in zip(a, b)) for a, b in zip(verts, verts[1:])]
+        for t in img.terms:
+            probes.append(tuple(sum(c) / len(t.support.vertices) for c in zip(*t.support.vertices)))
+        if m <= 2:
+            probes += [cell.representative for cell in arrangement(img.supports(), m).cells]
+        for y in probes:
+            assert oracle_pushforward_at(f, mp, y) == evaluate(img, y)
+
+
 def test_pushforward_functoriality_and_pointwise_oracle():
     rng = random.Random(34)
     for _ in range(25):

@@ -241,6 +241,31 @@ def test_sum_bound_computes_each_vanishing_bound_once(monkeypatch):
     assert 0 < len(calls) <= differences + 2 * plain_pairs
 
 
+def test_matcher_makes_no_translate_call(monkeypatch):
+    # the bucket key is the matcher's only exact-translate test; pair_bound
+    # keeps the Fraction test as the reference rule
+    calls = []
+    real = eulercert.distance.translate
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(eulercert.distance, "translate", spy)
+    rng = random.Random(69)
+    pairs = [crowded_bucket_pair(rng, dim) for dim in (1, 2, 3) for _ in range(6)]
+    for f, g in pairs:
+        sum_bound(f, g)
+        bottleneck_bound(f, g)
+    assert not calls
+    a, b = next(
+        (f.summands[0], g.summands[0])
+        for f, g in pairs
+        if f.summands[0].support.is_difference and f.summands[0].support != g.summands[0].support
+    )
+    assert pair_bound(a, b).finite and calls
+
+
 def _fraction_bucket(s):
     # the key the integer `_bucket` replaced: vertices less the first outer
     # vertex, as Fractions

@@ -31,6 +31,22 @@ def test_build_flag_tests_its_center_once(monkeypatch):
     assert fl.levels == tuple(homothet(UNIT_SQUARE, c, F(i, 12)) for i in range(13))
 
 
+def test_build_flag_refuses_too_many_steps_before_any_level(monkeypatch):
+    built = []
+    real = flags._homothet
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(flags, "_homothet", counting)
+    for steps in (flags.MAX_FLAG_STEPS + 1, 10**12, 10**999):
+        with pytest.raises(ValueError, match=f"at most {flags.MAX_FLAG_STEPS} steps"):
+            build_flag(UNIT_SQUARE, (0, 0), steps)
+    assert not built
+    assert len(build_flag(from_vertices([(0,), (1,)]), (0,), flags.MAX_FLAG_STEPS).levels) == flags.MAX_FLAG_STEPS + 1
+
+
 def test_flag_of_segment():
     fl = build_flag(from_vertices([(0,), (4,)]), (0,), 4)
     assert [p.vertices for p in fl.levels] == [

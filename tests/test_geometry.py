@@ -27,11 +27,11 @@ from eulercert.geometry import (
     vertex_centroid,
     volume,
     _integer_form,
-    _primitive,
     _sqdist_outside,
 )
 
 from helpers import (
+    _primitive,
     caratheodory_contains,
     gram_sqdist,
     interior_point,
@@ -63,6 +63,23 @@ def test_from_vertices_single_point():
 def test_from_vertices_collinear_midpoint_removed():
     p = from_vertices([(0,), (2,), (1,)])
     assert p.vertices == ((F(0),), (F(2),))
+
+
+def test_from_vertices_builds_one_chart_per_canonical_input(monkeypatch):
+    built = []
+    init = geometry._Chart.__init__
+
+    def counting(self, den, nums):
+        built.append(nums)
+        init(self, den, nums)
+
+    monkeypatch.setattr(geometry._Chart, "__init__", counting)
+    cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    slanted = [(1, 0, 0), (0, 2, 0), (0, 0, 3)]
+    for pts, k in (([(0,)], 0), ([(0,), (3,)], 1), (UNIT_SQUARE.vertices, 2), (slanted, 2), (cube, 3)):
+        built.clear()
+        assert from_vertices(pts).affine_dim == k
+        assert len(built) == 1
 
 
 def test_from_vertices_errors():
@@ -280,6 +297,18 @@ def test_homothet_examples():
     assert h == from_vertices([(0, 0), (F(1, 2), 0), (0, F(1, 2)), (F(1, 2), F(1, 2))])
     assert homothet(UNIT_SQUARE, (0, 0), 1) == UNIT_SQUARE
     assert homothet(UNIT_SQUARE, (F(1, 2), F(1, 2)), 0).vertices == ((F(1, 2), F(1, 2)),)
+
+
+@given(_hull_input(), st.data())
+def test_homothet_is_the_hull_of_the_scaled_vertices(pts, data):
+    # a ratio in (0, 1) keeps the vertices extreme and in lexicographic order
+    p = from_vertices(pts)
+    k = len(p.vertices)
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+    c = _combination(p.vertices, weights)
+    t = data.draw(st.fractions(0, 1, max_denominator=12).filter(lambda t: 0 < t < 1))
+    scaled = [tuple(a + t * (x - a) for a, x in zip(c, v)) for v in p.vertices]
+    assert homothet(p, c, t).vertices == from_vertices(scaled).vertices
 
 
 def test_homothet_errors():

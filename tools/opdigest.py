@@ -1,0 +1,106 @@
+"""Per-op digests of the benchmark workloads, for byte-identity checks.
+
+    python3 tools/opdigest.py --src PATH --inputs DIR
+
+Runs every op of the ``verify``, ``link`` and ``bound`` workloads on seeds 1,
+3 and 7 through ``eulercert.cli.run`` of the package under PATH (the
+directory holding ``eulercert``, such as a tree's ``src``), in this process,
+one op after another as the benchmark runs them.  It prints one line per op
+with the sha256 of its stdout, stderr, exit code and every file it wrote,
+then one line with the sha256 of all op lines.
+
+The inputs live in DIR/<workload>-<seed>.  When DIR is empty or missing they
+are first written there by ``bench/workloads.py``, imported and left as it
+is; the ``verify`` certificates are then made by the package under PATH.
+Each workload runs in a scratch copy of its inputs, so DIR is never changed
+and two trees can be compared on the same inputs:
+
+    python3 tools/opdigest.py --src parent/src --inputs in > parent.txt
+    python3 tools/opdigest.py --src src --inputs in > change.txt
+    diff parent.txt change.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("verify", "link", "bound")
+SEEDS = (1, 3, 7)
+
+
+def _files(path: str) -> dict:
+    """File name -> sha256 of its bytes, for every file in a directory."""
+    out = {}
+    for name in sorted(os.listdir(path)):
+        with open(os.path.join(path, name), "rb") as fh:
+            out[name] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def _run_op(run, argv: list, work: str) -> str:
+    """Run one op in `work` and return the sha256 of everything it produced."""
+    out, err = io.StringIO(), io.StringIO()
+    before = _files(work)
+    here = os.getcwd()
+    os.chdir(work)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # an escape is part of what the op produced
+                code = None
+                err.write(repr(exc))
+    finally:
+        os.chdir(here)
+    written = {name: h for name, h in _files(work).items() if before.get(name) != h}
+    record = {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": written}
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="Print one sha256 per benchmark op.")
+    ap.add_argument("--src", required=True, help="directory holding the eulercert package")
+    ap.add_argument("--inputs", required=True, help="directory of the workload inputs")
+    args = ap.parse_args(argv)
+    src = os.path.abspath(args.src)
+    if not os.path.isdir(os.path.join(src, "eulercert")):
+        print(f"error: no eulercert package in {src}", file=sys.stderr)
+        return 2
+    sys.path.insert(0, src)
+    sys.path.insert(1, os.path.join(ROOT, "bench"))
+    import workloads
+    from eulercert.cli import run
+
+    build = not os.path.isdir(args.inputs) or not os.listdir(args.inputs)
+    lines = []
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            inputs = os.path.join(args.inputs, f"{workload}-{seed}")
+            if build:
+                os.makedirs(inputs)
+                workloads.build(workload, seed, inputs)
+            with open(os.path.join(inputs, "manifest.json"), encoding="utf-8") as fh:
+                ops = json.load(fh)["ops"]
+            with tempfile.TemporaryDirectory() as tmp:
+                work = shutil.copytree(inputs, os.path.join(tmp, "work"))
+                for i, op in enumerate(ops):
+                    line = f"{workload} seed={seed} op={i} {_run_op(run, op['argv'], work)}"
+                    print(line, flush=True)
+                    lines.append(line)
+    print(f"all {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
