@@ -1,10 +1,11 @@
 """Tiny exact simplex solver over rationals.
 
-Solves standard-form problems (min c.x subject to A x = b, x >= 0) at the
-sizes this package needs: convex-combination feasibility screens and
-point-to-polytope distances under polyhedral norms.  Everything is
-fractions.Fraction, so answers are exact; Bland's rule guarantees
-termination.
+Solves standard-form problems (min c.x subject to A x = b, x >= 0) for the
+independent oracles only: the convex-combination feasibility of
+``geometry.contains_oracle`` and ``constructible.oracle_pushforward_at``, and
+the test suite's reference distances.  No decision of the library makes an
+LP.  Everything is fractions.Fraction, so answers are exact; Bland's rule
+guarantees termination.
 """
 
 from __future__ import annotations

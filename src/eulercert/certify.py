@@ -76,6 +76,10 @@ class Certificate:
     epsilon: Fraction
     steps: tuple[CertificateStep, ...]
 
+    @property
+    def dimension(self) -> int:
+        return self.source.dimension
+
 
 class MetricKind(Enum):
     L1 = "l1"

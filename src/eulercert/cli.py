@@ -97,24 +97,21 @@ def _read_json(path: str):
         raise SchemaError(f"{path}: malformed JSON ({exc})") from None
 
 
-def _load(path: str, parse):
-    """Parse the JSON file at path, naming the file in any parse error.
+def _load(path: str, parse, dimension: Optional[int] = None):
+    """Parse the JSON file at path, naming the file in any parse error and
+    when the value's ambient dimension is not the configured `dimension`.
 
     A model constructor rejects a value with ValueError, of which SchemaError
     is one kind; `_read_json` names the file itself.
     """
     raw = _read_json(path)
     try:
-        return parse(raw)
+        value = parse(raw)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
-
-
-def _load_cf(path: str, cfg: WorkspaceConfig):
-    f = _load(path, jsonio.cf_from_json)
-    if cfg.dimension is not None and f.dimension != cfg.dimension:
-        raise SchemaError(f"{path}: dimension {f.dimension} != configured {cfg.dimension}")
-    return f
+    if dimension is not None and value.dimension != dimension:
+        raise SchemaError(f"{path}: dimension {value.dimension} != configured {dimension}")
+    return value
 
 
 def _parse_point(text: str):
@@ -194,22 +191,24 @@ def _origin(dim: int):
 
 def _dispatch(args: argparse.Namespace, cfg: WorkspaceConfig) -> int:
     cmd = args.command
+    # every value loaded but the affine map is checked against --dimension
+    load = functools.partial(_load, dimension=cfg.dimension)
     if cmd == "integrate":
-        print(euler_integral(_load_cf(args.cf, cfg)))
+        print(euler_integral(load(args.cf, jsonio.cf_from_json)))
         return 0
     if cmd == "oracle-integrate":
-        print(oracle_integral(_load_cf(args.cf, cfg)))
+        print(oracle_integral(load(args.cf, jsonio.cf_from_json)))
         return 0
     if cmd == "pushforward":
-        f = _load_cf(args.cf, cfg)
+        f = load(args.cf, jsonio.cf_from_json)
         m = _load(args.map, jsonio.affine_map_from_json)
         _emit(jsonio.cf_to_json(pushforward(f, m)), None)
         return 0
     if cmd == "chi":
-        _emit(jsonio.cf_to_json(local_euler(_load(args.sheaf, jsonio.sheaf_from_json))), None)
+        _emit(jsonio.cf_to_json(local_euler(load(args.sheaf, jsonio.sheaf_from_json))), None)
         return 0
     if cmd == "flag":
-        poly = _load(args.polytope, jsonio.polytope_from_json)
+        poly = load(args.polytope, jsonio.polytope_from_json)
         fl = build_flag(poly, _parse_point(args.center), args.steps, cfg.norm)
         _emit(
             {"eta": fl.spacing.decimal_up(), "sheaf": jsonio.sheaf_to_json(graded_sheaf(fl))},
@@ -217,8 +216,8 @@ def _dispatch(args: argparse.Namespace, cfg: WorkspaceConfig) -> int:
         )
         return 0
     if cmd == "bound":
-        left = _load(args.left, jsonio.sheaf_from_json)
-        right = _load(args.right, jsonio.sheaf_from_json)
+        left = load(args.left, jsonio.sheaf_from_json)
+        right = load(args.right, jsonio.sheaf_from_json)
         bound, matching = sum_bound(left, right, cfg.norm)
         print(bound.decimal_up())
         print("pairs " + " ".join(f"{i}-{j}" for i, j in matching.pairs))
@@ -226,19 +225,19 @@ def _dispatch(args: argparse.Namespace, cfg: WorkspaceConfig) -> int:
         print("unmatched_g " + " ".join(str(j) for j in matching.unmatched_right))
         return 0
     if cmd == "concentrate":
-        f = _load_cf(args.cf, cfg)
+        f = load(args.cf, jsonio.cf_from_json)
         target = _parse_point(args.target) if args.target else _origin(f.dimension)
         cert = concentrate_to_point(f, target, jsonio.parse_rational(args.epsilon), cfg.norm)
         _emit(jsonio.cert_to_json(cert), args.out)
         return 0
     if cmd == "link":
-        f = _load_cf(args.cf1, cfg)
-        g = _load_cf(args.cf2, cfg)
+        f = load(args.cf1, jsonio.cf_from_json)
+        g = load(args.cf2, jsonio.cf_from_json)
         cert = link(f, g, jsonio.parse_rational(args.epsilon), cfg.norm)
         _emit(jsonio.cert_to_json(cert), args.out)
         return 0
     if cmd == "verify":
-        cert = _load(args.cert, jsonio.cert_from_json)
+        cert = load(args.cert, jsonio.cert_from_json)
         report = verify(cert, cfg.norm, cfg.tol_dist)
         if report.passed:
             print("PASS")
@@ -248,7 +247,7 @@ def _dispatch(args: argparse.Namespace, cfg: WorkspaceConfig) -> int:
             print(f"- {item}")
         return 1
     if cmd == "probe":
-        f = _load_cf(args.cf, cfg)
+        f = load(args.cf, jsonio.cf_from_json)
         target = _parse_point(args.target) if args.target else _origin(f.dimension)
         schedule = [jsonio.parse_rational(part) for part in args.schedule.split(",")]
         rows = probe_metric(MetricKind(args.metric), f, target, schedule, cfg.norm)

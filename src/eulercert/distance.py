@@ -60,6 +60,10 @@ from .geometry import (
 )
 from .sheafsum import SheafSum, Summand
 
+#: Most unit copies a side of `sum_bound` may hold: its matching lists every
+#: copy, so a multiplicity written in the input would otherwise set its size.
+MAX_UNITS = 10**5
+
 
 @dataclass(frozen=True)
 class Bound:
@@ -313,5 +317,7 @@ def bottleneck_bound(f: SheafSum, g: SheafSum, norm: Norm = Norm.L2) -> Bound:
 
 def sum_bound(f: SheafSum, g: SheafSum, norm: Norm = Norm.L2) -> tuple[Bound, Matching]:
     """Minimized bottleneck bound over partial bijections, with the matching."""
+    if max(sum(s.multiplicity for s in h.summands) for h in (f, g)) > MAX_UNITS:
+        raise ValueError(f"a matching may list at most {MAX_UNITS} unit copies a side")
     matcher = _Matcher(f, g, norm)
     return matcher.bound, matcher.lex_matching()

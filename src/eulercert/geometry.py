@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations
+from functools import cache, cached_property
+from itertools import combinations, product
 from operator import mul, sub
 from typing import Iterable, Optional, Sequence
 
@@ -212,14 +212,10 @@ class Polytope:
 
 def _in_hull_lp(points: Sequence[Point], x: Point) -> bool:
     # feasibility of the convex-combination system in exact rationals
-    n = len(x)
-    k = len(points)
-    if k == 0:
+    if not points:
         return False
-    a = [[points[j][i] for j in range(k)] for i in range(n)]
-    a.append([Fraction(1)] * k)
-    b = [x[i] for i in range(n)] + [Fraction(1)]
-    return _simplex.feasible(a, b)
+    a = [list(coords) for coords in zip(*points)] + [[Fraction(1)] * len(points)]
+    return _simplex.feasible(a, list(x) + [Fraction(1)])
 
 
 def from_vertices(points: Iterable) -> Polytope:
@@ -657,57 +653,51 @@ def _sqdist_outside(den: int, queries: Sequence[tuple[int, ...]], p: Polytope) -
     return Fraction(worst, worst_den * big * big)
 
 
-def _polyhedral_distance_lp(x: Point, p: Polytope, norm: Norm) -> Fraction:
-    verts = p.vertices
-    n = len(x)
-    k = len(verts)
-    nt = 1 if norm is Norm.LINF else n
+# Under L1 and L-infinity the unit ball B is a polytope, and a point set y
+# lies in p + tB iff h_y(u) <= h_p(u) + t h_B(u) for every facet normal u of
+# p + B, h being support functions, with h_B(u) = ||u||_1 for L-infinity and
+# ||u||_inf for L1.  Any superset of those normals gives the same largest gap.
+# A facet of p + B is a facet of p (a chart row of either sign), a facet of B,
+# or in 3-D the sum of an edge e of p and an edge f of B, with normal e x f.
 
-    def t_col(i: int) -> int:
-        return k if norm is Norm.LINF else k + i
 
-    nv = k + nt + 2 * n  # lambdas, t's, slacks
-    rows = []
-    rhs = []
-    for i in range(n):
-        row = [Fraction(0)] * nv
-        for j in range(k):
-            row[j] = verts[j][i]
-        row[t_col(i)] = Fraction(1)
-        row[k + nt + i] = Fraction(-1)
-        rows.append(row)
-        rhs.append(x[i])
-        row = [Fraction(0)] * nv
-        for j in range(k):
-            row[j] = -verts[j][i]
-        row[t_col(i)] = Fraction(1)
-        row[k + nt + n + i] = Fraction(-1)
-        rows.append(row)
-        rhs.append(-x[i])
-    row = [Fraction(0)] * nv
-    for j in range(k):
-        row[j] = Fraction(1)
-    rows.append(row)
-    rhs.append(Fraction(1))
-    cost = [Fraction(0)] * nv
-    for i in range(nt):
-        cost[k + i] = Fraction(1)
-    ok, _, value = _simplex.solve(rows, rhs, cost)
-    if not ok:
-        raise RuntimeError("distance LP infeasible for a nonempty polytope")
-    return value
+@cache
+def _ball(norm: Norm, n: int) -> tuple[tuple, tuple]:
+    """Facet normals and edge directions, up to sign, of the unit ball of a
+    polyhedral norm: the cube [-1, 1]^n for L-infinity, the hull of the +-e_i
+    for L1."""
+    axes = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    if norm is Norm.LINF:
+        return axes, axes
+    edges = tuple(vsub(a, vscale(s, b)) for a, b in combinations(axes, 2) for s in (1, -1))
+    return tuple((1,) + s for s in product((1, -1), repeat=n - 1)), edges
+
+
+def _support_gap(den: int, queries: Sequence[tuple[int, ...]], p: Polytope, norm: Norm) -> Fraction:
+    """The largest L1 or L-infinity distance to p of the points num / den: the
+    largest (h_y(u) - h_p(u)) / h_B(u), or 0, over the normals u of p + B and
+    their negatives, y being the queries."""
+    pden, pnums = p._ints
+    ch = p._chart
+    ball_normals, ball_edges = _ball(norm, ch.ambient)
+    normals = {r[:-1] for r in ch.eqs + ch.ineqs}.union(ball_normals)
+    if ch.ambient == 3:
+        edges = {e for _, faces in p._faces for face in faces for e in combinations(face, 2)}
+        crosses = (_cross3(vsub(pnums[j], pnums[i]), f) for i, j in edges for f in ball_edges)
+        normals.update(w for w in crosses if any(w))
+    worst, worst_den = 0, 1
+    for u in normals:
+        ys = [dot(u, y) for y in queries]
+        vs = [dot(u, v) for v in pnums]
+        gap = max(pden * max(ys) - den * max(vs), den * min(vs) - pden * min(ys))
+        h = sum(map(abs, u)) if norm is Norm.LINF else max(map(abs, u))
+        if gap * worst_den > worst * h:
+            worst, worst_den = gap, h
+    return Fraction(worst, worst_den * den * pden)
 
 
 def distance_point_to_polytope(x, p: Polytope, norm: Norm = Norm.L2) -> RoundedReal:
-    pt = as_point(x)
-    if len(pt) != p.dimension:
-        raise ValueError("dimension mismatch")
-    den, nums = _integer_form((pt,))
-    if p._chart.holds(nums[0], den):
-        return ZERO_REAL
-    if norm is Norm.L2:
-        return sqrt_upper(_sqdist_outside(den, nums, p))
-    return RoundedReal(_polyhedral_distance_lp(pt, p, norm))
+    return directed_hausdorff(Polytope((as_point(x),)), p, norm)
 
 
 def directed_hausdorff(y: Polytope, x: Polytope, norm: Norm = Norm.L2) -> RoundedReal:
@@ -717,17 +707,15 @@ def directed_hausdorff(y: Polytope, x: Polytope, norm: Norm = Norm.L2) -> Rounde
     outside = _outside(y, x)
     if not outside:
         return ZERO_REAL
+    den, nums = y._ints
+    queries = [nums[i] for i in outside]
     if norm is Norm.L2:
-        den, nums = y._ints
-        return sqrt_upper(_sqdist_outside(den, [nums[i] for i in outside], x))
-    vals = [_polyhedral_distance_lp(y.vertices[i], x, norm) for i in outside]
-    return RoundedReal(max(vals))
+        return sqrt_upper(_sqdist_outside(den, queries, x))
+    return RoundedReal(_support_gap(den, queries, x, norm))
 
 
 def hausdorff(a: Polytope, b: Polytope, norm: Norm = Norm.L2) -> RoundedReal:
-    d1 = directed_hausdorff(a, b, norm)
-    d2 = directed_hausdorff(b, a, norm)
-    return d1 if d1.value >= d2.value else d2
+    return max(directed_hausdorff(a, b, norm), directed_hausdorff(b, a, norm), key=lambda d: d.value)
 
 
 # ---------------------------------------------------------------------------

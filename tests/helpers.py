@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from eulercert import _simplex
 from eulercert.cellcomplex import arrangement
 from eulercert.certify import MetricKind
 from eulercert.constructible import ConstructibleFunction, EvalReport, Verdict, evaluate, from_terms
@@ -328,6 +329,43 @@ def oracle_sqdist(x: Point, p: Polytope) -> Fraction:
     has fewer), so the least :func:`gram_sqdist` over those is exact."""
     size = min(len(x) + 1, len(p.vertices))
     return min(gram_sqdist(x, s) for s in itertools.combinations(p.vertices, size))
+
+
+def lp_distance(x: Point, p: Polytope, norm: Norm) -> Fraction:
+    """L1 or L-infinity distance from x to p, by one exact simplex LP.
+
+    Minimize the sum of t_i (L1) or one t (L-infinity) over convex weights
+    lam of p's vertices with -t_i <= x_i - (V lam)_i <= t_i, the two sides
+    as equalities with slack columns.
+    """
+    verts = p.vertices
+    n = len(x)
+    k = len(verts)
+    nt = 1 if norm is Norm.LINF else n
+
+    def t_col(i: int) -> int:
+        return k if norm is Norm.LINF else k + i
+
+    nv = k + nt + 2 * n  # lambdas, t's, slacks
+    rows = []
+    rhs = []
+    for i in range(n):
+        for sign, slack in ((1, k + nt + i), (-1, k + nt + n + i)):
+            row = [Fraction(0)] * nv
+            for j in range(k):
+                row[j] = sign * verts[j][i]
+            row[t_col(i)] = Fraction(1)
+            row[slack] = Fraction(-1)
+            rows.append(row)
+            rhs.append(sign * x[i])
+    rows.append([Fraction(1)] * k + [Fraction(0)] * (nv - k))
+    rhs.append(Fraction(1))
+    cost = [Fraction(0)] * nv
+    for i in range(nt):
+        cost[k + i] = Fraction(1)
+    ok, _, value = _simplex.solve(rows, rhs, cost)
+    assert ok, "distance LP infeasible for a nonempty polytope"
+    return value
 
 
 def _barycentric(subset: Sequence[Point], x: Point) -> Optional[list[Fraction]]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -9,6 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 import eulercert
+from eulercert import _simplex
 from eulercert.cli import run
 from eulercert.flags import MAX_FLAG_STEPS
 
@@ -125,7 +127,9 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 # distances that preceded the integer kernel: a 3-D octahedron flag against
 # its translate, with differences whose nearest points lie at vertices, on
 # edges and inside facets of 3-polytopes, on edges and inside polygons in
-# slanted planes, and inside segments in space.
+# slanted planes, and inside segments in space.  The other L1 and L-infinity
+# outputs were recorded while those distances were still solved by one simplex
+# LP per outside vertex.
 @pytest.mark.parametrize(
     "name, fixture, options",
     [
@@ -134,6 +138,13 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
         ("steps", "steps", []),
         ("shifts", "shifts", []),
         ("bound3d", "bound3d", []),
+        ("translate_linf", "translate", ["--norm", "linf"]),
+        ("steps_l1", "steps", ["--norm", "l1"]),
+        ("steps_linf", "steps", ["--norm", "linf"]),
+        ("shifts_l1", "shifts", ["--norm", "l1"]),
+        ("shifts_linf", "shifts", ["--norm", "linf"]),
+        ("bound3d_l1", "bound3d", ["--norm", "l1"]),
+        ("bound3d_linf", "bound3d", ["--norm", "linf"]),
     ],
 )
 def test_bound_output_is_byte_identical(name, fixture, options, capsys):
@@ -158,6 +169,33 @@ def test_link_certificate_is_byte_identical(fixture, tmp_path, capsys):
     with open(golden, "rb") as fh:
         assert out.read_bytes() == fh.read()
     assert run(["verify", golden]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
+
+# sha256 of the certificates `link --epsilon 1/16` wrote under L1 and
+# L-infinity while those distances were still solved by simplex LPs
+POLYHEDRAL_LINKS = {
+    ("link2d", "l1"): "a430be48a98c1e8fb876a4093fe38eb1d3d2e9aa425b525ce8fe5ffb9ae5f6ae",
+    ("link3d", "l1"): "a96fbf5feb80cffdc870eb126bc8e90dd769d7901b15049fcc2d3c36d88a693d",
+    ("link3dflat", "l1"): "4a05871425eb6426edffbbfed8bab943ca55de46822e5256de55c40f64f8f4a2",
+    ("link3dline", "l1"): "f9f60552d213b49228c66cea644c4fe09d55ede9338ed3ee784726476f773943",
+    ("link2d", "linf"): "77fbdf33f11f8a2d4a0441832110fc23f0220f51b9d2e482a27fd88b75e45311",
+    ("link3d", "linf"): "14bec9ecda5aeeaf789f9cc0d02f2feac10e8f9e2b92405608e4d936e506803d",
+    ("link3dflat", "linf"): "09c39c05b19bfc8a7517663322d6e6edb80db3bfc3994e855066bece236ab3fe",
+    ("link3dline", "linf"): "d8c6c90c5be41c2220d5a6539c4b1f86068d2a8ffb34ad3eb69736ff5eb1d388",
+}
+
+
+@pytest.mark.parametrize("fixture, norm", sorted(POLYHEDRAL_LINKS))
+def test_polyhedral_link_certificate_is_byte_identical(fixture, norm, tmp_path, capsys):
+    left, right = (os.path.join(DATA, f"{fixture}_{side}.json") for side in "FG")
+    out = tmp_path / "cert.json"
+    assert run(["--norm", norm, "link", left, right, "--epsilon", "1/16", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == POLYHEDRAL_LINKS[fixture, norm]
+    assert run(["--norm", norm, "verify", str(out)]) == 0
+    # the L2 golden certificate holds under L-infinity, which is never larger
+    if norm == "linf":
+        assert run(["--norm", norm, "verify", os.path.join(DATA, f"{fixture}.cert.json")]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "PASS"
 
 
@@ -404,6 +442,50 @@ def test_removed_sample_density_flag_is_a_usage_error(square, capsys):
 def test_dimension_validation(square, capsys):
     assert run(["--dimension", "1", "integrate", square]) == 2
     assert "dimension" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["chi", "S"], "translate_F.json"),
+        (["flag", "P", "--center", "0,0", "--steps", "2"], None),
+        (["bound", "S", os.path.join(DATA, "translate_G.json")], "translate_F.json"),
+        (["verify", "S"], "link3d.cert.json"),
+    ],
+    ids=["chi", "flag", "bound", "verify"],
+)
+def test_dimension_mismatch_names_the_file(argv, path, tmp_path, capsys):
+    # a sheaf, a polytope, a sheaf and a certificate (by its source)
+    path = os.path.join(DATA, path) if path else _write(tmp_path, "p.json", SQUARE["terms"][0]["polytope"])
+    argv = [{"S": path, "P": path}.get(a, a) for a in argv]
+    dim = 3 if path.endswith(".cert.json") else 2
+    assert run(["--dimension", "1"] + argv) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: dimension {dim} != configured 1\n")
+    assert run(["--dimension", str(dim)] + argv) == 0
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_no_subcommand_calls_the_simplex(norm, square, tmp_path, monkeypatch):
+    # every decision of verify, bound, link, concentrate and probe is made on
+    # integer charts; the simplex LP serves only the independent oracles
+    def refuse(*args):
+        raise AssertionError("_simplex called")
+
+    for name in ("solve", "feasible"):
+        monkeypatch.setattr(_simplex, name, refuse)
+    data = {name: os.path.join(DATA, f"{name}.json") for name in ("link3d_F", "link3d_G", "bound3d_F", "bound3d_G")}
+    cert = str(tmp_path / "cert.json")
+    commands = [
+        ["link", data["link3d_F"], data["link3d_G"], "--epsilon", "1/4", "--out", cert],
+        ["verify", cert],
+        ["verify", os.path.join(DATA, "link2d.cert.json")],
+        ["bound", data["bound3d_F"], data["bound3d_G"]],
+        ["bound", os.path.join(DATA, "translate_F.json"), os.path.join(DATA, "translate_G.json")],
+        ["concentrate", square, "--epsilon", "1/4"],
+        ["probe", square, "--metric", "gap", "--schedule", "1/2,1/4"],
+    ]
+    for argv in commands:
+        assert run(["--norm", norm] + argv) in (0, 1)
 
 
 def _limit_memory():

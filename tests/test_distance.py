@@ -7,7 +7,7 @@ import pytest
 
 import eulercert.distance
 import eulercert.geometry
-from eulercert.distance import INFINITE, Matching, bottleneck_bound, pair_bound, sum_bound
+from eulercert.distance import INFINITE, MAX_UNITS, Matching, bottleneck_bound, pair_bound, sum_bound
 from eulercert.flags import build_flag, graded_sheaf
 from eulercert.geometry import Norm, TOL_DIST, from_vertices, norm_value, translate, vsub
 from eulercert.sheafsum import Summand, Support, difference, global_sections, plain, sheaf_sum
@@ -208,6 +208,20 @@ def test_bound_only_entry_handles_huge_multiplicities():
     assert b.value.value == 1  # the plain pair's Hausdorff distance
     assert elapsed < 1.0
     assert peak < 2**20  # a list of 10**6 unit copies alone takes 8 MB
+
+
+def test_sum_bound_refuses_too_many_unit_copies():
+    # the matching lists every copy; the bound alone does not
+    seg = from_vertices([(0,), (1,)])
+    f = sheaf_sum(1, [plain(seg, 0, MAX_UNITS)])
+    g = sheaf_sum(1, [plain(seg, 0, 10**4000)])
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=f"at most {MAX_UNITS} unit copies"):
+        sum_bound(f, g)
+    assert time.perf_counter() - started < 1.0
+    assert bottleneck_bound(f, g).value is None  # global sections differ
+    bound, matching = sum_bound(f, f)
+    assert bound.value.value == 0 and len(matching.pairs) == MAX_UNITS
 
 
 def test_sum_bound_computes_each_vanishing_bound_once(monkeypatch):

@@ -35,6 +35,7 @@ from helpers import (
     caratheodory_contains,
     gram_sqdist,
     interior_point,
+    lp_distance,
     lp_hull,
     oracle_sqdist,
     polygon_ineqs,
@@ -233,6 +234,37 @@ def test_l2_distance_equals_the_gram_oracle(pts, data):
             assert distance_point_to_polytope(x, p) == sqrt_upper(sq)
 
 
+# a point beyond an edge of a 3-polytope, of a segment in space and of a
+# polygon in a slanted plane, beyond a slanted segment in the plane, and off a
+# point along a diagonal
+@settings(deadline=None)  # the oracle solves one LP per vertex and query
+@given(_hull_input(), st.data())
+@example([(F(0), F(0), F(0)), (F(2), F(0), F(0)), (F(0), F(2), F(0)), (F(0), F(0), F(2))], [(F(2), F(2), F(-1))])
+@example([(F(0), F(0), F(0)), (F(3), F(1), F(2))], [(F(1), F(3), F(-1)), (F(-2), F(1), F(4))])
+@example([(F(1), F(0), F(0)), (F(0), F(2), F(0)), (F(0), F(0), F(3))], [(F(2), F(2), F(2)), (F(-1), F(-1), F(1))])
+@example([(F(0), F(0)), (F(3), F(1))], [(F(2), F(-3)), (F(-1), F(2))])
+@example([(F(1), F(-1))], [(F(3), F(2))])
+def test_polyhedral_distance_equals_the_lp_oracle(pts, data):
+    # queries beyond p on its affine hull (a negative weight), inside it and
+    # anywhere, as points and as the vertices of one polytope
+    p = from_vertices(pts)
+    if isinstance(data, list):  # an explicit example: its own queries
+        queries = data
+    else:
+        picks = data.draw(st.lists(st.sampled_from(p.vertices), min_size=1, max_size=3))
+        weights = data.draw(st.lists(st.integers(-2, 3), min_size=len(picks), max_size=len(picks)))
+        if sum(weights) == 0:
+            weights[0] += 1
+        free = data.draw(st.lists(st.tuples(*[_QUERY_COORD] * p.dimension), min_size=1, max_size=3))
+        queries = [_combination(picks, weights)] + free
+    y = from_vertices(queries)
+    for norm in (Norm.L1, Norm.LINF):
+        for x in queries:
+            assert distance_point_to_polytope(x, p, norm) == RoundedReal(lp_distance(x, p, norm))
+        want = max(lp_distance(v, p, norm) for v in y.vertices)
+        assert directed_hausdorff(y, p, norm) == RoundedReal(want)
+
+
 def test_3d_pruning_tries_only_facets_facing_the_point(monkeypatch):
     cube = from_vertices([(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)])
     tried = []
@@ -381,7 +413,7 @@ def test_directed_hausdorff_is_translation_invariant(rng, norm):
 
 
 def test_point_distance_against_sampled_lower_bounds():
-    # LP/projection distances can never exceed the distance to any sampled
+    # distances under every norm can never exceed the distance to any sampled
     # polytope point, and convexity sampling brackets them from above
     rng = random.Random(15)
     for _ in range(40):

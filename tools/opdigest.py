@@ -5,9 +5,10 @@
 Runs every op of the ``verify``, ``link`` and ``bound`` workloads on seeds 1,
 3 and 7 through ``eulercert.cli.run`` of the package under PATH (the
 directory holding ``eulercert``, such as a tree's ``src``), in this process,
-one op after another as the benchmark runs them.  It prints one line per op
-with the sha256 of its stdout, stderr, exit code and every file it wrote,
-then one line with the sha256 of all op lines.
+one op after another as the benchmark runs them, once under each norm: the
+op's argv prefixed with ``--norm l2``, ``--norm l1`` and ``--norm linf``.  It
+prints one line per op and norm with the sha256 of its stdout, stderr, exit
+code and every file it wrote, then one line with the sha256 of all op lines.
 
 The inputs live in DIR/<workload>-<seed>.  When DIR is empty or missing they
 are first written there by ``bench/workloads.py``, imported and left as it
@@ -35,6 +36,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("verify", "link", "bound")
 SEEDS = (1, 3, 7)
+NORMS = ("l2", "l1", "linf")
 
 
 def _files(path: str) -> dict:
@@ -92,12 +94,14 @@ def main(argv=None) -> int:
                 workloads.build(workload, seed, inputs)
             with open(os.path.join(inputs, "manifest.json"), encoding="utf-8") as fh:
                 ops = json.load(fh)["ops"]
-            with tempfile.TemporaryDirectory() as tmp:
-                work = shutil.copytree(inputs, os.path.join(tmp, "work"))
-                for i, op in enumerate(ops):
-                    line = f"{workload} seed={seed} op={i} {_run_op(run, op['argv'], work)}"
-                    print(line, flush=True)
-                    lines.append(line)
+            for norm in NORMS:
+                with tempfile.TemporaryDirectory() as tmp:
+                    work = shutil.copytree(inputs, os.path.join(tmp, "work"))
+                    for i, op in enumerate(ops):
+                        digest = _run_op(run, ["--norm", norm] + op["argv"], work)
+                        line = f"{workload} seed={seed} norm={norm} op={i} {digest}"
+                        print(line, flush=True)
+                        lines.append(line)
     print(f"all {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}")
     return 0
 
