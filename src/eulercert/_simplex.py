@@ -2,10 +2,9 @@
 
 Solves standard-form problems (min c.x subject to A x = b, x >= 0) for the
 independent oracles only: the convex-combination feasibility of
-``geometry.contains_oracle`` and ``constructible.oracle_pushforward_at``, and
-the test suite's reference distances.  No decision of the library makes an
-LP.  Everything is fractions.Fraction, so answers are exact; Bland's rule
-guarantees termination.
+``constructible.oracle_pushforward_at`` and the test suite's membership and
+distance oracles.  No decision of the library makes an LP.  Everything is
+fractions.Fraction, so answers are exact; Bland's rule guarantees termination.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from .constructible import (
     zero_function,
 )
 from .distance import bottleneck_bound
-from .flags import build_flag, graded_sheaf
+from .flags import _graded_summands, build_flag
 from .geometry import (
     Norm,
     Point,
@@ -121,8 +121,7 @@ def concentrate_basepoints(
             degenerate = False
         shift = 0 if term.coeff > 0 else 1
         mult = abs(term.coeff)
-        for sm in graded_sheaf(flag).summands:
-            left_parts.append(Summand(sm.support, shift, sm.multiplicity * mult))
+        left_parts += _graded_summands(flag, shift, mult)
         right_parts.append(Summand(Support(Polytope((pt,))), shift, mult))
     left = sheaf_sum(fn.dimension, left_parts)
     right = sheaf_sum(fn.dimension, right_parts)

@@ -8,9 +8,8 @@ Hausdorff distance, which is the certified spacing the distance bounds use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .geometry import Norm, Point, Polytope, RoundedReal, _homothet, as_point, contains, reach
+from .geometry import Norm, Point, Polytope, RoundedReal, _levels, _outside, _reach, as_point
 from .sheafsum import SheafSum, Summand, Support, sheaf_sum
 
 #: Most steps a flag may have.  Every level is built and kept, and `flag`,
@@ -35,12 +34,22 @@ def build_flag(base: Polytope, center, steps: int, norm: Norm = Norm.L2) -> Flag
         raise ValueError("a flag needs at least one step")
     if steps > MAX_FLAG_STEPS:
         raise ValueError(f"a flag may have at most {MAX_FLAG_STEPS} steps")
-    if not contains(base, c):
+    if len(c) != base.dimension:
+        raise ValueError("dimension mismatch")
+    tip = Polytope((c,))  # levels[0]: its integer form serves the check, every level and the reach
+    if _outside(tip, base):
         raise ValueError("flag center must lie in the base polytope")
-    # the center is checked once here, not once per level
-    levels = tuple(_homothet(base, c, Fraction(i, steps)) for i in range(steps + 1))
-    spacing = reach(base, c, norm) / steps
-    return Flag(base, c, steps, levels, spacing)
+    levels = _levels(base, tip, steps)
+    return Flag(base, c, steps, levels, _reach(base, tip, norm) / steps)
+
+
+def _graded_summands(flag: Flag, shift: int = 0, multiplicity: int = 1) -> list[Summand]:
+    """The summands of :func:`graded_sheaf`, shifted and repeated, unsorted."""
+    summands = [Summand(Support(flag.levels[0]), shift, multiplicity)]
+    for lo, hi in zip(flag.levels, flag.levels[1:]):
+        if lo != hi:
+            summands.append(Summand(Support(hi, lo), shift, multiplicity))
+    return summands
 
 
 def graded_sheaf(flag: Flag) -> SheafSum:
@@ -49,9 +58,4 @@ def graded_sheaf(flag: Flag) -> SheafSum:
     Degenerate consecutive levels (only possible once the base is a point)
     contribute nothing.
     """
-    summands = [Summand(Support(flag.levels[0]), 0, 1)]
-    for lo, hi in zip(flag.levels, flag.levels[1:]):
-        if lo == hi:
-            continue
-        summands.append(Summand(Support(hi, lo), 0, 1))
-    return sheaf_sum(flag.base.dimension, summands)
+    return sheaf_sum(flag.base.dimension, _graded_summands(flag))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations, product
+from itertools import chain, combinations, groupby, product
 from operator import mul, sub
 from typing import Iterable, Optional, Sequence
 
@@ -40,7 +40,8 @@ class Norm(Enum):
 
 
 def as_point(coords: Iterable) -> Point:
-    return tuple(Fraction(c) for c in coords)
+    # Fractions are immutable, so coordinates that already are one are kept
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
 def vadd(a: Point, b: Point) -> Point:
@@ -57,10 +58,6 @@ def vscale(t: Fraction, a: Point) -> Point:
 
 def dot(a: Point, b: Point) -> Fraction:
     return sum(map(mul, a, b))
-
-
-def sqnorm(a: Point) -> Fraction:
-    return dot(a, a)
 
 
 def _cross2(a: Point, b: Point) -> Fraction:
@@ -158,7 +155,7 @@ def norm_value(v: Point, norm: Norm) -> RoundedReal:
         return RoundedReal(sum((abs(x) for x in v), Fraction(0)))
     if norm is Norm.LINF:
         return RoundedReal(max(abs(x) for x in v) if v else Fraction(0))
-    return sqrt_upper(sqnorm(v))
+    return sqrt_upper(dot(v, v))
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +170,19 @@ class Polytope:
     is then equality as point sets.  The vertices are the public, hashed and
     serialized form.  Beside them a polytope caches its hash, its integer
     form (:func:`_integer_form`), its chart and its distance faces, each
-    computed from its own vertices on first use.
+    computed from its own vertices on first use, except where they arrive
+    with it (:meth:`_given`): flag levels, and hulls of non-extreme points.
     """
 
     vertices: tuple[Point, ...]
+
+    @classmethod
+    def _given(cls, vertices: tuple, ints: tuple, **known) -> "Polytope":
+        """The polytope of these canonical vertices, whose integer form in
+        least terms is ints, with any other cached value `known`."""
+        p = cls(vertices)
+        p.__dict__.update(known, _ints=ints)
+        return p
 
     def __hash__(self) -> int:
         return self._hash
@@ -227,7 +233,8 @@ def from_vertices(points: Iterable) -> Polytope:
     projection that drops one axis), and in a full-dimensional 3-D set the
     points whose facet planes have normals of rank 3.  The polytope of the
     sorted distinct points holds the chart these tests read, and is returned
-    as it is when every point is extreme.
+    as it is when every point is extreme; otherwise the hull of the extreme
+    points takes over that chart, as the same rows bound both.
     """
     pts = [as_point(p) for p in points]
     if not pts:
@@ -237,7 +244,7 @@ def from_vertices(points: Iterable) -> Polytope:
         raise ValueError("mixed coordinate dimensions")
     if n not in (1, 2, 3):
         raise ValueError(f"unsupported dimension {n}")
-    poly = Polytope(tuple(sorted(set(pts))))
+    poly = Polytope(tuple(v for v, _ in groupby(sorted(pts))))
     den, nums = poly._ints
     chart = poly._chart
     if chart.k == 3:
@@ -255,7 +262,11 @@ def from_vertices(points: Iterable) -> Polytope:
         keep = sorted({0, len(nums) - 1})
     if len(keep) == len(nums):  # every point extreme: the chart built is the hull's
         return poly
-    return Polytope(tuple(poly.vertices[i] for i in keep))
+    if chart.ring is not None:  # poly is dropped, so its chart is renumbered in place
+        index = {i: j for j, i in enumerate(keep)}
+        chart.ring = tuple(index[i] for i in chart.ring)
+    ints = _reduced(den, [nums[i] for i in keep])
+    return Polytope._given(tuple(poly.vertices[i] for i in keep), ints, _chart=chart)
 
 
 def translate(p: Polytope, v: Point) -> Polytope:
@@ -310,6 +321,13 @@ def _integer_form(points: Sequence[Point]) -> tuple[int, tuple[tuple[int, ...], 
             if den % c.denominator:
                 den = math.lcm(den, c.denominator)
     return den, tuple(tuple(c.numerator * (den // c.denominator) for c in p) for p in points)
+
+
+def _reduced(den: int, nums: Sequence[tuple[int, ...]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(den, nums) over g = gcd(den, nums): the least common denominator of
+    the points nums / den, as M | E g for every common denominator E."""
+    g = math.gcd(den, *chain.from_iterable(nums))
+    return den // g, tuple(tuple(c // g for c in v) for v in nums)
 
 
 def _basis(vectors: Iterable[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
@@ -487,14 +505,6 @@ def _outside(y: Polytope, x: Polytope) -> list[int]:
     return [i for i, num in enumerate(nums) if not holds(num, den)]
 
 
-def contains_oracle(p: Polytope, x) -> bool:
-    """Independent membership test: convex-combination LP feasibility."""
-    pt = as_point(x)
-    if len(pt) != p.dimension:
-        raise ValueError("dimension mismatch")
-    return _in_hull_lp(p.vertices, pt)
-
-
 def homothet(p: Polytope, c, t) -> Polytope:
     """Scale p toward a center c in p by ratio t in [0, 1]."""
     center = as_point(c)
@@ -503,19 +513,29 @@ def homothet(p: Polytope, c, t) -> Polytope:
         raise ValueError("homothety ratio must lie in [0, 1]")
     if not contains(p, center):
         raise ValueError("homothety center must lie in the polytope")
-    return _homothet(p, center, ratio)
+    return _levels(p, Polytope((center,)), ratio.denominator, (ratio.numerator,))[0]
 
 
-def _homothet(p: Polytope, center: Point, ratio: Fraction) -> Polytope:
-    """:func:`homothet` for a center and ratio the caller has checked."""
-    if ratio == 1:
-        return p
-    if ratio == 0:
-        return Polytope((center,))
-    fixed = vscale(1 - ratio, center)
-    # homotheties with t > 0 are affine bijections that keep extremeness and,
-    # as increasing in every coordinate, the lexicographic order of the vertices
-    return Polytope(tuple(vadd(fixed, vscale(ratio, v)) for v in p.vertices))
+def _levels(
+    base: Polytope, tip: Polytope, steps: int, ratios: Optional[Iterable[int]] = None
+) -> tuple[Polytope, ...]:
+    """base scaled toward the point of tip, checked to lie in it, by i / steps
+    for each i of `ratios` (0 to steps by default).  With base = V / D and tip
+    = C / L, level i is ((steps - i) C D + i L V) / (steps L D), reduced by one
+    gcd; a ratio in (0, 1) keeps the vertices extreme and in their order."""
+    den, nums = base._ints
+    cden, (cnum,) = tip._ints
+    fixed = [c * den for c in cnum]
+    moved = [[cden * c for c in v] for v in nums]
+    out = []
+    for i in range(steps + 1) if ratios is None else ratios:
+        if i in (0, steps):
+            out.append(base if i else tip)
+            continue
+        j = steps - i
+        d, level = _reduced(steps * cden * den, [[j * f + i * m for f, m in zip(fixed, v)] for v in moved])
+        out.append(Polytope._given(tuple(tuple(Fraction(c, d) for c in v) for v in level), (d, level)))
+    return tuple(out)
 
 
 def reach(p: Polytope, c, norm: Norm = Norm.L2) -> RoundedReal:
@@ -523,11 +543,20 @@ def reach(p: Polytope, c, norm: Norm = Norm.L2) -> RoundedReal:
     center = as_point(c)
     if len(center) != p.dimension:
         raise ValueError("dimension mismatch")
+    return _reach(p, Polytope((center,)), norm)
+
+
+def _reach(p: Polytope, tip: Polytope, norm: Norm) -> RoundedReal:
+    """:func:`reach` from the point of tip, on integer forms: with p = V / D
+    and tip = C / L each v - c is (L V - D C) / (L D)."""
+    den, nums = p._ints
+    cden, (cnum,) = tip._ints
+    diffs = [[cden * a - den * b for a, b in zip(v, cnum)] for v in nums]
+    scale = cden * den
     if norm is Norm.L2:
-        best = max(sqnorm(vsub(v, center)) for v in p.vertices)
-        return sqrt_upper(best)
-    vals = [norm_value(vsub(v, center), norm).value for v in p.vertices]
-    return RoundedReal(max(vals))
+        return sqrt_upper(Fraction(max(dot(w, w) for w in diffs), scale * scale))
+    size = sum if norm is Norm.L1 else max
+    return RoundedReal(Fraction(max(size(map(abs, w)) for w in diffs), scale))
 
 
 # --- point-to-polytope distance --------------------------------------------

@@ -83,37 +83,43 @@ def point_from_json(obj: Any) -> Point:
     return tuple(parse_rational(c) for c in obj)
 
 
-def polytope_to_json(p: Polytope) -> dict:
-    return {"vertices": [point_to_json(v) for v in p.vertices]}
+def polytope_to_json(p: Polytope, written: Optional[dict] = None) -> dict:
+    """`written` maps each Polytope written to its JSON; one dict per document
+    writes every repeat of a polytope once."""
+    obj = None if written is None else written.get(p)
+    if obj is None:
+        obj = {"vertices": [point_to_json(v) for v in p.vertices]}
+        if written is not None:
+            written[p] = obj
+    return obj
 
 
 def polytope_from_json(obj: Any, polytopes: Optional[dict] = None) -> Polytope:
     """Parse and hull one polytope.
 
-    `polytopes` maps each parsed vertex tuple already hulled to its
-    Polytope; one dict per document lets every repeat of a vertex list
-    share one hull and its cached chart.  The vertices are still parsed and
-    checked on every occurrence.
+    `polytopes` maps each vertex list already hulled, as the tuple of its raw
+    coordinate strings, to its Polytope; one dict per document lets every
+    repeat share one hull and its chart, and a repeat is not parsed again.
+    A list with a number or a bool in it is parsed every time: true == 1.
     """
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise SchemaError("polytope must be an object with a 'vertices' list")
     verts = obj["vertices"]
     if not isinstance(verts, list) or not verts:
         raise SchemaError("polytope needs a nonempty vertex list")
-    key = tuple(point_from_json(v) for v in verts)
-    if polytopes is None:
-        return from_vertices(key)
-    poly = polytopes.get(key)
-    if poly is None:
-        poly = polytopes[key] = from_vertices(key)
-    return poly
+    if polytopes is None or not all(type(v) is list and all(type(c) is str for c in v) for v in verts):
+        return from_vertices([point_from_json(v) for v in verts])
+    key = tuple(map(tuple, verts))
+    if key not in polytopes:
+        polytopes[key] = from_vertices([point_from_json(v) for v in verts])
+    return polytopes[key]
 
 
-def cf_to_json(f: ConstructibleFunction) -> dict:
+def cf_to_json(f: ConstructibleFunction, written: Optional[dict] = None) -> dict:
     return {
         "dimension": f.dimension,
         "terms": [
-            {"coeff": t.coeff, "polytope": polytope_to_json(t.support)} for t in f.terms
+            {"coeff": t.coeff, "polytope": polytope_to_json(t.support, written)} for t in f.terms
         ],
     }
 
@@ -136,13 +142,13 @@ def cf_from_json(obj: Any, polytopes: Optional[dict] = None) -> ConstructibleFun
     return from_terms(dim, pairs)
 
 
-def sheaf_to_json(s: SheafSum) -> dict:
+def sheaf_to_json(s: SheafSum, written: Optional[dict] = None) -> dict:
     return {
         "dimension": s.dimension,
         "summands": [
             {
-                "outer": polytope_to_json(sm.support.outer),
-                "inner": None if sm.support.inner is None else polytope_to_json(sm.support.inner),
+                "outer": polytope_to_json(sm.support.outer, written),
+                "inner": None if sm.support.inner is None else polytope_to_json(sm.support.inner, written),
                 "shift": sm.shift,
                 "multiplicity": sm.multiplicity,
             }
@@ -205,17 +211,20 @@ def flag_from_json(obj: Any, norm: Norm = Norm.L2) -> Flag:
 
 
 def cert_to_json(cert: Certificate) -> dict:
+    """The certificate's JSON.  Each distinct polytope's JSON is built once and
+    shared by its occurrences, so an edit of one occurrence edits them all."""
+    written: dict = {}
     return {
         "epsilon": decimal_up(cert.epsilon),
-        "source": cf_to_json(cert.source),
-        "target": cf_to_json(cert.target),
+        "source": cf_to_json(cert.source, written),
+        "target": cf_to_json(cert.target, written),
         "steps": [
             {
-                "F": sheaf_to_json(s.left),
-                "G": sheaf_to_json(s.right),
+                "F": sheaf_to_json(s.left, written),
+                "G": sheaf_to_json(s.right, written),
                 "bound": s.declared_bound.decimal_up(),
-                "chi_F": cf_to_json(s.chi_left),
-                "chi_G": cf_to_json(s.chi_right),
+                "chi_F": cf_to_json(s.chi_left, written),
+                "chi_G": cf_to_json(s.chi_right, written),
             }
             for s in cert.steps
         ],

@@ -21,8 +21,11 @@ from eulercert.geometry import (
     _ccw_sorted,
     _cross3,
     _in_hull_lp,
+    as_point,
     dot,
     from_vertices,
+    norm_value,
+    sqrt_upper,
     translate,
     vadd,
     vertex_centroid,
@@ -203,6 +206,33 @@ def caratheodory_contains(points: Sequence[Point], x: Point) -> bool:
             if lam is not None and all(l >= 0 for l in lam):
                 return True
     return False
+
+
+def contains_oracle(p: Polytope, x) -> bool:
+    """Independent membership test: convex-combination LP feasibility."""
+    pt = as_point(x)
+    if len(pt) != p.dimension:
+        raise ValueError("dimension mismatch")
+    return _in_hull_lp(p.vertices, pt)
+
+
+def fraction_homothet(p: Polytope, center: Point, ratio: Fraction) -> Polytope:
+    """p scaled toward a center in p by a ratio in [0, 1], in Fractions: the
+    point fixed + ratio v for each vertex v, with fixed = (1 - ratio) center."""
+    if ratio == 1:
+        return p
+    if ratio == 0:
+        return Polytope((center,))
+    fixed = vscale(1 - ratio, center)
+    # a positive ratio keeps extremeness and the lexicographic order
+    return Polytope(tuple(vadd(fixed, vscale(ratio, v)) for v in p.vertices))
+
+
+def fraction_reach(p: Polytope, center: Point, norm: Norm) -> RoundedReal:
+    """The largest norm of v - center over the vertices v of p, in Fractions."""
+    if norm is Norm.L2:
+        return sqrt_upper(max(dot(vsub(v, center), vsub(v, center)) for v in p.vertices))
+    return RoundedReal(max(norm_value(vsub(v, center), norm).value for v in p.vertices))
 
 
 def lp_hull(points: Sequence[Point]) -> tuple[Point, ...]:

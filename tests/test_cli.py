@@ -199,6 +199,24 @@ def test_polyhedral_link_certificate_is_byte_identical(fixture, norm, tmp_path, 
     assert capsys.readouterr().out.splitlines()[-1] == "PASS"
 
 
+# L2 certificates at eps = 1/256: flags of hundreds of levels over large
+# denominators, which the 1/16 goldens never reach
+FINE_LINKS = {
+    "link2d": "503d8f8f23e0cc364ebc3de8d31eefa42aa869722f0ab3d404695e33d573abe1",
+    "link3d": "602dd69d11ef752a815170235eb20c78357b490f8e535c6ec13bd6ae6810b3ea",
+    "link3dflat": "1fbf79e15c01d364bfba1d1ec0f4a0234ac64fea19e59b90023d7e92d5faa4d5",
+    "link3dline": "d754ac6e4d416d6d1df2a0faf3dcb3fce99779e474b4a032038ef077f4f5bcbd",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(FINE_LINKS))
+def test_fine_link_certificate_is_byte_identical(fixture, tmp_path):
+    left, right = (os.path.join(DATA, f"{fixture}_{side}.json") for side in "FG")
+    out = tmp_path / "cert.json"
+    assert run(["link", left, right, "--epsilon", "1/256", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FINE_LINKS[fixture]
+
+
 def test_bound_large_multiplicity_against_itself(tmp_path, capsys):
     summand = {
         "outer": {"vertices": [["0"], ["2"]]},
@@ -365,6 +383,26 @@ def test_malformed_input_exits_2_without_traceback(argv, blob, square, tmp_path)
     assert proc.stderr.startswith(f"error: {path}: ")
     assert proc.stderr.count(path) == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_bool_coordinate_after_the_same_integer_list_exits_2(square, tmp_path, capsys):
+    # the parser keys repeated vertex lists on their raw JSON strings; a list
+    # of numbers must be parsed every time, since true == 1 in Python
+    cert = tmp_path / "cert.json"
+    assert run(["link", square, _write(tmp_path, "rect.json", RECT), "--epsilon", "1/4", "--out", str(cert)]) == 0
+    blob = json.loads(cert.read_text())
+    square_lists = [blob["steps"][0]["chi_F"]["terms"][0]["polytope"], blob["source"]["terms"][0]["polytope"]]
+    assert all(p["vertices"] == [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]] for p in square_lists)
+    # steps are parsed before the source: [1, 0] comes first, [true, 0] later
+    square_lists[0]["vertices"] = [[0, 0], [0, 1], [1, 0], [1, 1]]
+    numbers = _write(tmp_path, "numbers.json", blob)
+    square_lists[1]["vertices"] = [[0, 0], [0, True], [True, 0], [True, True]]
+    bools = _write(tmp_path, "bools.json", blob)
+    capsys.readouterr()
+    assert run(["verify", numbers]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+    assert run(["verify", bools]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bools}: ")
 
 
 def test_norm_flag_changes_bounds(tmp_path, capsys):

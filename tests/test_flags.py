@@ -17,14 +17,13 @@ UNIT_SQUARE = from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
 
 def test_build_flag_tests_its_center_once(monkeypatch):
     calls = []
-    real = geometry.contains
+    real = geometry._outside
 
-    def counting(p, x):
+    def counting(y, x):
         calls.append(1)
-        return real(p, x)
+        return real(y, x)
 
-    monkeypatch.setattr(geometry, "contains", counting)
-    monkeypatch.setattr(flags, "contains", counting)
+    monkeypatch.setattr(flags, "_outside", counting)
     c = (F(1, 3), F(1, 4))
     fl = build_flag(UNIT_SQUARE, c, 12)
     assert len(calls) == 1
@@ -33,18 +32,45 @@ def test_build_flag_tests_its_center_once(monkeypatch):
 
 def test_build_flag_refuses_too_many_steps_before_any_level(monkeypatch):
     built = []
-    real = flags._homothet
+    real = flags._levels
 
     def counting(*args):
         built.append(args)
         return real(*args)
 
-    monkeypatch.setattr(flags, "_homothet", counting)
+    monkeypatch.setattr(flags, "_levels", counting)
     for steps in (flags.MAX_FLAG_STEPS + 1, 10**12, 10**999):
         with pytest.raises(ValueError, match=f"at most {flags.MAX_FLAG_STEPS} steps"):
             build_flag(UNIT_SQUARE, (0, 0), steps)
     assert not built
     assert len(build_flag(from_vertices([(0,), (1,)]), (0,), flags.MAX_FLAG_STEPS).levels) == flags.MAX_FLAG_STEPS + 1
+
+
+def test_build_flag_forms_its_center_once_and_one_chart_per_level(monkeypatch):
+    forms, charts = [], []
+    form, init = geometry._integer_form, geometry._Chart.__init__
+
+    def counting_form(points):
+        forms.append(points)
+        return form(points)
+
+    def counting_init(self, den, nums):
+        charts.append(nums)
+        init(self, den, nums)
+
+    cube = from_vertices([(x, y, z) for x in (0, 2) for y in (0, 3) for z in (0, 1)])
+    for base, c in ((UNIT_SQUARE, (F(1, 3), F(1, 4))), (cube, (F(1, 2), F(1, 7), F(1, 3)))):
+        base._chart  # the base's own form and chart are built before the count
+        monkeypatch.setattr(geometry, "_integer_form", counting_form)
+        monkeypatch.setattr(geometry._Chart, "__init__", counting_init)
+        fl = build_flag(base, c, 12)
+        graded_sheaf(fl)  # the containment check of every difference summand
+        monkeypatch.undo()
+        assert forms == [(tuple(map(F, c)),)]
+        # at most one chart per level, none for the base
+        assert len(charts) == len(set(charts)) <= len(fl.levels) - 1
+        forms.clear()
+        charts.clear()
 
 
 def test_flag_of_segment():

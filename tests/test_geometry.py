@@ -8,12 +8,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from eulercert import _simplex, geometry
 from eulercert.geometry import (
     Norm,
+    Polytope,
     RoundedReal,
     TOL_DIST,
     affine_map,
     affine_image,
     contains,
-    contains_oracle,
     decimal_up,
     directed_hausdorff,
     distance_point_to_polytope,
@@ -33,6 +33,9 @@ from eulercert.geometry import (
 from helpers import (
     _primitive,
     caratheodory_contains,
+    contains_oracle,
+    fraction_homothet,
+    fraction_reach,
     gram_sqdist,
     interior_point,
     lp_distance,
@@ -77,7 +80,11 @@ def test_from_vertices_builds_one_chart_per_canonical_input(monkeypatch):
     monkeypatch.setattr(geometry._Chart, "__init__", counting)
     cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
     slanted = [(1, 0, 0), (0, 2, 0), (0, 0, 3)]
-    for pts, k in (([(0,)], 0), ([(0,), (3,)], 1), (UNIT_SQUARE.vertices, 2), (slanted, 2), (cube, 3)):
+    # an interior point of the cube, and a point inside an edge of the triangle
+    inside = cube + [(F(1, 2), F(1, 3), F(1, 4))]
+    on_edge = slanted + [(F(1, 2), 1, 0)]
+    cases = [([(0,)], 0), ([(0,), (3,)], 1), (UNIT_SQUARE.vertices, 2), (slanted, 2), (cube, 3)]
+    for pts, k in cases + [(inside, 3), (on_edge, 2)]:
         built.clear()
         assert from_vertices(pts).affine_dim == k
         assert len(built) == 1
@@ -134,6 +141,25 @@ def _hull_input(draw, dims=(1, 2, 3), full=False):
 @given(_hull_input())
 def test_from_vertices_keeps_what_the_lp_keeps(pts):
     assert from_vertices(pts).vertices == lp_hull(pts)
+
+
+@given(_hull_input())
+@example([(F(x), F(y), F(z)) for x in (0, 1) for y in (0, 1) for z in (0, 1)] + [(F(1, 2), F(1, 3), F(1, 4))])
+@example([(F(1), F(0), F(0)), (F(0), F(2), F(0)), (F(0), F(0), F(3)), (F(1, 2), F(1), F(0))])
+@example([(F(0), F(0)), (F(2), F(0)), (F(0), F(2)), (F(1, 7), F(1, 7))])
+@example([(F(0),), (F(1, 5),), (F(1),)])
+def test_from_vertices_hands_the_hull_the_form_and_chart_of_its_own(pts):
+    # a hull of points that are not all extreme takes over the chart of the
+    # sorted distinct points; it must be the chart of the hull's own form
+    p = from_vertices(pts)
+    assert p._ints == _integer_form(p.vertices)
+    fresh, ch = geometry._Chart(*p._ints), p._chart
+    assert (ch.ambient, ch.k, ch.ring) == (fresh.ambient, fresh.k, fresh.ring)
+    assert sorted(ch.ineqs) == sorted(fresh.ineqs)
+    # an equality row may come with either sign
+    assert geometry._planes([p]) == sorted(
+        r if r[:-1] > (0,) * (len(r) - 1) else tuple(-c for c in r) for r in fresh.eqs + fresh.ineqs
+    )
 
 
 @given(_hull_input(), st.data())
@@ -341,6 +367,44 @@ def test_homothet_is_the_hull_of_the_scaled_vertices(pts, data):
     t = data.draw(st.fractions(0, 1, max_denominator=12).filter(lambda t: 0 < t < 1))
     scaled = [tuple(a + t * (x - a) for a, x in zip(c, v)) for v in p.vertices]
     assert homothet(p, c, t).vertices == from_vertices(scaled).vertices
+
+
+@given(_hull_input(), st.lists(st.integers(0, 3), min_size=1, max_size=5), st.sampled_from([1, 2, 3, 7, 64, 255]))
+@example([(F(1, 3),)], [1], 5)
+@example([(F(0),), (F(5, 2),)], [1, 2], 255)
+@example([(F(0), F(1)), (F(3), F(-2, 7))], [3, 1], 64)
+@example([(F(0), F(1), F(2)), (F(3), F(-2, 7), F(1, 5))], [1], 7)
+@example([(F(0), F(0)), (F(4), F(1)), (F(1), F(3)), (F(-1, 2), F(2))], [1, 0, 2], 255)
+@example([(F(6), F(0), F(0)), (F(0), F(3), F(0)), (F(0), F(0), F(2))], [1, 1, 0], 64)
+@example([(F(x), F(y), F(z)) for x in (0, 2) for y in (0, 3) for z in (0, 1)], [1, 2, 3], 255)
+@settings(deadline=None)
+def test_levels_match_the_fraction_homothety(pts, weights, steps):
+    p = from_vertices(pts)
+    w = [weights[i % len(weights)] for i in range(len(p.vertices))]
+    assume(any(w))
+    c = _combination(p.vertices, w)
+    levels = geometry._levels(p, Polytope((c,)), steps)
+    assert len(levels) == steps + 1
+    for i, level in enumerate(levels):
+        assert level.vertices == fraction_homothet(p, c, F(i, steps)).vertices
+        # the handed integer form is the one the vertices give: least terms
+        assert level._ints == _integer_form(level.vertices)
+        assert 0 < i < steps or level is (p if i else levels[0])
+
+
+@given(_hull_input(), st.lists(st.integers(-2, 3), min_size=1, max_size=5), st.sampled_from(list(Norm)))
+@example([(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))], [1, 0, 0, 0], Norm.L2)  # sqrt 2
+@example([(F(0), F(0)), (F(3), F(0)), (F(0), F(4))], [1, 0, 0], Norm.L2)  # 5, exact
+@example([(F(1, 3), F(0), F(2)), (F(0), F(1, 7), F(0))], [2, -1], Norm.L1)
+@example([(F(1, 3), F(0), F(2)), (F(0), F(1, 7), F(0))], [2, -1], Norm.LINF)
+@example([(F(3),)], [1], Norm.L1)  # 0
+def test_reach_equals_the_fraction_oracle(pts, weights, norm):
+    # affine weights put the center anywhere, inside p or not
+    p = from_vertices(pts)
+    w = [weights[i % len(weights)] for i in range(len(p.vertices))]
+    assume(sum(w))
+    c = _combination(p.vertices, w)
+    assert reach(p, c, norm) == fraction_reach(p, c, norm)  # value and exact
 
 
 def test_homothet_errors():

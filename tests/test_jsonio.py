@@ -93,6 +93,36 @@ def test_certificate_hulls_each_distinct_vertex_list_once(monkeypatch):
     assert all(len(ids) == 1 for ids in objects.values())
 
 
+def test_cert_to_json_builds_each_distinct_polytope_once():
+    a = indicator(from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)]))
+    b = indicator(from_vertices([(0, 2), (1, 2), (0, 3), (1, 3)]))
+    cert = link(a, b, F(1, 8))
+    blob = jsonio.cert_to_json(cert)
+    objs = []
+    pending = [blob]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, dict) and "vertices" in item:
+            objs.append(item)
+        elif isinstance(item, (dict, list)):
+            pending.extend(item.values() if isinstance(item, dict) else item)
+    assert len(objs) == len(_polytopes(cert)) > len(set(_polytopes(cert)))
+    assert len({id(o) for o in objs}) == len(set(_polytopes(cert)))
+
+
+def test_vertex_lists_key_on_raw_strings_only():
+    polytopes: dict = {}
+    strings = jsonio.polytope_from_json({"vertices": [["1", "0"], ["0", "0"]]}, polytopes)
+    assert jsonio.polytope_from_json({"vertices": [["1", "0"], ["0", "0"]]}, polytopes) is strings
+    numbers = jsonio.polytope_from_json({"vertices": [[1, 0], [0, 0]]}, polytopes)
+    assert numbers == strings
+    assert list(polytopes) == [(("1", "0"), ("0", "0"))]
+    # true == 1 in Python, so a list with a bool must not meet the one with 1
+    for verts in ([[True, 0], [0, 0]], [["1", "0"], [False, "0"]]):
+        with pytest.raises(SchemaError, match="rational"):
+            jsonio.polytope_from_json({"vertices": verts}, polytopes)
+
+
 def test_affine_map_schema():
     m = jsonio.affine_map_from_json({"matrix": [["1", "0"], ["1/2", "1"]], "offset": ["0", "-1/3"]})
     assert m((2, 0)) == (F(2), F(2, 3))
