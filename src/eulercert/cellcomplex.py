@@ -1,35 +1,39 @@
 """Exact cell decompositions induced by polytope boundaries (dims 1 and 2).
 
-The decomposition refines the line arrangement spanned by every facet line of
-the inputs (plus transversal cap lines for degenerate inputs, so that points
-and segment endpoints are arrangement vertices).  Every input polytope is a
-union of cells, and every cell of every dimension carries a representative
-point in its relative interior, so membership predicates are constant per
-cell.  Bounded full-dimensional cells carry their exact measure.
+Every input polytope is a union of cells, and every cell of every dimension
+carries a representative point in its relative interior, so membership
+predicates are constant per cell.  Bounded full-dimensional cells carry
+their exact measure.  In 1-D the cells are the inputs' vertices and the open
+intervals between and beyond them.
 
-Faces are enumerated by splitting a margin box that encloses all arrangement
-vertices: each face of the line arrangement meets the box interior, so each
-face yields exactly one convex piece, and a piece touches the box boundary
-precisely when its face is unbounded.
+2-D is a stack of 1-D slices along y (Viro, "Some integral calculus based on
+Euler characteristic", 1988): one wall y = y0 at each event height y0 in Y,
+where two independent chart rows of the inputs meet (:func:`_event_heights`),
+and one open slab between consecutive walls and beyond each end.  Each wall
+and slab is cut by the 1-D cells of its slice, and the cells are valid:
+
+* every boundary point of an input lies on a row, and every vertex on a
+  wall, where two rows of its polytope meet; a row passes through a vertex
+  of its polytope, so a horizontal row is a wall as well;
+* inside an open slab no two rows cross, so the inputs' boundaries cross it
+  as segments that keep their left-to-right order at every height.  The
+  slice at mid-height meets each piece between them once: its 0-cells are
+  open segments and its 1-cells open trapezoids, whose area is the slab
+  width times their mid-height length, exactly, as that length is affine;
+* on a wall, (x, y0) lies in an input exactly when x lies in its slice.
+
+With R distinct rows, |Y| <= C(R, 2) and 2|Y| + 1 slices are cut.  3-D
+equality (:func:`constructible.equals`) slices with the same two routines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
-from .geometry import (
-    Point,
-    Polytope,
-    _planes,
-    _polygon_area,
-    centroid,
-    dot,
-    vadd,
-    vscale,
-    vsub,
-)
+from .geometry import Point, Polytope, _cross3, _planes, dot, from_vertices
 
 
 @dataclass(frozen=True)
@@ -77,105 +81,63 @@ def _arrangement_1d(polytopes: Sequence[Polytope]) -> CellComplex:
     return CellComplex(1, tuple(cells))
 
 
-# --- 2-d -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Line:
-    # a x + b y = c with (a, b, c) primitive integers, (a, b) lex-positive
-    a: int
-    b: int
-    c: int
-
-    def side(self, p: Point) -> Fraction:
-        return self.a * p[0] + self.b * p[1] - self.c
-
-    def direction(self) -> Point:
-        return (-self.b, self.a)
-
-    def anchor(self) -> Point:
-        if self.b != 0:
-            return (Fraction(0), Fraction(self.c, self.b))
-        return (Fraction(self.c, self.a), Fraction(0))
-
-
-def _intersect(l1: _Line, l2: _Line) -> Optional[Point]:
-    det = l1.a * l2.b - l2.a * l1.b
-    if det == 0:
-        return None
-    return (Fraction(l1.c * l2.b - l2.c * l1.b, det), Fraction(l1.a * l2.c - l2.a * l1.c, det))
-
-
-def _split(poly: list[Point], line: _Line) -> list[list[Point]]:
-    sides = [line.side(p) for p in poly]
-    if all(s >= 0 for s in sides) or all(s <= 0 for s in sides):
-        return [poly]
-    neg: list[Point] = []
-    pos: list[Point] = []
-    m = len(poly)
-    for i in range(m):
-        p, sp = poly[i], sides[i]
-        q, sq = poly[(i + 1) % m], sides[(i + 1) % m]
-        if sp <= 0:
-            neg.append(p)
-        if sp >= 0:
-            pos.append(p)
-        if (sp < 0 < sq) or (sq < 0 < sp):
-            t = sp / (sp - sq)
-            cut = vadd(p, vscale(t, vsub(q, p)))
-            neg.append(cut)
-            pos.append(cut)
-    out = []
-    for piece in (neg, pos):
-        cleaned = [piece[i] for i in range(len(piece)) if piece[i] != piece[i - 1]]
-        if len(cleaned) >= 3 and _polygon_area(cleaned) > 0:
-            out.append(cleaned)
-    return out or [poly]
-
-
 def _arrangement_2d(polytopes: Sequence[Polytope]) -> CellComplex:
-    # the chart rows: two axis lines through a point, a segment's line and its
-    # two end caps, or a polygon's edge lines
-    lines = [_Line(*r) for r in _planes(polytopes)]
-    verts: set[Point] = set()
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            pt = _intersect(lines[i], lines[j])
-            if pt is not None:
-                verts.add(pt)
-
-    cells: list[Cell] = [Cell(0, v, True) for v in verts]
-
-    for ln in lines:
-        d = ln.direction()
-        on = sorted((v for v in verts if ln.side(v) == 0), key=lambda v: dot(v, d))
-        if not on:
-            cells.append(Cell(1, ln.anchor(), False))
-            continue
-        for a, b in zip(on, on[1:]):
-            cells.append(Cell(1, vscale(Fraction(1, 2), vadd(a, b)), True))
-        cells.append(Cell(1, vsub(on[0], d), False))
-        cells.append(Cell(1, vadd(on[-1], d), False))
-
-    coords = [v for p in polytopes for v in p.vertices] + list(verts)
-    if coords:
-        xs = [c[0] for c in coords]
-        ys = [c[1] for c in coords]
-        x0, x1 = min(xs) - 1, max(xs) + 1
-        y0, y1 = min(ys) - 1, max(ys) + 1
+    ys = _event_heights(polytopes)
+    # (height, width) of every wall (width 0) and slab (width None: unbounded)
+    slices = [(y, 0) for y in ys] + [((a + b) / 2, b - a) for a, b in zip(ys, ys[1:])]
+    if ys:
+        slices += [(ys[0] - 1, None), (ys[-1] + 1, None)]
     else:
-        x0, x1, y0, y1 = Fraction(-1), Fraction(1), Fraction(-1), Fraction(1)
-    box = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-    pieces = [box]
-    for ln in lines:
-        pieces = [part for piece in pieces for part in _split(piece, ln)]
-    for piece in pieces:
-        touches = any(v[0] in (x0, x1) or v[1] in (y0, y1) for v in piece)
-        rep = centroid(piece)
-        if touches:
-            cells.append(Cell(2, rep, False))
-        else:
-            cells.append(Cell(2, rep, True, _polygon_area(piece)))
-
+        slices.append((Fraction(0), None))
+    cells: list[Cell] = []
+    for y, width in slices:
+        cuts = [s for s in (_slice(p, y) for p in polytopes) if s is not None]
+        for c in _arrangement_1d(cuts).cells:
+            rep = c.representative + (y,)
+            if width == 0:  # a wall's cells are cells of the plane as they stand
+                cells.append(Cell(c.dimension, rep, c.bounded))
+            elif width is None:
+                cells.append(Cell(c.dimension + 1, rep, False))
+            else:
+                area = None if c.volume is None else width * c.volume
+                cells.append(Cell(c.dimension + 1, rep, c.bounded, area))
     cells.sort(key=lambda c: (c.dimension, c.representative))
     return CellComplex(2, tuple(cells))
+
+
+def _event_heights(supports: Sequence[Polytope]) -> list[Fraction]:
+    """The sorted last coordinates of the points where n independent chart
+    rows of n-D supports meet (n = 2, 3), by Cramer's rule on the integer
+    rows: the cofactors w of n - 1 rows give the determinant w . c with each
+    later row c, and wz, with the rows' last normal entry replaced by their
+    right-hand side, the numerator."""
+    rows = _planes(supports)
+    if not rows:
+        return []
+    n = len(rows[0]) - 1
+    zrows = [r[: n - 1] + r[n:] for r in rows]
+    cof = _cross3 if n == 3 else (lambda a: (-a[1], a[0]))
+    zs = set()
+    for lead in combinations(range(len(rows)), n - 1):
+        w = cof(*(rows[i] for i in lead))
+        wz = cof(*(zrows[i] for i in lead))
+        for j in range(lead[-1] + 1, len(rows)):
+            det = dot(w, rows[j])
+            if det:
+                zs.add(Fraction(dot(wz, zrows[j]), det))
+    return sorted(zs)
+
+
+def _slice(p: Polytope, z: Fraction) -> Optional[Polytope]:
+    """The polytope, one dimension down, that p meets the hyperplane {last
+    coordinate = z} in: the hull of p's vertices at height z and of the
+    points where segments joining vertices on either side cross it."""
+    at, below, above = [], [], []
+    for v in p.vertices:
+        (below if v[-1] < z else above if v[-1] > z else at).append(v)
+    pts = [v[:-1] for v in at]
+    for a in below:
+        for b in above:
+            t = (z - a[-1]) / (b[-1] - a[-1])
+            pts.append(tuple(x + t * (y - x) for x, y in zip(a[:-1], b[:-1])))
+    return from_vertices(pts) if pts else None

@@ -11,21 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .cellcomplex import Cell, arrangement
+from .cellcomplex import Cell, _event_heights, _slice, arrangement
 from .geometry import (
     AffineMap,
     Point,
     Polytope,
-    _cross3,
     _in_hull_lp,
-    _planes,
     affine_image,
     as_point,
     contains,
-    from_vertices,
 )
 
 
@@ -161,6 +157,9 @@ def equals(f: ConstructibleFunction, g: ConstructibleFunction) -> EvalReport:
     h is decided through the cell decomposition of its own supports in
     dimensions 1 and 2 (every cell of every dimension is probed, so boundary
     effects are visible), and the witness is a point where f and g differ.
+    A 2-D decision cuts 2|Y| + 1 slices into 1-D cells, Y being the heights
+    where two of the supports' R distinct chart rows meet, so |Y| <= C(R, 2)
+    (:mod:`cellcomplex`).
 
     Dimension 3 is sliced along z (Viro, "Some integral calculus based on
     Euler characteristic", 1988; Schapira, "Operations on constructible
@@ -170,12 +169,13 @@ def equals(f: ConstructibleFunction, g: ConstructibleFunction) -> EvalReport:
     in its closure, a point where three independent rows meet.  A cell where
     h != 0 lies in a support, so it is bounded and its closure is the hull
     of such vertices: its z-range is a point of Z, the set of their heights
-    (:func:`_event_heights`), or an open interval between two points of Z,
-    which holds the midpoint of a gap of Z.  So h = 0 if and only if every
-    slice h_z = sum of c_i 1[P_i meets {z}] vanishes, z running over Z and
-    one midpoint per gap; each slice is a 2-D function decided as above, and
-    its witness is lifted to its height.  With R distinct rows, |Z| <=
-    C(R, 3) and at most 2|Z| - 1 slices are decided.
+    (:func:`cellcomplex._event_heights`), or an open interval between two
+    points of Z, holding the midpoint of a gap of Z.  So h = 0 if and only
+    if every slice h_z = sum of c_i 1[P_i meets {z}] vanishes, z running
+    over Z and one midpoint per gap; each slice (:func:`cellcomplex._slice`)
+    is a 2-D function decided as above, and its witness is lifted to its
+    height.  With R distinct rows, |Z| <= C(R, 3) and at most 2|Z| - 1
+    slices are decided.
     """
     if f.dimension != g.dimension:
         raise ValueError("dimension mismatch")
@@ -194,35 +194,6 @@ def equals(f: ConstructibleFunction, g: ConstructibleFunction) -> EvalReport:
         for cell, _ in nonzero_cells(h_z):
             return EvalReport(Verdict.NOT_EQUAL, cell.representative + (z,))
     return EvalReport(Verdict.EQUAL)
-
-
-def _event_heights(supports: Sequence[Polytope]) -> list[Fraction]:
-    """The sorted heights z of the points where three independent chart rows
-    of 3-D supports meet, by Cramer's rule on the integer rows."""
-    rows = _planes(supports)
-    zs = set()
-    for i, a in enumerate(rows):
-        for j in range(i + 1, len(rows)):
-            b = rows[j]
-            w = _cross3(a, b)
-            wz = _cross3((a[0], a[1], a[3]), (b[0], b[1], b[3]))
-            for c in rows[j + 1 :]:
-                det = w[0] * c[0] + w[1] * c[1] + w[2] * c[2]
-                if det:
-                    zs.add(Fraction(wz[0] * c[0] + wz[1] * c[1] + wz[2] * c[3], det))
-    return sorted(zs)
-
-
-def _slice(p: Polytope, z: Fraction) -> Optional[Polytope]:
-    """The 2-D polytope p meets {z} in: the hull of p's vertices at height z and
-    of the points where segments joining vertices on either side cross it."""
-    pts = [v[:2] for v in p.vertices if v[2] == z]
-    above = [v for v in p.vertices if v[2] > z]
-    for a in (v for v in p.vertices if v[2] < z):
-        for b in above:
-            t = (z - a[2]) / (b[2] - a[2])
-            pts.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
-    return from_vertices(pts) if pts else None
 
 
 def pushforward(f: ConstructibleFunction, m: AffineMap) -> ConstructibleFunction:

@@ -167,11 +167,12 @@ class Polytope:
     """Canonical V-representation: the sorted tuple of extreme points.
 
     Build through :func:`from_vertices`; structural equality of two polytopes
-    is then equality as point sets.  The vertices are the public, hashed and
-    serialized form.  Beside them a polytope caches its hash, its integer
-    form (:func:`_integer_form`), its chart and its distance faces, each
-    computed from its own vertices on first use, except where they arrive
-    with it (:meth:`_given`): flag levels, and hulls of non-extreme points.
+    is then equality as point sets.  The vertices are the public and
+    serialized form.  Beside them a polytope caches its integer form
+    (:func:`_integer_form`), which also gives its hash, its chart and its
+    distance faces, each computed from its own vertices on first use, except
+    where they arrive with it (:meth:`_given`): flag levels, and hulls of
+    non-extreme points.
     """
 
     vertices: tuple[Point, ...]
@@ -189,7 +190,8 @@ class Polytope:
 
     @cached_property
     def _hash(self) -> int:
-        return hash(self.vertices)
+        # equal vertices have one least-terms integer form, hashed as plain ints
+        return hash(self._ints)
 
     @property
     def dimension(self) -> int:
@@ -244,6 +246,8 @@ def from_vertices(points: Iterable) -> Polytope:
         raise ValueError("mixed coordinate dimensions")
     if n not in (1, 2, 3):
         raise ValueError(f"unsupported dimension {n}")
+    if n == 1:  # points on the real line: the two ends
+        return Polytope(tuple(sorted({min(pts), max(pts)})))
     poly = Polytope(tuple(v for v, _ in groupby(sorted(pts))))
     den, nums = poly._ints
     chart = poly._chart

@@ -1,10 +1,12 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from eulercert.cellcomplex import _intersect, _Line, arrangement
+from eulercert import cellcomplex
+from eulercert.cellcomplex import _event_heights, arrangement
 from eulercert.geometry import _planes, contains, from_vertices, volume
 
 from helpers import rand_polytope
@@ -29,7 +31,10 @@ def test_square_arrangement_cell_census():
     assert census[(0, True)] == 4
     assert census[(1, True)] == 4
     assert census[(2, True)] == 1
-    assert census[(2, False)] == 8  # complement cells
+    # the complement: the slabs below and above, and left and right of the
+    # square in its own slab; the walls' rays beyond the square
+    assert census[(2, False)] == 4
+    assert census[(1, False)] == 4
     face = next(c for c in cc.cells if c.dimension == 2 and c.bounded)
     assert face.volume == 1
     assert contains(UNIT_SQUARE, face.representative)
@@ -65,11 +70,15 @@ def test_lines_are_the_lex_positive_chart_rows():
     assert _planes([slanted]) == [(0, 0, 1, 0), (0, 1, 0, 0), (0, 3, 2, 6), (6, 3, 2, 6)]
 
 
-def test_lines_meet_in_exact_rationals():
-    x, y = _intersect(_Line(1, 1, 1), _Line(3, -1, 0))
-    assert (x, y) == (F(1, 4), F(3, 4))
-    assert type(x) is F and type(y) is F
-    assert _intersect(_Line(1, 2, 0), _Line(1, 2, 5)) is None
+def test_event_heights_are_the_exact_crossing_heights():
+    # x + y = 1 meets 3x - y = 0 at (1/4, 3/4); the segments' ends are at
+    # heights 0, 1 and 3
+    heights = _event_heights([from_vertices([(0, 1), (1, 0)]), from_vertices([(0, 0), (1, 3)])])
+    assert F(3, 4) in heights and {0, 1, 3} <= set(heights)
+    assert all(type(y) is F for y in heights) and heights == sorted(heights)
+    # a segment's line meets its caps at its ends; the caps are parallel
+    assert _event_heights([from_vertices([(0, 0), (2, 1)])]) == [0, 1]
+    assert _event_heights([]) == []
 
 
 def test_representatives_classify_membership():
@@ -109,3 +118,17 @@ def test_degenerate_inputs_become_cells():
     vertex_reps = {c.representative for c in cc.cells if c.dimension == 0}
     assert (F(1, 2), F(1, 2)) in vertex_reps
     assert (F(0), F(0)) in vertex_reps and (F(2), F(2)) in vertex_reps
+
+
+def test_arrangement_cuts_at_most_two_slices_per_event_height(monkeypatch):
+    calls = []
+    real = cellcomplex._arrangement_1d
+    monkeypatch.setattr(cellcomplex, "_arrangement_1d", lambda ps: calls.append(ps) or real(ps))
+    rng = random.Random(23)
+    for _ in range(10):
+        polys = [rand_polytope(rng, 2, max_vertices=5) for _ in range(rng.randint(1, 4))]
+        heights = _event_heights(polys)
+        calls.clear()
+        arrangement(polys)
+        assert len(calls) <= 2 * len(heights) + 1
+        assert len(heights) <= math.comb(len(_planes(polys)), 2)

@@ -154,6 +154,21 @@ def test_bound_output_is_byte_identical(name, fixture, options, capsys):
         assert capsys.readouterr().out == fh.read()
 
 
+# `oracle-integrate` and `probe --metric l1|sup` read the arrangement of the
+# input's supports; pieces2d mixes a point, axis-parallel segments and a square
+@pytest.mark.parametrize("fixture", ["link2d_F", "link2d_G", "pieces2d"])
+def test_arrangement_outputs_are_byte_identical(fixture, capsys):
+    cf = os.path.join(DATA, f"{fixture}.json")
+    for argv in (
+        ["oracle-integrate", cf],
+        ["probe", "--metric", "l1", "--schedule", "1/4,1/8", cf],
+        ["probe", "--metric", "sup", "--schedule", "1/4,1/8", cf],
+    ):
+        assert run(argv) == 0
+    with open(os.path.join(DATA, f"{fixture}_cells.out"), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
 # Certificates written by `link` at eps = 1/16 while hulls were still solved
 # by simplex LPs: link2d and link3d before dimensions 1 and 2 moved to
 # Andrew's monotone chain, link3dflat (triangles in slanted planes) and

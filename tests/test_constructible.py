@@ -200,6 +200,28 @@ def test_equals_sees_a_difference_only_between_event_heights():
         assert evaluate(h, rep.witness) != 0
 
 
+def test_equals_2d_sees_a_difference_on_walls_and_between_them():
+    # the open vertical segment and the open square vanish on every wall of
+    # the 2-D arrangement and show only between walls; the open horizontal
+    # segment lies on a wall and vanishes on every slab
+    def open_segment(a, b):
+        return from_terms(2, [(1, from_vertices([a, b])), (-1, from_vertices([a])), (-1, from_vertices([b]))])
+
+    corners = [(x, y) for x in (0, 1) for y in (0, 1)]
+    edges = [[a, b] for a, b in itertools.combinations(corners, 2) if sum(map(operator.ne, a, b)) == 1]
+    open_square = from_terms(
+        2,
+        [(1, from_vertices(corners))]
+        + [(-1, from_vertices(e)) for e in edges]
+        + [(1, from_vertices([v])) for v in corners],
+    )
+    for h in (open_segment((0, 0), (2, 0)), open_segment((1, 0), (1, 3)), open_square):
+        rep = equals(h, zero_function(2))
+        assert rep.verdict is Verdict.NOT_EQUAL
+        assert evaluate(h, rep.witness) != 0
+        assert oracle_integral(h) == euler_integral(h)
+
+
 def _box(lo, hi):
     return from_vertices([(x, y, z) for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
 

@@ -10,6 +10,11 @@ op's argv prefixed with ``--norm l2``, ``--norm l1`` and ``--norm linf``.  It
 prints one line per op and norm with the sha256 of its stdout, stderr, exit
 code and every file it wrote, then one line with the sha256 of all op lines.
 
+The same seeds' ``link`` inputs, every function file of them, then feed the
+commands that read the cell arrangement, ``oracle-integrate`` and ``probe
+--metric l1|sup``, under each norm as well (lines named ``cells``); their
+3-D inputs exit 2.
+
 The inputs live in DIR/<workload>-<seed>.  When DIR is empty or missing they
 are first written there by ``bench/workloads.py``, imported and left as it
 is; the ``verify`` certificates are then made by the package under PATH.
@@ -37,6 +42,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("verify", "link", "bound")
 SEEDS = (1, 3, 7)
 NORMS = ("l2", "l1", "linf")
+CELL_COMMANDS = (
+    ["oracle-integrate"],
+    ["probe", "--metric", "l1", "--schedule", "1/4,1/8"],
+    ["probe", "--metric", "sup", "--schedule", "1/4,1/8"],
+)
 
 
 def _files(path: str) -> dict:
@@ -70,6 +80,32 @@ def _run_op(run, argv: list, work: str) -> str:
     return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
 
 
+def _manifest_ops(inputs: str) -> list:
+    with open(os.path.join(inputs, "manifest.json"), encoding="utf-8") as fh:
+        return json.load(fh)["ops"]
+
+
+def _digest_ops(run, label: str, seed: int, inputs: str, ops: list) -> list:
+    """Print and return one line per op and norm, each norm in a fresh copy
+    of the inputs."""
+    lines = []
+    for norm in NORMS:
+        with tempfile.TemporaryDirectory() as tmp:
+            work = shutil.copytree(inputs, os.path.join(tmp, "work"))
+            for i, op in enumerate(ops):
+                digest = _run_op(run, ["--norm", norm] + op["argv"], work)
+                line = f"{label} seed={seed} norm={norm} op={i} {digest}"
+                print(line, flush=True)
+                lines.append(line)
+    return lines
+
+
+def _cell_ops(link_ops: list) -> list:
+    """The arrangement commands on every function file of the link ops."""
+    files = [name for op in link_ops for name in op["argv"][1:3]]
+    return [{"argv": cmd + [name]} for name in files for cmd in CELL_COMMANDS]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="Print one sha256 per benchmark op.")
     ap.add_argument("--src", required=True, help="directory holding the eulercert package")
@@ -92,16 +128,10 @@ def main(argv=None) -> int:
             if build:
                 os.makedirs(inputs)
                 workloads.build(workload, seed, inputs)
-            with open(os.path.join(inputs, "manifest.json"), encoding="utf-8") as fh:
-                ops = json.load(fh)["ops"]
-            for norm in NORMS:
-                with tempfile.TemporaryDirectory() as tmp:
-                    work = shutil.copytree(inputs, os.path.join(tmp, "work"))
-                    for i, op in enumerate(ops):
-                        digest = _run_op(run, ["--norm", norm] + op["argv"], work)
-                        line = f"{workload} seed={seed} norm={norm} op={i} {digest}"
-                        print(line, flush=True)
-                        lines.append(line)
+            lines += _digest_ops(run, workload, seed, inputs, _manifest_ops(inputs))
+    for seed in SEEDS:
+        inputs = os.path.join(args.inputs, f"link-{seed}")
+        lines += _digest_ops(run, "cells", seed, inputs, _cell_ops(_manifest_ops(inputs)))
     print(f"all {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}")
     return 0
 
