@@ -49,6 +49,7 @@ from itertools import accumulate
 from typing import Optional
 
 from .geometry import (
+    INF,
     Norm,
     RoundedReal,
     ZERO_REAL,
@@ -66,36 +67,6 @@ MAX_UNITS = 10**5
 
 
 @dataclass(frozen=True)
-class Bound:
-    """A certified upper bound; value None means +infinity."""
-
-    value: Optional[RoundedReal]
-
-    @property
-    def finite(self) -> bool:
-        return self.value is not None
-
-    def leq(self, other) -> bool:
-        if isinstance(other, Bound):
-            if other.value is None:
-                return True
-            limit = other.value.value
-        else:
-            limit = RoundedReal._val(other)
-        return self.value is not None and self.value.value <= limit
-
-    def decimal_up(self, places: int = 12) -> str:
-        return "inf" if self.value is None else self.value.decimal_up(places)
-
-    def __float__(self) -> float:
-        return float("inf") if self.value is None else float(self.value)
-
-
-INFINITE = Bound(None)
-ZERO_BOUND = Bound(ZERO_REAL)
-
-
-@dataclass(frozen=True)
 class Matching:
     """Partial bijection on unit-multiplicity summand expansions."""
 
@@ -104,11 +75,11 @@ class Matching:
     unmatched_right: tuple[int, ...]
 
 
-def _vanishing(s: Summand, norm: Norm) -> Bound:
+def _vanishing(s: Summand, norm: Norm) -> RoundedReal:
     sup = s.support
     if sup.inner is None:
-        return INFINITE  # nonzero global sections vs zero
-    return Bound(directed_hausdorff(sup.outer, sup.inner, norm).half())
+        return INF  # nonzero global sections vs zero
+    return directed_hausdorff(sup.outer, sup.inner, norm) / 2
 
 
 def _edge(a: Summand, b: Summand, norm: Norm) -> RoundedReal:
@@ -120,7 +91,7 @@ def _edge(a: Summand, b: Summand, norm: Norm) -> RoundedReal:
     return norm_value(vsub(b.support.outer.vertices[0], a.support.outer.vertices[0]), norm)
 
 
-def pair_bound(a: Optional[Summand], b: Optional[Summand], norm: Norm = Norm.L2) -> Bound:
+def pair_bound(a: Optional[Summand], b: Optional[Summand], norm: Norm = Norm.L2) -> RoundedReal:
     """Certified bound between two summands, either possibly zero.
 
     Multiplicities are ignored: the bound applies to matching single copies,
@@ -129,7 +100,7 @@ def pair_bound(a: Optional[Summand], b: Optional[Summand], norm: Norm = Norm.L2)
     matcher's bucket key.
     """
     if a is None and b is None:
-        return ZERO_BOUND
+        return ZERO_REAL
     if a is None:
         return _vanishing(b, norm)
     if b is None:
@@ -139,19 +110,19 @@ def pair_bound(a: Optional[Summand], b: Optional[Summand], norm: Norm = Norm.L2)
     da, db = a.support.is_difference, b.support.is_difference
     if not da and not db:
         if a.shift != b.shift:
-            return INFINITE
-        return Bound(hausdorff(a.support.outer, b.support.outer, norm))
+            return INF
+        return hausdorff(a.support.outer, b.support.outer, norm)
     if da != db:
-        return INFINITE  # global sections k vs 0
+        return INF  # global sections k vs 0
     if a.shift == b.shift and a.support == b.support:
-        return ZERO_BOUND
-    triangle = Bound(_vanishing(a, norm).value + _vanishing(b, norm).value)  # through zero
+        return ZERO_REAL
+    triangle = _vanishing(a, norm) + _vanishing(b, norm)  # through zero
     if a.shift == b.shift:
         v = vsub(b.support.outer.vertices[0], a.support.outer.vertices[0])
         if translate(a.support.outer, v) == b.support.outer and translate(a.support.inner, v) == b.support.inner:
             moved = norm_value(v, norm)
-            if moved.value < triangle.value.value:
-                return Bound(moved)
+            if moved.value < triangle.value:
+                return moved
     return triangle
 
 
@@ -244,10 +215,10 @@ class _Matcher:
         self.fv: list = [None] * len(self.left)
         self.gv: list = [None] * len(self.right)
         self.edges: dict[tuple[int, int], RoundedReal] = {}
-        self.bound = ZERO_BOUND
+        self.bound = ZERO_REAL
         for ls, rs in groups.values():
             vb = _vanishing(self.left[ls[0]] if ls else self.right[rs[0]], norm)
-            v = None if vb.value is None else vb.value.value
+            v = vb.value
             for i in ls:
                 self.fv[i] = v
             for j in rs:
@@ -257,16 +228,15 @@ class _Matcher:
             for j in rs:
                 for i in ls:
                     cost = _edge(self.left[i], self.right[j], norm)
-                    if v is None or cost.value < 2 * v:
+                    if cost.value < 2 * v:
                         self.edges[i, j] = cost
-                        if v is None or cost.value < v:
+                        if cost.value < v:
                             below.setdefault(cost.value, cost)
             costs = sorted(below.items())
             k = bisect_left(costs, True, key=lambda c: self._flow(ls, rs, c[0]).saturated)
-            bucket = Bound(costs[k][1]) if k < len(costs) else vb
-            if not bucket.leq(self.bound):
+            bucket = costs[k][1] if k < len(costs) else vb
+            if bucket.value > self.bound.value:
                 self.bound = bucket
-        self.tau = None if self.bound.value is None else self.bound.value.value
 
     def _flow(self, ls: list[int], rs: list[int], tau: Fraction) -> _Flow:
         """Right summands of one bucket supplying its left ones along edges of cost at most tau."""
@@ -277,27 +247,28 @@ class _Matcher:
         )
 
     def lex_matching(self) -> Matching:
-        tau = self.tau  # None when the bound is infinite
-        flows = {}  # left summand -> the flow of its bucket, if the bucket is forced
-        for ls, rs, v in self.buckets if tau is not None else ():
-            if v is None or v > tau:
-                flow = self._flow(ls, rs, tau)
-                flows.update((i, flow) for i in ls)
+        tau = self.bound.value
         rem = [a.multiplicity for a in self.left]
         cap = [b.multiplicity for b in self.right]
         ends_f, ends_g = list(accumulate(rem)), list(accumulate(cap))
         pairs: list[tuple[int, int]] = []
-        for i in range(len(rem)) if tau is not None else ():
-            for j in range(len(cap)):
-                if not (rem[i] and cap[j] and self._ok(i, j, tau)):
-                    continue
-                k = min(rem[i], cap[j])
-                if i in flows:
-                    k = flows[i].take(("g", j), ("f", i), k)
-                first = ends_f[i] - rem[i]
-                pairs.extend(zip(range(first, first + k), range(ends_g[j] - cap[j], ends_g[j])))
-                rem[i] -= k
-                cap[j] -= k
+        if tau < math.inf:  # an infinite bound matches no pair
+            flows = {}  # left summand -> the flow of its bucket, if the bucket is forced
+            for ls, rs, v in self.buckets:
+                if v > tau:
+                    flow = self._flow(ls, rs, tau)
+                    flows.update((i, flow) for i in ls)
+            for i in range(len(rem)):
+                for j in range(len(cap)):
+                    if not (rem[i] and cap[j] and self._ok(i, j, tau)):
+                        continue
+                    k = min(rem[i], cap[j])
+                    if i in flows:
+                        k = flows[i].take(("g", j), ("f", i), k)
+                    first = ends_f[i] - rem[i]
+                    pairs.extend(zip(range(first, first + k), range(ends_g[j] - cap[j], ends_g[j])))
+                    rem[i] -= k
+                    cap[j] -= k
 
         def tails(ends: list[int], left_over: list[int]) -> tuple[int, ...]:
             return tuple(u for end, n in zip(ends, left_over) for u in range(end - n, end))
@@ -306,16 +277,17 @@ class _Matcher:
 
     def _ok(self, i: int, j: int, tau: Fraction) -> bool:
         """Whether the pair costs at most tau, dominated pairs included."""
-        cost, a, b = self.edges.get((i, j)), self.fv[i], self.gv[j]
-        return (cost is not None and cost.value <= tau) or (a is not None and b is not None and a + b <= tau)
+        a, b = self.fv[i], self.gv[j]
+        # a + b <= tau, without adding math.inf to a Fraction beyond float range
+        return self.edges.get((i, j), INF).value <= tau or (b <= tau and a <= tau - b)
 
 
-def bottleneck_bound(f: SheafSum, g: SheafSum, norm: Norm = Norm.L2) -> Bound:
+def bottleneck_bound(f: SheafSum, g: SheafSum, norm: Norm = Norm.L2) -> RoundedReal:
     """The minimized bottleneck bound of `sum_bound`, without the matching."""
     return _Matcher(f, g, norm).bound
 
 
-def sum_bound(f: SheafSum, g: SheafSum, norm: Norm = Norm.L2) -> tuple[Bound, Matching]:
+def sum_bound(f: SheafSum, g: SheafSum, norm: Norm = Norm.L2) -> tuple[RoundedReal, Matching]:
     """Minimized bottleneck bound over partial bijections, with the matching."""
     if max(sum(s.multiplicity for s in h.summands) for h in (f, g)) > MAX_UNITS:
         raise ValueError(f"a matching may list at most {MAX_UNITS} unit copies a side")

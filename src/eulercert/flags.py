@@ -30,15 +30,16 @@ class Flag:
 
 def build_flag(base: Polytope, center, steps: int, norm: Norm = Norm.L2) -> Flag:
     c = as_point(center)
+    if len(c) != base.dimension:
+        raise ValueError("dimension mismatch")
+    tip = Polytope((c,))  # levels[0]: its integer form serves the check, every level and the reach
+    # before the step count, which a caller may derive from the center's reach
+    if _outside(tip, base):
+        raise ValueError("flag center must lie in the base polytope")
     if steps < 1:
         raise ValueError("a flag needs at least one step")
     if steps > MAX_FLAG_STEPS:
         raise ValueError(f"a flag may have at most {MAX_FLAG_STEPS} steps")
-    if len(c) != base.dimension:
-        raise ValueError("dimension mismatch")
-    tip = Polytope((c,))  # levels[0]: its integer form serves the check, every level and the reach
-    if _outside(tip, base):
-        raise ValueError("flag center must lie in the base polytope")
     levels = _levels(base, tip, steps)
     return Flag(base, c, steps, levels, _reach(base, tip, norm) / steps)
 

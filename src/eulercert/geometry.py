@@ -78,11 +78,17 @@ def _cross3(a: Point, b: Point) -> Point:
 
 @dataclass(frozen=True)
 class RoundedReal:
-    """A nonnegative real carried as a rational upper bound of itself.
+    """A nonnegative real carried as a rational upper bound of itself, or +infinity.
 
     ``exact`` is True when ``value`` equals the quantity exactly.  When False
     the true quantity lies in [value - 2/10**12, value], so the stored value
     still certifies every upper bound we report.
+
+    ``value`` is a Fraction, except in :data:`INF`, whose value is
+    ``math.inf``: the bound of sheaves whose global sections differ.
+    ``math.inf`` compares exactly with every Fraction and is written only as
+    ``inf``.  No parsed input becomes it, since the parser rejects ``inf``,
+    ``nan`` and JSON ``Infinity`` as not rational.
     """
 
     value: Fraction
@@ -91,49 +97,29 @@ class RoundedReal:
     def __float__(self) -> float:
         return float(self.value)
 
-    @staticmethod
-    def _val(other) -> Fraction:
-        if isinstance(other, RoundedReal):
-            return other.value
-        return Fraction(other)
-
-    def __lt__(self, other) -> bool:
-        return self.value < self._val(other)
-
-    def __le__(self, other) -> bool:
-        return self.value <= self._val(other)
-
-    def __gt__(self, other) -> bool:
-        return self.value > self._val(other)
-
-    def __ge__(self, other) -> bool:
-        return self.value >= self._val(other)
-
     def __add__(self, other: "RoundedReal") -> "RoundedReal":
         return RoundedReal(self.value + other.value, self.exact and other.exact)
 
     def __truediv__(self, k) -> "RoundedReal":
         return RoundedReal(self.value / Fraction(k), self.exact)
 
-    def half(self) -> "RoundedReal":
-        return RoundedReal(self.value / 2, self.exact)
-
-    def decimal_up(self, places: int = 12) -> str:
-        return decimal_up(self.value, places)
+    def decimal_up(self) -> str:
+        return "inf" if self.value == math.inf else decimal_up(self.value)
 
 
 ZERO_REAL = RoundedReal(Fraction(0))
+INF = RoundedReal(math.inf)
 
 
-def decimal_up(q: Fraction, places: int = 12) -> str:
-    """Fixed-point decimal string, rounded toward +infinity."""
-    scale = 10**places
+def decimal_up(q: Fraction) -> str:
+    """Fixed-point decimal string with 12 places, rounded toward +infinity."""
+    scale = 10**12
     n = q.numerator * scale
     d = q.denominator
     units = -((-n) // d)  # ceil
     sign = "-" if units < 0 else ""
     units = abs(units)
-    return f"{sign}{units // scale}.{units % scale:0{places}d}"
+    return f"{sign}{units // scale}.{units % scale:012d}"
 
 
 def sqrt_upper(q: Fraction) -> RoundedReal:
@@ -809,28 +795,23 @@ def affine_image(f: AffineMap, p: Polytope) -> Polytope:
 
 
 def volume(p: Polytope) -> Fraction:
-    """Lebesgue measure in the ambient dimension, exact."""
-    ch = p._chart
-    n, k = ch.ambient, ch.k
-    if k < n:
+    """Lebesgue measure in the ambient dimension n, exact.
+
+    The cones from the vertex centroid over the boundary faces of
+    `Polytope._faces` (the endpoints in 1-D, the ring edges in 2-D, the fan
+    triangles of the facets in 3-D) tile a full-dimensional polytope, and
+    each is a simplex of volume |det(face - centroid)| / n!.
+    """
+    n = p.dimension
+    if p.affine_dim < n:
         return Fraction(0)
-    verts = p.vertices
-    if n == 1:
-        return verts[-1][0] - verts[0][0]
-    if n == 2:
-        return _polygon_area([verts[i] for i in ch.ring])
     c = vertex_centroid(p)
-    total = Fraction(0)
-    for _, faces in p._faces:  # fan triangles of each facet
-        for face in faces:
-            e1, e2, e3 = (vsub(verts[i], c) for i in face)
-            total += abs(dot(e1, _cross3(e2, e3)))
-    return total / 6
+    total = sum(abs(_det([vsub(p.vertices[i], c) for i in face])) for _, faces in p._faces for face in faces)
+    return total / math.factorial(n)
 
 
-def _polygon_area(ring: Sequence[Point]) -> Fraction:
-    acc = Fraction(0)
-    m = len(ring)
-    for i in range(m):
-        acc += _cross2(ring[i], ring[(i + 1) % m])
-    return abs(acc) / 2
+def _det(rows: Sequence[Point]) -> Fraction:
+    """Determinant of a square matrix, by cofactors of its first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * x * _det([r[:j] + r[j + 1 :] for r in rows[1:]]) for j, x in enumerate(rows[0]))

@@ -12,7 +12,7 @@ from eulercert import _simplex
 from eulercert.cellcomplex import arrangement
 from eulercert.certify import MetricKind
 from eulercert.constructible import ConstructibleFunction, EvalReport, Verdict, evaluate, from_terms
-from eulercert.distance import Bound, pair_bound
+from eulercert.distance import pair_bound
 from eulercert.geometry import (
     Norm,
     Point,
@@ -252,6 +252,11 @@ def polygon_ineqs(verts: Sequence[Point]) -> list[tuple[Point, Fraction]]:
         a: Point = (q[1] - p[1], p[0] - q[0])
         ineqs.append((a, dot(a, p)))
     return ineqs
+
+
+def shoelace_area(ring: Sequence[Point]) -> Fraction:
+    """Area of the polygon with this vertex ring, by the shoelace formula."""
+    return abs(sum(p[0] * q[1] - p[1] * q[0] for p, q in zip(ring, ring[1:] + ring[:1]))) / 2
 
 
 def _primitive(coeffs: Sequence[Fraction]) -> tuple[int, ...]:
@@ -495,41 +500,27 @@ def brute_metric(kind: MetricKind, f: ConstructibleFunction, g: ConstructibleFun
     return RoundedReal(total)
 
 
-def brute_bottleneck(
-    left: Sequence[Summand], right: Sequence[Summand], norm: Norm = Norm.L2
-) -> Optional[Fraction]:
+def brute_bottleneck(left: Sequence[Summand], right: Sequence[Summand], norm: Norm = Norm.L2) -> Fraction:
     """Exhaustive minimum over partial bijections of the additivity bound.
 
-    Returns the optimal value (None meaning +infinity), independently of the
-    binary-search matcher.
+    Returns the optimal value (math.inf when every partial bijection has an
+    infinite bound), independently of the binary-search matcher.
     """
     nf, ng = len(left), len(right)
-    cost = [[pair_bound(a, b, norm) for b in right] for a in left]
-    zf = [pair_bound(a, None, norm) for a in left]
-    zg = [pair_bound(None, b, norm) for b in right]
-
-    def val(b: Bound) -> Optional[Fraction]:
-        return None if b.value is None else b.value.value
-
-    best: Optional[Fraction] = None
-    best_set = False
+    cost = [[pair_bound(a, b, norm).value for b in right] for a in left]
+    zf = [pair_bound(a, None, norm).value for a in left]
+    zg = [pair_bound(None, b, norm).value for b in right]
+    best = math.inf
     for k in range(0, min(nf, ng) + 1):
         for fsub in itertools.combinations(range(nf), k):
             for gsub in itertools.permutations(range(ng), k):
-                worst: Optional[Fraction] = Fraction(0)
-                for i, j in zip(fsub, gsub):
-                    v = val(cost[i][j])
-                    worst = None if (worst is None or v is None) else max(worst, v)
-                for i in set(range(nf)) - set(fsub):
-                    v = val(zf[i])
-                    worst = None if (worst is None or v is None) else max(worst, v)
-                for j in set(range(ng)) - set(gsub):
-                    v = val(zg[j])
-                    worst = None if (worst is None or v is None) else max(worst, v)
-                if not best_set:
-                    best, best_set = worst, True
-                elif worst is not None and (best is None or worst < best):
-                    best = worst
+                worst = max(
+                    [Fraction(0)]
+                    + [cost[i][j] for i, j in zip(fsub, gsub)]
+                    + [zf[i] for i in set(range(nf)) - set(fsub)]
+                    + [zg[j] for j in set(range(ng)) - set(gsub)]
+                )
+                best = min(best, worst)
     return best
 
 
@@ -544,32 +535,25 @@ def brute_lex_matching(
     when every partial bijection has an infinite bound.
     """
     nf, ng = len(left), len(right)
-
-    def val(b: Bound) -> Optional[Fraction]:
-        return None if b.value is None else b.value.value
-
-    cost = [[val(pair_bound(a, b, norm)) for b in right] for a in left]
-    zf = [val(pair_bound(a, None, norm)) for a in left]
-    zg = [val(pair_bound(None, b, norm)) for b in right]
-    best: list = [None, None]  # optimal value, its least tuple
+    cost = [[pair_bound(a, b, norm).value for b in right] for a in left]
+    zf = [pair_bound(a, None, norm).value for a in left]
+    zg = [pair_bound(None, b, norm).value for b in right]
+    best: list = [math.inf, None]  # optimal value, its least tuple
 
     def search(i: int, used: frozenset, worst: Fraction, choice: tuple) -> None:
         # tuples are visited in increasing order, so only a strictly better
-        # value may replace the current best
-        if best[0] is not None and worst >= best[0]:
+        # value may replace the current best; an infinite one never does
+        if worst >= best[0]:
             return
         if i == nf:
-            rest = [zg[j] for j in range(ng) if j not in used]
-            if None not in rest:
-                total = max([worst, *rest])
-                if best[0] is None or total < best[0]:
-                    best[:] = [total, choice]
+            total = max([worst] + [zg[j] for j in range(ng) if j not in used])
+            if total < best[0]:
+                best[:] = [total, choice]
             return
         for j in range(ng):
-            if j not in used and cost[i][j] is not None:
+            if j not in used:
                 search(i + 1, used | {j}, max(worst, cost[i][j]), choice + (j,))
-        if zf[i] is not None:
-            search(i + 1, used, max(worst, zf[i]), choice + (ng,))
+        search(i + 1, used, max(worst, zf[i]), choice + (ng,))
 
     search(0, frozenset(), Fraction(0), ())
     return best[1]

@@ -63,8 +63,15 @@ def test_concentrate_point_mass_is_degenerate():
 
 
 def test_concentrate_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        concentrate_basepoints(indicator(SEG), [(5,)], F(1, 2))
+    # the flag checks each basepoint against its support, once, and before
+    # the step count its reach asks for (10**6 steps for the far point)
+    for f, outside in (
+        (indicator(SEG), (5,)),
+        (indicator(SEG), (2 * 10**3,)),
+        (indicator(UNIT_SQUARE), (F(1, 2), F(-1, 8))),
+    ):
+        with pytest.raises(ValueError, match="flag center must lie in the base polytope"):
+            concentrate_basepoints(f, [outside], F(1, 1000))
     with pytest.raises(ValueError):
         concentrate_basepoints(indicator(SEG), [(0,)], 0)
 

