@@ -1,29 +1,41 @@
-"""Exact cell decompositions induced by polytope boundaries (dims 1 and 2).
+"""Exact cell decompositions induced by polytope boundaries, as one recursion.
 
-Every input polytope is a union of cells, and every cell of every dimension
-carries a representative point in its relative interior, so membership
-predicates are constant per cell.  Bounded full-dimensional cells carry
-their exact measure.  In 1-D the cells are the inputs' vertices and the open
-intervals between and beyond them.
+:func:`_stack` cuts space along the last axis into pieces, each with a
+representative point and the value on it of f = sum of c 1[P] over n-D terms
+(c, P).  :func:`arrangement` (the cells of dims 1 and 2), ``nonzero_cells``,
+``equals``, ``oracle_integral`` and ``metric_eval`` all read it.  In 1-D the
+pieces are the cells: the inputs' endpoints and the open intervals between
+and beyond them, a value read off the cuts' intervals.
 
-2-D is a stack of 1-D slices along y (Viro, "Some integral calculus based on
-Euler characteristic", 1988): one wall y = y0 at each event height y0 in Y,
-where two independent chart rows of the inputs meet (:func:`_event_heights`),
-and one open slab between consecutive walls and beyond each end.  Each wall
-and slab is cut by the 1-D cells of its slice, and the cells are valid:
+Dimension n = 2, 3 is a stack of (n - 1)-D slices (Viro, "Some integral
+calculus based on Euler characteristic", 1988): one wall at each event height
+in Z, where n independent chart rows of the inputs meet
+(:func:`_event_heights`; n rows of an input meet at each of its vertices),
+and one open slab between consecutive walls and beyond each end.  Each is
+cut by :func:`_slice` at its height (a slab at mid-height), equal cuts merged
+and cancelled ones dropped, and stacked on the recursion one dimension down.
+On a wall, x lies in an input exactly when it lies in the input's slice.
 
-* every boundary point of an input lies on a row, and every vertex on a
-  wall, where two rows of its polytope meet; a row passes through a vertex
-  of its polytope, so a horizontal row is a wall as well;
-* inside an open slab no two rows cross, so the inputs' boundaries cross it
-  as segments that keep their left-to-right order at every height.  The
-  slice at mid-height meets each piece between them once: its 0-cells are
-  open segments and its 1-cells open trapezoids, whose area is the slab
-  width times their mid-height length, exactly, as that length is affine;
-* on a wall, (x, y0) lies in an input exactly when x lies in its slice.
+* 2-D pieces are cells.  Every boundary point of an input lies on a row, and
+  a row passes through a vertex, so a horizontal row is a wall.  Inside an
+  open slab no two rows cross, so the inputs' boundaries cross it as segments
+  in a fixed left-to-right order.  The mid-height slice meets each piece
+  between them once: its 0-cells are open segments and its 1-cells open
+  trapezoids, of area the slab width times their mid-height length, exactly,
+  as that length is affine.
+* 3-D pieces are not cells, as the walls of a slice can swap order inside a
+  slab, and carry no volume.  Equality, the sup and the integral oracle need
+  only two facts.  (i) Every value of f shows on a piece.  The chart rows
+  cut space into cells on which f is constant; they span R^3, so every cell
+  has in its closure a vertex, where three independent rows meet.  A cell
+  where f != 0 is bounded, so its z-range is a point of Z or an open
+  interval between two points of Z, holding the mid-height of a gap.  (ii)
+  The signed count of the bounded pieces, sum of (-1)^dim f, is the Euler
+  integral of f (Fubini): the slices' integrals at the walls, less those at
+  mid-height of the gaps, on each of which the integral of f_z is constant.
 
-With R distinct rows, |Y| <= C(R, 2) and 2|Y| + 1 slices are cut.  3-D
-equality (:func:`constructible.equals`) slices with the same two routines.
+With R distinct rows, |Z| <= C(R, n) and 2|Z| + 1 slices are cut, at most
+2|Z| - 1 of them holding a cut: the slabs beyond the ends meet no input.
 """
 
 from __future__ import annotations
@@ -31,9 +43,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .geometry import Point, Polytope, _cross3, _planes, dot, from_vertices
+
+Terms = Sequence[tuple[int, Polytope]]
 
 
 @dataclass(frozen=True)
@@ -41,7 +55,7 @@ class Cell:
     dimension: int
     representative: Point
     bounded: bool
-    volume: Optional[Fraction] = None  # bounded full-dimensional cells only
+    volume: Optional[Fraction] = None  # bounded full-dimensional cells in dims 1-2 only
 
 
 @dataclass(frozen=True)
@@ -51,58 +65,65 @@ class CellComplex:
 
 
 def arrangement(polytopes: Sequence[Polytope], dimension: Optional[int] = None) -> CellComplex:
-    """Exact decomposition for dimensions 1 and 2."""
+    """Exact decomposition for dimensions 1 and 2, in cell order."""
     if dimension is None:
         if not polytopes:
             raise ValueError("dimension required for an empty polytope list")
         dimension = polytopes[0].dimension
     if any(p.dimension != dimension for p in polytopes):
         raise ValueError("dimension mismatch among polytopes")
-    if dimension == 1:
-        return _arrangement_1d(polytopes)
-    if dimension == 2:
-        return _arrangement_2d(polytopes)
-    raise ValueError("exact arrangements support dimensions 1 and 2 only")
-
-
-def _arrangement_1d(polytopes: Sequence[Polytope]) -> CellComplex:
-    xs = sorted({v[0] for p in polytopes for v in p.vertices})
-    cells: list[Cell] = []
-    for x in xs:
-        cells.append(Cell(0, (x,), True))
-    for a, b in zip(xs, xs[1:]):
-        cells.append(Cell(1, ((a + b) / 2,), True, b - a))
-    if xs:
-        cells.append(Cell(1, (xs[0] - 1,), False))
-        cells.append(Cell(1, (xs[-1] + 1,), False))
-    else:
-        cells.append(Cell(1, (Fraction(0),), False))
+    if dimension not in (1, 2):
+        raise ValueError("exact arrangements support dimensions 1 and 2 only")
+    cells = [c for c, _ in _stack([(1, p) for p in polytopes], dimension)]
     cells.sort(key=lambda c: (c.dimension, c.representative))
-    return CellComplex(1, tuple(cells))
+    return CellComplex(dimension, tuple(cells))
 
 
-def _arrangement_2d(polytopes: Sequence[Polytope]) -> CellComplex:
-    ys = _event_heights(polytopes)
+def _stack(terms: Terms, n: int) -> Iterator[tuple[Cell, int]]:
+    """The pieces of the n-D terms' arrangement, each with the value of the
+    terms' sum on it, lazily, slice by slice (in 1-D, in cell order)."""
+    if n == 1:
+        yield from _line(terms)
+        return
+    zs = _event_heights([p for _, p in terms])
     # (height, width) of every wall (width 0) and slab (width None: unbounded)
-    slices = [(y, 0) for y in ys] + [((a + b) / 2, b - a) for a, b in zip(ys, ys[1:])]
-    if ys:
-        slices += [(ys[0] - 1, None), (ys[-1] + 1, None)]
-    else:
-        slices.append((Fraction(0), None))
-    cells: list[Cell] = []
-    for y, width in slices:
-        cuts = [s for s in (_slice(p, y) for p in polytopes) if s is not None]
-        for c in _arrangement_1d(cuts).cells:
-            rep = c.representative + (y,)
-            if width == 0:  # a wall's cells are cells of the plane as they stand
-                cells.append(Cell(c.dimension, rep, c.bounded))
+    slices = [(z, 0) for z in zs] + [((a + b) / 2, b - a) for a, b in zip(zs, zs[1:])]
+    slices += [(zs[0] - 1, None), (zs[-1] + 1, None)] if zs else [(Fraction(0), None)]
+    for z, width in slices:
+        cuts: dict[Polytope, int] = {}
+        for c, p in terms:
+            s = _slice(p, z)
+            if s is not None:
+                cuts[s] = cuts.get(s, 0) + c
+        for cell, v in _stack([(c, s) for s, c in cuts.items() if c], n - 1):
+            rep = cell.representative + (z,)
+            if width == 0:  # a wall's pieces are pieces of the space as they stand
+                yield Cell(cell.dimension, rep, cell.bounded), v
             elif width is None:
-                cells.append(Cell(c.dimension + 1, rep, False))
+                yield Cell(cell.dimension + 1, rep, False), v
             else:
-                area = None if c.volume is None else width * c.volume
-                cells.append(Cell(c.dimension + 1, rep, c.bounded, area))
-    cells.sort(key=lambda c: (c.dimension, c.representative))
-    return CellComplex(2, tuple(cells))
+                area = width * cell.volume if n == 2 and cell.volume is not None else None
+                yield Cell(cell.dimension + 1, rep, cell.bounded, area), v
+
+
+def _line(terms: Terms) -> Iterator[tuple[Cell, int]]:
+    """The 1-D cells in cell order, a cell's value summed over the terms whose
+    interval [lo, hi] covers it."""
+    spans = [(c, p.vertices[0][0], p.vertices[-1][0]) for c, p in terms]
+    xs = sorted({x for _, lo, hi in spans for x in (lo, hi)})
+
+    def value(a: Fraction, b: Fraction) -> int:
+        return sum(c for c, lo, hi in spans if lo <= a and b <= hi)
+
+    for x in xs:
+        yield Cell(0, (x,), True), value(x, x)
+    if not xs:
+        yield Cell(1, (Fraction(0),), False), 0
+        return
+    yield Cell(1, (xs[0] - 1,), False), 0
+    for a, b in zip(xs, xs[1:]):
+        yield Cell(1, ((a + b) / 2,), True, b - a), value(a, b)
+    yield Cell(1, (xs[-1] + 1,), False), 0
 
 
 def _event_heights(supports: Sequence[Polytope]) -> list[Fraction]:

@@ -228,10 +228,10 @@ def metric_eval(
         raise ValueError("dimension mismatch")
     if kind is MetricKind.INTEGRAL_GAP:
         return RoundedReal(Fraction(abs(euler_integral(f) - euler_integral(g))))
-    if f.dimension > 2:
-        raise ValueError("L1/SUP metrics require dimension <= 2")
-    # f - g is constant on each cell of its own arrangement, and cells where
-    # it vanishes add nothing to either metric
+    if kind is MetricKind.L1 and f.dimension > 2:
+        raise ValueError("the L1 metric requires dimension <= 2")
+    # f - g is constant on each piece of its own supports and shows every
+    # value on one; pieces where it vanishes add nothing to either metric
     cells = list(nonzero_cells(f - g))
     if kind is MetricKind.SUP:
         return RoundedReal(Fraction(max((abs(v) for _, v in cells), default=0)))

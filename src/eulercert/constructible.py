@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, Sequence
 
-from .cellcomplex import Cell, _event_heights, _slice, arrangement
+from .cellcomplex import Cell, _stack
 from .geometry import (
     AffineMap,
     Point,
@@ -108,14 +108,9 @@ def euler_integral(f: ConstructibleFunction) -> int:
 
 
 def oracle_integral(f: ConstructibleFunction) -> int:
-    """Independent route: alternating sum over bounded open cells.
-
-    Exact in dimensions 1 and 2.  Each bounded cell of the induced
-    decomposition contributes its value times (-1)^dim, which realizes the
-    compactly supported Euler characteristic of the level sets.
-    """
-    if f.dimension > 2:
-        raise ValueError("oracle integral requires dimension <= 2")
+    """Independent route: the sum of (-1)^dim times the value over the
+    bounded pieces of f's supports (:mod:`cellcomplex`), the compactly
+    supported Euler characteristic of the level sets, by Fubini in 3-D."""
     total = 0
     for cell, v in nonzero_cells(f):
         if cell.bounded:
@@ -124,16 +119,16 @@ def oracle_integral(f: ConstructibleFunction) -> int:
 
 
 def nonzero_cells(f: ConstructibleFunction) -> Iterator[tuple[Cell, int]]:
-    """The cells of the arrangement of f's own supports where f is nonzero.
+    """The pieces of the arrangement of f's own supports where f is nonzero.
 
-    Yields each such cell with f's value on it, in cell order (dimensions 1
-    and 2).  f is constant on every cell, so f is zero exactly when nothing
-    is yielded; a function without terms builds no arrangement at all.
+    Yields each such piece with f's value on it, lazily, slice by slice
+    (:func:`cellcomplex._stack`).  f is constant on every piece and every
+    value of f shows on one, so f is zero exactly when nothing is yielded;
+    a function without terms builds no arrangement at all.
     """
     if not f.terms:
         return
-    for cell in arrangement(f.supports(), f.dimension).cells:
-        v = evaluate(f, cell.representative)
+    for cell, v in _stack([(t.coeff, t.support) for t in f.terms], f.dimension):
         if v:
             yield cell, v
 
@@ -154,45 +149,18 @@ def equals(f: ConstructibleFunction, g: ConstructibleFunction) -> EvalReport:
 
     Normalizing h cancels terms with structurally equal supports, so equal
     functions written alike leave no term and need no geometry.  Otherwise
-    h is decided through the cell decomposition of its own supports in
-    dimensions 1 and 2 (every cell of every dimension is probed, so boundary
-    effects are visible), and the witness is a point where f and g differ.
-    A 2-D decision cuts 2|Y| + 1 slices into 1-D cells, Y being the heights
-    where two of the supports' R distinct chart rows meet, so |Y| <= C(R, 2)
-    (:mod:`cellcomplex`).
-
-    Dimension 3 is sliced along z (Viro, "Some integral calculus based on
-    Euler characteristic", 1988; Schapira, "Operations on constructible
-    functions", 1991).  The chart rows of h's supports cut space into an
-    arrangement of planes, and h is constant on each of its cells.  Those
-    planes span R^3, so no cell contains a line and every cell has a vertex
-    in its closure, a point where three independent rows meet.  A cell where
-    h != 0 lies in a support, so it is bounded and its closure is the hull
-    of such vertices: its z-range is a point of Z, the set of their heights
-    (:func:`cellcomplex._event_heights`), or an open interval between two
-    points of Z, holding the midpoint of a gap of Z.  So h = 0 if and only
-    if every slice h_z = sum of c_i 1[P_i meets {z}] vanishes, z running
-    over Z and one midpoint per gap; each slice (:func:`cellcomplex._slice`)
-    is a 2-D function decided as above, and its witness is lifted to its
-    height.  With R distinct rows, |Z| <= C(R, 3) and at most 2|Z| - 1
-    slices are decided.
+    h is nonzero exactly where one of the pieces of its own supports is
+    (:mod:`cellcomplex`; every piece of every dimension is probed, so
+    boundary effects are visible), and the first such piece ends the search;
+    its representative is the witness, a point where f and g differ.  A
+    decision in dimension n cuts at most 2|Z| - 1 slices that hold a cut, Z
+    being the heights where n of the supports' R distinct chart rows meet,
+    so |Z| <= C(R, n).
     """
     if f.dimension != g.dimension:
         raise ValueError("dimension mismatch")
-    h = f - g
-    if f.dimension <= 2:
-        for cell, _ in nonzero_cells(h):
-            return EvalReport(Verdict.NOT_EQUAL, cell.representative)
-        return EvalReport(Verdict.EQUAL)
-    if not h.terms:
-        return EvalReport(Verdict.EQUAL)
-    zs = _event_heights(h.supports())
-    mids = [(a + b) / 2 for a, b in zip(zs, zs[1:])]
-    for z in zs + mids:
-        sliced = [(t.coeff, _slice(t.support, z)) for t in h.terms]
-        h_z = from_terms(2, [(c, s) for c, s in sliced if s is not None])
-        for cell, _ in nonzero_cells(h_z):
-            return EvalReport(Verdict.NOT_EQUAL, cell.representative + (z,))
+    for cell, _ in nonzero_cells(f - g):
+        return EvalReport(Verdict.NOT_EQUAL, cell.representative)
     return EvalReport(Verdict.EQUAL)
 
 

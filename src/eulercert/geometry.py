@@ -98,6 +98,9 @@ class RoundedReal:
         return float(self.value)
 
     def __add__(self, other: "RoundedReal") -> "RoundedReal":
+        # Python adds a Fraction to math.inf in floats, which overflow past 1e308
+        if math.inf in (self.value, other.value):
+            return INF
         return RoundedReal(self.value + other.value, self.exact and other.exact)
 
     def __truediv__(self, k) -> "RoundedReal":

@@ -165,6 +165,11 @@ def split_indicator(rng: random.Random, p: Polytope) -> ConstructibleFunction:
     return from_terms(dim, [(1, from_vertices(pieces[0])), (1, from_vertices(pieces[1])), (-1, from_vertices(pieces[2]))])
 
 
+def prism(f: ConstructibleFunction) -> ConstructibleFunction:
+    """The 3-D function f x 1[0, 1] of a 2-D function f."""
+    return from_terms(3, [(t.coeff, from_vertices([v + (z,) for v in t.support.vertices for z in (0, 1)])) for t in f.terms])
+
+
 def rand_equality_pair(rng: random.Random, dim: int) -> tuple[ConstructibleFunction, ConstructibleFunction]:
     """Two functions for equality tests, f and g of one of four kinds.
 

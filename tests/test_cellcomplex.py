@@ -122,13 +122,13 @@ def test_degenerate_inputs_become_cells():
 
 def test_arrangement_cuts_at_most_two_slices_per_event_height(monkeypatch):
     calls = []
-    real = cellcomplex._arrangement_1d
-    monkeypatch.setattr(cellcomplex, "_arrangement_1d", lambda ps: calls.append(ps) or real(ps))
+    real = cellcomplex._stack
+    monkeypatch.setattr(cellcomplex, "_stack", lambda terms, n: calls.append(n) or real(terms, n))
     rng = random.Random(23)
     for _ in range(10):
         polys = [rand_polytope(rng, 2, max_vertices=5) for _ in range(rng.randint(1, 4))]
         heights = _event_heights(polys)
         calls.clear()
         arrangement(polys)
-        assert len(calls) <= 2 * len(heights) + 1
+        assert 0 < calls.count(1) <= 2 * len(heights) + 1
         assert len(heights) <= math.comb(len(_planes(polys)), 2)

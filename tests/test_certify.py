@@ -28,7 +28,7 @@ from eulercert.constructible import (
 from eulercert.geometry import RoundedReal, from_vertices, homothet
 from eulercert.jsonio import cert_from_json
 
-from helpers import brute_metric, rand_cf, rand_equality_pair
+from helpers import brute_metric, prism, rand_cf, rand_equality_pair
 
 UNIT_SQUARE = from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
 SEG = from_vertices([(0,), (4,)])
@@ -187,8 +187,8 @@ def test_metric_examples():
 def test_verify_of_valid_certificate_builds_no_arrangement(monkeypatch):
     # every equality a sound certificate asks for cancels term by term
     built = []
-    real = constructible.arrangement
-    monkeypatch.setattr(constructible, "arrangement", lambda *a: built.append(a) or real(*a))
+    real = constructible._stack
+    monkeypatch.setattr(constructible, "_stack", lambda *a: built.append(a) or real(*a))
     with open(os.path.join(os.path.dirname(__file__), "data", "link2d.cert.json"), encoding="utf-8") as fh:
         cert = cert_from_json(json.load(fh))
     assert verify(cert).passed
@@ -205,10 +205,20 @@ def test_metric_agrees_with_arrangement_of_all_supports():
 
 
 def test_metric_dimension_guard():
+    # 3-D pieces carry no volume, so only L1 stops at dimension 2
     cube = from_vertices([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the L1 metric requires dimension <= 2"):
         metric_eval(MetricKind.L1, indicator(cube), zero_function(3))
     assert metric_eval(MetricKind.INTEGRAL_GAP, indicator(cube), zero_function(3)).value == 1
+    assert metric_eval(MetricKind.SUP, indicator(cube), zero_function(3)).value == 1
+
+
+def test_sup_of_prisms_is_the_2d_sup():
+    rng = random.Random(76)
+    for _ in range(12):
+        f, g = rand_equality_pair(rng, 2)
+        for h in (g, zero_function(2)):
+            assert metric_eval(MetricKind.SUP, prism(f), prism(h)) == metric_eval(MetricKind.SUP, f, h)
 
 
 # --- probe -----------------------------------------------------------------------

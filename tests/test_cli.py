@@ -159,19 +159,26 @@ def test_bound_output_is_byte_identical(name, fixture, options, capsys):
         assert capsys.readouterr().out == fh.read()
 
 
-# `oracle-integrate` and `probe --metric l1|sup` read the arrangement of the
-# input's supports; pieces2d mixes a point, axis-parallel segments and a square
-@pytest.mark.parametrize("fixture", ["link2d_F", "link2d_G", "pieces2d"])
+# `oracle-integrate` and `probe --metric l1|sup` read the slice recursion on
+# the input's supports; pieces2d mixes a point, axis-parallel segments and a
+# square, and the link3d inputs are a solid, a flat polygon and a segment in
+# space, whose pieces carry no volume, so L1 refuses them
+@pytest.mark.parametrize("fixture", ["link2d_F", "link2d_G", "pieces2d", "link3d_F", "link3dflat_F", "link3dline_F"])
 def test_arrangement_outputs_are_byte_identical(fixture, capsys):
     cf = os.path.join(DATA, f"{fixture}.json")
-    for argv in (
-        ["oracle-integrate", cf],
-        ["probe", "--metric", "l1", "--schedule", "1/4,1/8", cf],
-        ["probe", "--metric", "sup", "--schedule", "1/4,1/8", cf],
-    ):
-        assert run(argv) == 0
+    out = ""
+    for metric in (None, "l1", "sup"):
+        argv = ["oracle-integrate", cf] if metric is None else ["probe", "--metric", metric, "--schedule", "1/4,1/8", cf]
+        code, captured = run(argv), capsys.readouterr()
+        if metric == "l1" and fixture.startswith("link3d"):
+            assert (code, captured.out, captured.err) == (2, "", "error: the L1 metric requires dimension <= 2\n")
+        else:
+            assert code == 0
+            out += captured.out
     with open(os.path.join(DATA, f"{fixture}_cells.out"), encoding="utf-8") as fh:
-        assert capsys.readouterr().out == fh.read()
+        assert out == fh.read()
+    assert run(["integrate", cf]) == 0
+    assert capsys.readouterr().out == out.splitlines(keepends=True)[0]
 
 
 # Certificates written by `link` at eps = 1/16 while hulls were still solved

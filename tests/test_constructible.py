@@ -6,8 +6,9 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eulercert import constructible
+from eulercert import cellcomplex, constructible
 from eulercert.cellcomplex import arrangement
 from eulercert.constructible import (
     ConstructibleFunction,
@@ -19,6 +20,7 @@ from eulercert.constructible import (
     evaluate,
     from_terms,
     indicator,
+    nonzero_cells,
     normalize,
     oracle_integral,
     oracle_pushforward_at,
@@ -30,6 +32,7 @@ from eulercert.geometry import affine_map, from_vertices, homothet
 from helpers import (
     brute_equals,
     interior_point,
+    prism,
     rand_cf,
     rand_equality_pair,
     rand_point,
@@ -103,10 +106,43 @@ def test_oracle_integral_matches_coefficient_sum():
         assert oracle_integral(f) == euler_integral(f)
 
 
-def test_oracle_integral_dimension_guard():
-    cube = from_vertices([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
-    with pytest.raises(ValueError):
-        oracle_integral(indicator(cube))
+def _open_segment_3d():
+    seg = from_vertices([(0, 0, 0), (1, 2, 4)])
+    return from_terms(3, [(1, seg)] + [(-1, from_vertices([v])) for v in seg.vertices])
+
+
+def _open_cube():
+    corners = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    facets = [[v for v in corners if v[i] == c] for i in range(3) for c in (0, 1)]
+    edges = [[a, b] for a, b in itertools.combinations(corners, 2) if sum(map(operator.ne, a, b)) == 1]
+    return from_terms(
+        3,
+        [(1, from_vertices(corners))]
+        + [(-1, from_vertices(f)) for f in facets]
+        + [(1, from_vertices(e)) for e in edges]
+        + [(-1, from_vertices([v])) for v in corners],
+    )
+
+
+def test_oracle_integral_in_dimension_3():
+    # by Fubini along z: the slices' integrals at the walls less those between
+    rng = random.Random(35)
+    for _ in range(8):
+        f = rand_cf(rng, 3, max_terms=2, max_vertices=4)
+        assert oracle_integral(f) == euler_integral(f)
+        g, h = rand_equality_pair(rng, 3)
+        assert oracle_integral(g - h) == euler_integral(g - h)
+    # an open k-cell counts (-1)^k, though it vanishes on every wall
+    assert oracle_integral(_open_segment_3d()) == euler_integral(_open_segment_3d()) == -1
+    assert oracle_integral(_open_cube()) == euler_integral(_open_cube()) == -1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
+def test_nonzero_cells_carry_the_value_at_their_representative(seed, dim):
+    f = rand_cf(random.Random(seed), dim, max_terms=3 if dim < 3 else 2, max_vertices=5 if dim < 3 else 4)
+    for cell, v in nonzero_cells(f):
+        assert v != 0 and v == evaluate(f, cell.representative)
 
 
 def test_equals_inclusion_exclusion_on_line():
@@ -154,8 +190,8 @@ def test_equals_agrees_with_arrangement_of_all_supports():
 
 def test_equals_builds_no_arrangement_when_difference_cancels(monkeypatch):
     built = []
-    real = constructible.arrangement
-    monkeypatch.setattr(constructible, "arrangement", lambda *a: built.append(a) or real(*a))
+    real = constructible._stack
+    monkeypatch.setattr(constructible, "_stack", lambda *a: built.append(a) or real(*a))
     rng = random.Random(38)
     for dim in (1, 2, 1, 2):
         f = rand_cf(rng, dim)
@@ -182,19 +218,7 @@ def test_equals_sampled_in_dimension_3():
 def test_equals_sees_a_difference_only_between_event_heights():
     # an open segment and an open cube vanish on every slice through a vertex;
     # only the heights between vertices see them
-    seg = from_vertices([(0, 0, 0), (1, 2, 4)])
-    open_seg = from_terms(3, [(1, seg)] + [(-1, from_vertices([v])) for v in seg.vertices])
-    corners = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
-    facets = [[v for v in corners if v[i] == c] for i in range(3) for c in (0, 1)]
-    edges = [[a, b] for a, b in itertools.combinations(corners, 2) if sum(map(operator.ne, a, b)) == 1]
-    open_cube = from_terms(
-        3,
-        [(1, from_vertices(corners))]
-        + [(-1, from_vertices(f)) for f in facets]
-        + [(1, from_vertices(e)) for e in edges]
-        + [(-1, from_vertices([v])) for v in corners],
-    )
-    for h in (open_seg, open_cube):
+    for h in (_open_segment_3d(), _open_cube()):
         rep = equals(h, zero_function(3))
         assert rep.verdict is Verdict.NOT_EQUAL
         assert evaluate(h, rep.witness) != 0
@@ -226,19 +250,15 @@ def _box(lo, hi):
     return from_vertices([(x, y, z) for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
 
 
-def _prism(f):
-    return from_terms(3, [(t.coeff, from_vertices([v + (z,) for v in t.support.vertices for z in (0, 1)])) for t in f.terms])
-
-
 def test_equals_on_prisms_gives_the_2d_verdict():
     rng = random.Random(71)
     seen = set()
     for _ in range(12):
         f, g = rand_equality_pair(rng, 2)
-        rep = equals(_prism(f), _prism(g))
+        rep = equals(prism(f), prism(g))
         assert rep.verdict is equals(f, g).verdict
         if rep.verdict is Verdict.NOT_EQUAL:
-            assert evaluate(_prism(f), rep.witness) != evaluate(_prism(g), rep.witness)
+            assert evaluate(prism(f), rep.witness) != evaluate(prism(g), rep.witness)
         seen.add((rep.verdict, bool((f - g).terms)))
     assert seen == {(Verdict.EQUAL, False), (Verdict.EQUAL, True), (Verdict.NOT_EQUAL, True)}
 
@@ -289,9 +309,10 @@ def test_equals_catches_3d_point_edge_and_facet_perturbations():
 
 
 def test_equals_decides_at_most_two_slices_per_event_height(monkeypatch):
+    # the slices that hold a cut are the 2-D calls of the recursion with terms
     calls = []
-    real = constructible.nonzero_cells
-    monkeypatch.setattr(constructible, "nonzero_cells", lambda h: calls.append(h) or real(h))
+    real = cellcomplex._stack
+    monkeypatch.setattr(cellcomplex, "_stack", lambda terms, n: calls.append((terms, n)) or real(terms, n))
     rng = random.Random(74)
     for _ in range(4):
         p = _solid(rng)
@@ -299,11 +320,11 @@ def test_equals_decides_at_most_two_slices_per_event_height(monkeypatch):
         g = f + split_indicator(rng, p) - indicator(p)
         h = f - g
         rows = {min(r, tuple(-c for c in r)) for p in h.supports() for r in p._chart.eqs + p._chart.ineqs}
-        heights = constructible._event_heights(h.supports())
+        heights = cellcomplex._event_heights(h.supports())
         calls.clear()
         assert equals(f, g).verdict is Verdict.EQUAL
-        assert all(c.dimension == 2 for c in calls)
-        assert 0 < len(calls) <= 2 * len(heights) - 1
+        decided = [terms for terms, n in calls if n == 2 and terms]
+        assert 0 < len(decided) <= 2 * len(heights) - 1
         assert len(heights) <= math.comb(len(rows), 3)
 
 

@@ -628,3 +628,10 @@ def test_rounded_real_ordering():
     assert huge < INF.value and not INF.value <= huge and INF.value != huge
     assert max([ZERO_REAL, RoundedReal(huge), INF], key=lambda r: r.value) is INF
     assert INF.decimal_up() == "inf" and RoundedReal(F(1, 3)).decimal_up() == "0.333333333334"
+
+
+def test_rounded_real_sum_with_inf_is_inf():
+    # past float range too, where adding math.inf to the Fraction would overflow
+    huge = RoundedReal(F(10**999))
+    assert INF + huge is INF and huge + INF is INF and INF + INF is INF
+    assert INF + RoundedReal(F(1, 3), exact=False) is INF

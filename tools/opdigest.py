@@ -11,12 +11,13 @@ prints one line per op and norm with the sha256 of its stdout, stderr, exit
 code and every file it wrote, then one line with the sha256 of all op lines.
 
 The same seeds' ``link`` inputs, every function file of them, then feed the
-commands that read the cell arrangement, ``oracle-integrate`` and ``probe
---metric l1|sup``, under each norm as well (lines named ``cells``); their
-3-D inputs exit 2.  And every left sheaf of the same seeds' ``bound`` inputs
-is bounded against an empty sheaf of its dimension, written into the scratch
-copy, under each norm (lines named ``infinite``): its global sections differ,
-so the bound is ``inf`` and every unit is left unmatched.
+commands that read the slice recursion of ``cellcomplex``, ``oracle-integrate``
+and ``probe --metric l1|sup``, under each norm as well (lines named
+``cells``); on their 3-D inputs only ``probe --metric l1`` exits 2, as 3-D
+pieces carry no volume.  And every left sheaf of the same seeds' ``bound``
+inputs is bounded against an empty sheaf of its dimension, written into the
+scratch copy, under each norm (lines named ``infinite``): its global sections
+differ, so the bound is ``inf`` and every unit is left unmatched.
 
 The inputs live in DIR/<workload>-<seed>.  When DIR is empty or missing they
 are first written there by ``bench/workloads.py``, imported and left as it
@@ -108,7 +109,7 @@ def _digest_ops(run, label: str, seed: int, inputs: str, ops: list, extra: Optio
 
 
 def _cell_ops(link_ops: list) -> list:
-    """The arrangement commands on every function file of the link ops."""
+    """The slice-recursion commands on every function file of the link ops."""
     files = [name for op in link_ops for name in op["argv"][1:3]]
     return [{"argv": cmd + [name]} for name in files for cmd in CELL_COMMANDS]
 
