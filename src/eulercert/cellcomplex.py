@@ -150,15 +150,15 @@ def _event_heights(supports: Sequence[Polytope]) -> list[Fraction]:
 
 
 def _slice(p: Polytope, z: Fraction) -> Optional[Polytope]:
-    """The polytope, one dimension down, that p meets the hyperplane {last
-    coordinate = z} in: the hull of p's vertices at height z and of the
-    points where segments joining vertices on either side cross it."""
-    at, below, above = [], [], []
-    for v in p.vertices:
-        (below if v[-1] < z else above if v[-1] > z else at).append(v)
-    pts = [v[:-1] for v in at]
-    for a in below:
-        for b in above:
-            t = (z - a[-1]) / (b[-1] - a[-1])
-            pts.append(tuple(x + t * (y - x) for x, y in zip(a[:-1], b[:-1])))
+    """The hull, one dimension down, of the vertices of p = V / D at height
+    z = h / q and of the points where segments joining vertices on either side
+    cross it: V's side is the sign of s = q V_n - h D, and A, B with
+    s_a < 0 < s_b cross at (s_b A - s_a B) / (D (s_b - s_a)), in integers."""
+    den, nums = p._ints
+    sides = [(z.denominator * v[-1] - z.numerator * den, v[:-1]) for v in nums]
+    pts = [tuple(Fraction(x, den) for x in a) for s, a in sides if not s]
+    above = [(sb, b) for sb, b in sides if sb > 0]
+    for sa, a in sides:
+        if sa < 0:
+            pts += [tuple(Fraction(sb * x - sa * y, den * (sb - sa)) for x, y in zip(a, b)) for sb, b in above]
     return from_vertices(pts) if pts else None

@@ -145,7 +145,7 @@ def concentrate_to_point(
         raise ValueError("epsilon must be positive")
     target_pt = as_point(x)
     fn = normalize(f)
-    if fn.terms and len(target_pt) != fn.dimension:
+    if len(target_pt) != fn.dimension:
         raise ValueError("dimension mismatch")
     centroids = [vertex_centroid(t.support) for t in fn.terms]
     step1 = concentrate_basepoints(fn, centroids, eps, norm)

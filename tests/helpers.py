@@ -240,6 +240,21 @@ def fraction_reach(p: Polytope, center: Point, norm: Norm) -> RoundedReal:
     return RoundedReal(max(norm_value(vsub(v, center), norm).value for v in p.vertices))
 
 
+def fraction_slice(p: Polytope, z: Fraction) -> Optional[Polytope]:
+    """The polytope, one dimension down, that p meets the hyperplane {last
+    coordinate = z} in, in Fractions: the hull of p's vertices at height z and
+    of the points where segments joining vertices on either side cross it."""
+    at, below, above = [], [], []
+    for v in p.vertices:
+        (below if v[-1] < z else above if v[-1] > z else at).append(v)
+    pts = [v[:-1] for v in at]
+    for a in below:
+        for b in above:
+            t = (z - a[-1]) / (b[-1] - a[-1])
+            pts.append(tuple(x + t * (y - x) for x, y in zip(a[:-1], b[:-1])))
+    return from_vertices(pts) if pts else None
+
+
 def lp_hull(points: Sequence[Point]) -> tuple[Point, ...]:
     """Sorted extreme points: those outside the hull of the others, by one LP each."""
     uniq = set(points)

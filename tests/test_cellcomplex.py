@@ -1,15 +1,22 @@
+import json
 import math
+import os
 import random
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
 
 from eulercert import cellcomplex
-from eulercert.cellcomplex import _event_heights, arrangement
+from eulercert.cellcomplex import _event_heights, _slice, arrangement
 from eulercert.geometry import _planes, contains, from_vertices, volume
+from eulercert.jsonio import cf_from_json
 
-from helpers import rand_polytope
+from helpers import fraction_slice, rand_polytope
+from test_geometry import _hull_input
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 UNIT_SQUARE = from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
 
@@ -132,3 +139,25 @@ def test_arrangement_cuts_at_most_two_slices_per_event_height(monkeypatch):
         arrangement(polys)
         assert 0 < calls.count(1) <= 2 * len(heights) + 1
         assert len(heights) <= math.comb(len(_planes(polys)), 2)
+
+
+def _assert_slices_match_the_fraction_route(p):
+    # at every vertex height, between consecutive ones and beyond each end
+    hs = sorted({v[-1] for v in p.vertices})
+    zs = hs + [(a + b) / 2 for a, b in zip(hs, hs[1:])] + [hs[0] - 1, hs[-1] + 1]
+    for z in zs:
+        assert _slice(p, z) == fraction_slice(p, z), (p, z)
+
+
+@given(_hull_input(dims=(2, 3)))
+def test_slice_matches_the_fraction_route(pts):
+    _assert_slices_match_the_fraction_route(from_vertices(pts))
+
+
+@pytest.mark.parametrize("name", ["link3dflat_F.json", "link3dline_F.json"])
+def test_slice_matches_the_fraction_route_on_flat_and_line_supports(name):
+    with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+        supports = [t.support for t in cf_from_json(json.load(fh)).terms]
+    assert supports
+    for p in supports:
+        _assert_slices_match_the_fraction_route(p)

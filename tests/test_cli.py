@@ -357,6 +357,20 @@ def test_probe_gap_metric(square, capsys):
     assert all(line.endswith(",0.000000000000") for line in lines[1:])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["concentrate", "F", "--epsilon", "1/4"], ["probe", "F", "--metric", "sup", "--schedule", "1/2,1/4"]],
+    ids=["concentrate", "probe"],
+)
+@pytest.mark.parametrize("terms", [[], [{"coeff": 1, "polytope": {"vertices": [["0"], ["1"]]}}]], ids=["empty", "one"])
+def test_target_of_another_dimension_exits_2(argv, terms, tmp_path, capsys):
+    # a 1-D function, with or without terms, refuses a 3-D target
+    path = _write(tmp_path, "f.json", {"dimension": 1, "terms": terms})
+    argv = [path if a == "F" else a for a in argv]
+    assert run(argv + ["--target", "1,2,3"]) == 2
+    assert capsys.readouterr() == ("", "error: dimension mismatch\n")
+
+
 def test_malformed_json_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
