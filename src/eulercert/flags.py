@@ -3,6 +3,13 @@
 A chain with n steps scales the base polytope toward an interior center by
 ratios i/n.  Consecutive levels are then exactly reach/n apart in directed
 Hausdorff distance, which is the certified spacing the distance bounds use.
+
+The builder trusts one fact and nothing else: the levels of a flag that
+:func:`build_flag` made are nested, since its center lies in the convex base.
+So :func:`graded_sheaf` makes the differences of consecutive levels without a
+containment test (`Support._nested`).  Every difference a certificate or sheaf
+file holds is parsed through `Support`'s checks, so `verify` and `bound`
+re-check all of them.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ def _graded_summands(flag: Flag, shift: int = 0, multiplicity: int = 1) -> list[
     summands = [Summand(Support(flag.levels[0]), shift, multiplicity)]
     for lo, hi in zip(flag.levels, flag.levels[1:]):
         if lo != hi:
-            summands.append(Summand(Support(hi, lo), shift, multiplicity))
+            summands.append(Summand(Support._nested(hi, lo), shift, multiplicity))
     return summands
 
 

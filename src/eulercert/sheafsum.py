@@ -6,6 +6,9 @@ closed under exactly the constructions the certificates need, and both the
 local Euler characteristic and global sections reduce to summand-level rules:
 a plain summand on a compact convex set is contractible, and the restriction
 triangle of a nested difference of convex compacts has vanishing sections.
+
+Every difference support is checked to be nested when it is made or parsed,
+except the flag builder's differences of its own levels (`Support._nested`).
 """
 
 from __future__ import annotations
@@ -32,6 +35,21 @@ class Support:
                 raise ValueError("difference support needs inner != outer")
             if _outside(self.inner, self.outer):
                 raise ValueError("inner polytope not contained in outer")
+
+    @classmethod
+    def _nested(cls, outer: Polytope, inner: Polytope) -> Support:
+        """outer \\ inner, with none of the checks of the constructor.
+
+        Only for consecutive levels lo != hi of a flag made by
+        :func:`flags.build_flag`: its center c lies in the convex base P, so
+        for 0 <= s < t <= 1 the level c + s(P - c) lies in c + t(P - c) (its
+        point c + s(p - c) is c + t(q - c) with q = c + (s/t)(p - c) in P),
+        and both have P's dimension.
+        """
+        support = object.__new__(cls)
+        object.__setattr__(support, "outer", outer)
+        object.__setattr__(support, "inner", inner)
+        return support
 
     @property
     def is_difference(self) -> bool:

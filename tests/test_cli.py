@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 import eulercert
-from eulercert import _simplex
+from eulercert import _simplex, flags
 from eulercert.cli import run
 from eulercert.flags import MAX_FLAG_STEPS
 
@@ -310,6 +310,44 @@ def test_verify_fails_when_a_step_loses_its_plain_summand(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "FAIL\n- right local euler mismatch at step 3\n- bound understated at step 3\n"
     )
+
+
+# a difference whose inner polytope pokes out of its outer one
+NOT_NESTED = {
+    "dimension": 1,
+    "summands": [{"outer": {"vertices": [["0"], ["2"]]}, "inner": {"vertices": [["1"], ["3"]]}, "shift": 0, "multiplicity": 1}],
+}
+
+
+@pytest.mark.parametrize("argv", [["chi", "S"], ["bound", "S", "S"]], ids=["chi", "bound"])
+def test_sheaf_with_a_difference_not_nested_exits_2(argv, tmp_path, capsys):
+    path = _write(tmp_path, "sheaf.json", NOT_NESTED)
+    assert run([path if a == "S" else a for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: inner polytope not contained in outer\n")
+
+
+def test_verify_refuses_a_difference_moved_out_of_its_outer(tmp_path, capsys):
+    with open(os.path.join(DATA, "link2d.cert.json"), encoding="utf-8") as fh:
+        cert = json.load(fh)
+    summand = next(s for s in cert["steps"][1]["G"]["summands"] if s["inner"] is not None)
+    summand["inner"]["vertices"] = [[str(F(x) + 10), y] for x, y in summand["inner"]["vertices"]]
+    path = _write(tmp_path, "moved.json", cert)
+    assert run(["verify", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: inner polytope not contained in outer\n")
+
+
+def test_verify_rechecks_the_nesting_that_link_trusts(square, tmp_path, monkeypatch, capsys):
+    # a builder whose flags run from the base down to the center writes
+    # differences of a smaller outer level minus a larger inner one, which
+    # `link` takes on trust and `verify` must refuse when it parses them
+    real = flags._levels
+    monkeypatch.setattr(flags, "_levels", lambda *args: real(*args)[::-1])
+    rect = _write(tmp_path, "rect.json", RECT)
+    cert = str(tmp_path / "cert.json")
+    assert run(["link", square, rect, "--epsilon", "1/4", "--out", cert]) == 0
+    monkeypatch.undo()
+    assert run(["verify", cert]) == 2
+    assert capsys.readouterr().err == f"error: {cert}: inner polytope not contained in outer\n"
 
 
 # JSON texts that are no rational: float literals the parser reads as inf or

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from eulercert import flags, geometry
 from eulercert.constructible import Verdict, equals, euler_integral, indicator
@@ -46,7 +47,7 @@ def test_build_flag_refuses_too_many_steps_before_any_level(monkeypatch):
     assert len(build_flag(from_vertices([(0,), (1,)]), (0,), flags.MAX_FLAG_STEPS).levels) == flags.MAX_FLAG_STEPS + 1
 
 
-def test_build_flag_forms_its_center_once_and_one_chart_per_level(monkeypatch):
+def test_build_flag_and_graded_sheaf_form_the_center_once_and_no_chart(monkeypatch):
     forms, charts = [], []
     form, init = geometry._integer_form, geometry._Chart.__init__
 
@@ -64,13 +65,13 @@ def test_build_flag_forms_its_center_once_and_one_chart_per_level(monkeypatch):
         monkeypatch.setattr(geometry, "_integer_form", counting_form)
         monkeypatch.setattr(geometry._Chart, "__init__", counting_init)
         fl = build_flag(base, c, 12)
-        graded_sheaf(fl)  # the containment check of every difference summand
+        assert forms == [(tuple(map(F, c)),)] and charts == []
+        # the levels are nested by construction, so no difference summand
+        # tests its containment on a chart of its outer level
+        graded_sheaf(fl)
         monkeypatch.undo()
-        assert forms == [(tuple(map(F, c)),)]
-        # at most one chart per level, none for the base
-        assert len(charts) == len(set(charts)) <= len(fl.levels) - 1
+        assert forms == [(tuple(map(F, c)),)] and charts == []
         forms.clear()
-        charts.clear()
 
 
 def test_flag_of_segment():
@@ -139,16 +140,48 @@ def test_flag_distance_bound():
         assert bound.value <= fl.spacing.value / 2 + TOL_DIST
 
 
-def test_flag_levels_nested_with_certified_spacing():
-    rng = random.Random(53)
-    for _ in range(20):
-        dim = rng.choice([1, 2])
-        p = rand_polytope(rng, dim, max_vertices=6)
-        c = interior_point(rng, p)
-        n = rng.choice([2, 3, 5])
-        fl = build_flag(p, c, n)
-        r = reach(p, c)
-        for lo, hi in zip(fl.levels, fl.levels[1:]):
-            assert directed_hausdorff(hi, lo).value <= fl.spacing.value + TOL_DIST
-            assert directed_hausdorff(lo, hi).value == 0  # nested
-        assert fl.spacing.value == r.value / n
+_COORD = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5]))
+
+
+@st.composite
+def _flag_input(draw):
+    """A base and a center in it: the base spans 0 to dim directions of its
+    dim-space (a segment or polygon in 3-space is flat), and the center is at
+    a vertex, on an edge, on a facet or inside, as a positive combination of
+    the vertices of one face of the base (the vertex indices of
+    `Polytope._faces`: endpoints, edges or facet triangles of a full base,
+    edges or triangles covering a flat one)."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    point = st.tuples(*[_COORD] * dim)
+    origin = draw(point)
+    directions = [draw(point) for _ in range(draw(st.integers(0, dim)))]
+    ks = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * len(directions)), min_size=1, max_size=7))
+    base = from_vertices(
+        [tuple(a + sum(k * d[i] for k, d in zip(kk, directions)) for i, a in enumerate(origin)) for kk in ks]
+    )
+    face = draw(st.sampled_from([f for _, faces in base._faces for f in faces]))
+    picks = {
+        "vertex": face[:1],
+        "edge": face[-2:],  # the ring edge of a fan triangle (r0, r_i, r_i+1)
+        "facet": face,
+        "inside": range(len(base.vertices)),
+    }[draw(st.sampled_from(["vertex", "edge", "facet", "inside"]))]
+    weights = [draw(st.integers(1, 5)) for _ in picks]
+    vs = [base.vertices[i] for i in picks]
+    center = tuple(sum(w * v[i] for w, v in zip(weights, vs)) / sum(weights) for i in range(dim))
+    return base, center
+
+
+# the one fact the builder trusts: consecutive levels are nested
+@settings(deadline=None)  # 64 levels of a 3-polytope make 64 distance calls
+@given(_flag_input(), st.sampled_from([1, 2, 3, 7, 64]))
+@example((UNIT_SQUARE, (F(1), F(1))), 7)
+@example((from_vertices([(0, 0, 0), (2, 1, 0), (0, 3, 1), (1, 1, 1)]), (F(1), F(2), F(1, 2))), 3)
+@example((from_vertices([(0, 0, 0), (3, 1, 2)]), (F(1), F(1, 3), F(2, 3))), 64)
+def test_flag_levels_nested_with_certified_spacing(flag_input, n):
+    p, c = flag_input
+    fl = build_flag(p, c, n)
+    for lo, hi in zip(fl.levels, fl.levels[1:]):
+        assert not geometry._outside(lo, hi)
+        assert directed_hausdorff(hi, lo).value <= fl.spacing.value + TOL_DIST
+    assert fl.spacing.value == reach(p, c).value / n
