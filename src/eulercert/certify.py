@@ -46,7 +46,7 @@ from .geometry import (
     Point,
     Polytope,
     RoundedReal,
-    TOL_DIST,
+    SLACK,
     ZERO_REAL,
     as_point,
     from_vertices,
@@ -74,6 +74,15 @@ class Certificate:
     target: ConstructibleFunction
     epsilon: Fraction
     steps: tuple[CertificateStep, ...]
+
+    def __post_init__(self):
+        parts = [("target", self.target)]  # named as in the certificate's JSON
+        for k, s in enumerate(self.steps):
+            names = (f"step {k} {n}" for n in ("F", "G", "chi_F", "chi_G"))
+            parts += zip(names, (s.left, s.right, s.chi_left, s.chi_right))
+        for name, part in parts:
+            if part.dimension != self.dimension:
+                raise ValueError(f"{name}: dimension {part.dimension} != source dimension {self.dimension}")
 
     @property
     def dimension(self) -> int:
@@ -191,8 +200,12 @@ class Report:
     failures: tuple[str, ...]
 
 
-def verify(cert: Certificate, norm: Norm = Norm.L2, tol: Fraction = TOL_DIST) -> Report:
-    """Re-derive everything a certificate claims; report itemized failures."""
+def verify(cert: Certificate, norm: Norm = Norm.L2) -> Report:
+    """Re-derive everything a certificate claims; report itemized failures.
+
+    Bounds compare exactly, except that a recomputed bound that is not exact
+    (a rounded L2 value) may exceed the declared one by up to SLACK.
+    """
     failures: list[str] = []
 
     def check_equal(a: ConstructibleFunction, b: ConstructibleFunction, what: str) -> None:
@@ -205,9 +218,9 @@ def verify(cert: Certificate, norm: Norm = Norm.L2, tol: Fraction = TOL_DIST) ->
         check_equal(local_euler(step.left), step.chi_left, f"left local euler mismatch at step {k}")
         check_equal(local_euler(step.right), step.chi_right, f"right local euler mismatch at step {k}")
         recomputed = bottleneck_bound(step.left, step.right, norm)
-        if recomputed.value > step.declared_bound.value + tol:
+        if recomputed.value - (0 if recomputed.exact else SLACK) > step.declared_bound.value:
             failures.append(f"bound understated at step {k}")
-        if step.declared_bound.value > cert.epsilon + tol:
+        if step.declared_bound.value > cert.epsilon:
             failures.append(f"declared bound exceeds epsilon at step {k}")
         if euler_integral(step.chi_left) != euler_integral(step.chi_right):
             failures.append(f"integral not preserved at step {k}")

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-One invocation carries one workspace configuration (expected dimension,
-norm, tolerance), given by --config and overridden by flags; a config key
-other than these is an input error.
+One invocation carries one workspace configuration (expected dimension and
+norm), given by --config and overridden by flags; a config key other than
+these is an input error.
 Outputs are deterministic: identical invocations print identical bytes.
 Exit codes: 0 success, 1 verification failure, 2 input error.
 """
@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -22,60 +21,49 @@ from .certify import MetricKind, concentrate_to_point, link, probe_metric, verif
 from .constructible import euler_integral, oracle_integral, pushforward
 from .distance import sum_bound
 from .flags import build_flag, graded_sheaf
-from .geometry import Norm, TOL_DIST, decimal_up
+from .geometry import Norm, decimal_up
 from .jsonio import SchemaError
 from .sheafsum import local_euler
 
 
-@dataclass(frozen=True)
-class WorkspaceConfig:
-    dimension: Optional[int] = None
-    norm: Norm = Norm.L2
-    tol_dist: Fraction = TOL_DIST
-
-    def __post_init__(self):
-        if self.dimension is not None and self.dimension not in (1, 2, 3):
-            raise SchemaError(f"unsupported dimension: {self.dimension}")
-        if self.tol_dist <= 0:
-            raise SchemaError("tol_dist must be positive")
+def _dimension(value) -> int:
+    # `type(x) is int` as in jsonio: a JSON true, 2.7 or "1" is no integer
+    if type(value) is not int:
+        raise SchemaError(f"dimension must be an integer: {value!r}")
+    if value not in (1, 2, 3):
+        raise SchemaError(f"unsupported dimension: {value}")
+    return value
 
 
-_CONFIG_KEYS = ("dimension", "norm", "tol_dist")
+def _norm(value) -> Norm:
+    try:
+        return Norm(str(value).lower())
+    except ValueError:
+        raise SchemaError(f"unknown norm: {value!r}") from None
 
 
-def _typed(values: dict) -> dict:
-    """Raw config or flag values, with norm and tol_dist as WorkspaceConfig takes them."""
-    fields = dict(values)
-    if "norm" in fields:
-        try:
-            fields["norm"] = Norm(str(fields["norm"]).lower())
-        except ValueError:
-            raise SchemaError(f"unknown norm: {fields['norm']!r}") from None
-    if "tol_dist" in fields:
-        fields["tol_dist"] = jsonio.parse_rational(fields["tol_dist"])
-    return fields
+#: each setting's check, for a config file value and a flag alike
+_SETTINGS = {"dimension": _dimension, "norm": _norm}
 
 
-def _load_config(args: argparse.Namespace) -> WorkspaceConfig:
-    fields: dict = {}
+def _load_config(args: argparse.Namespace) -> dict:
+    """The workspace settings: the config file's, overridden by flags."""
+    settings = {"dimension": None, "norm": Norm.L2}
     if args.config:
         raw = _read_json(args.config)
         if not isinstance(raw, dict):
             raise SchemaError(f"{args.config}: config must be a JSON object")
         try:
-            for key in raw:
-                if key not in _CONFIG_KEYS:
-                    raise SchemaError(f"unknown key: {key!r}")
-            # `type(x) is int` as in jsonio: a JSON true, 2.7 or "1" is no integer
-            if "dimension" in raw and type(raw["dimension"]) is not int:
-                raise SchemaError(f"dimension must be an integer: {raw['dimension']!r}")
-            fields = _typed(raw)
-            WorkspaceConfig(**fields)  # range errors in the file name the file
-        except ValueError as exc:
+            unknown = [key for key in raw if key not in _SETTINGS]
+            if unknown:
+                raise SchemaError(f"unknown key: {unknown[0]!r}")
+            settings.update((key, _SETTINGS[key](value)) for key, value in raw.items())
+        except SchemaError as exc:
             raise SchemaError(f"{args.config}: {exc}") from None
     # a flag given as 0 or "" is still given, and is rejected if out of range
-    flags = {k: getattr(args, k) for k in _CONFIG_KEYS if getattr(args, k) is not None}
-    return WorkspaceConfig(**{**fields, **_typed(flags)})
+    flags = {key: getattr(args, key) for key in _SETTINGS if getattr(args, key) is not None}
+    settings.update((key, _SETTINGS[key](value)) for key, value in flags.items())
+    return settings
 
 
 def _read_json(path: str):
@@ -136,7 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="JSON workspace config file")
     ap.add_argument("--dimension", type=int, help="expected ambient dimension (validation)")
     ap.add_argument("--norm", choices=[n.value for n in Norm], help="workspace norm")
-    ap.add_argument("--tol-dist", dest="tol_dist", help="comparison tolerance for bounds")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("integrate", help="Euler integral of a constructible function")
@@ -178,21 +165,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str]) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
-        return _dispatch(args, cfg)
+        return _dispatch(args, **_load_config(args))
     except (SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
-def _origin(dim: int):
-    return tuple(Fraction(0) for _ in range(dim))
-
-
-def _dispatch(args: argparse.Namespace, cfg: WorkspaceConfig) -> int:
+def _dispatch(args: argparse.Namespace, dimension: Optional[int], norm: Norm) -> int:
     cmd = args.command
     # every value loaded but the affine map is checked against --dimension
-    load = functools.partial(_load, dimension=cfg.dimension)
+    load = functools.partial(_load, dimension=dimension)
     if cmd == "integrate":
         print(euler_integral(load(args.cf, jsonio.cf_from_json)))
         return 0
@@ -209,7 +191,7 @@ def _dispatch(args: argparse.Namespace, cfg: WorkspaceConfig) -> int:
         return 0
     if cmd == "flag":
         poly = load(args.polytope, jsonio.polytope_from_json)
-        fl = build_flag(poly, _parse_point(args.center), args.steps, cfg.norm)
+        fl = build_flag(poly, _parse_point(args.center), args.steps, norm)
         _emit(
             {"eta": fl.spacing.decimal_up(), "sheaf": jsonio.sheaf_to_json(graded_sheaf(fl))},
             None,
@@ -218,7 +200,7 @@ def _dispatch(args: argparse.Namespace, cfg: WorkspaceConfig) -> int:
     if cmd == "bound":
         left = load(args.left, jsonio.sheaf_from_json)
         right = load(args.right, jsonio.sheaf_from_json)
-        bound, matching = sum_bound(left, right, cfg.norm)
+        bound, matching = sum_bound(left, right, norm)
         print(bound.decimal_up())
         print("pairs " + " ".join(f"{i}-{j}" for i, j in matching.pairs))
         print("unmatched_f " + " ".join(str(i) for i in matching.unmatched_left))
@@ -226,19 +208,19 @@ def _dispatch(args: argparse.Namespace, cfg: WorkspaceConfig) -> int:
         return 0
     if cmd == "concentrate":
         f = load(args.cf, jsonio.cf_from_json)
-        target = _parse_point(args.target) if args.target else _origin(f.dimension)
-        cert = concentrate_to_point(f, target, jsonio.parse_rational(args.epsilon), cfg.norm)
+        target = _parse_point(args.target) if args.target else (Fraction(0),) * f.dimension
+        cert = concentrate_to_point(f, target, jsonio.parse_rational(args.epsilon), norm)
         _emit(jsonio.cert_to_json(cert), args.out)
         return 0
     if cmd == "link":
         f = load(args.cf1, jsonio.cf_from_json)
         g = load(args.cf2, jsonio.cf_from_json)
-        cert = link(f, g, jsonio.parse_rational(args.epsilon), cfg.norm)
+        cert = link(f, g, jsonio.parse_rational(args.epsilon), norm)
         _emit(jsonio.cert_to_json(cert), args.out)
         return 0
     if cmd == "verify":
         cert = load(args.cert, jsonio.cert_from_json)
-        report = verify(cert, cfg.norm, cfg.tol_dist)
+        report = verify(cert, norm)
         if report.passed:
             print("PASS")
             return 0
@@ -248,9 +230,9 @@ def _dispatch(args: argparse.Namespace, cfg: WorkspaceConfig) -> int:
         return 1
     if cmd == "probe":
         f = load(args.cf, jsonio.cf_from_json)
-        target = _parse_point(args.target) if args.target else _origin(f.dimension)
+        target = _parse_point(args.target) if args.target else (Fraction(0),) * f.dimension
         schedule = [jsonio.parse_rational(part) for part in args.schedule.split(",")]
-        rows = probe_metric(MetricKind(args.metric), f, target, schedule, cfg.norm)
+        rows = probe_metric(MetricKind(args.metric), f, target, schedule, norm)
         print("epsilon,dc_bound,delta")
         for row in rows:
             print(f"{decimal_up(row.epsilon)},{row.dc_bound.decimal_up()},{row.delta.decimal_up()}")

@@ -3,7 +3,7 @@
 Coordinates are fractions.Fraction throughout.  Combinatorial predicates
 (membership, equality, hulls) are exact.  Metric quantities are carried as
 RoundedReal values: exact rationals for polyhedral norms, certified rational
-upper bounds (integer-sqrt based, slack below 2e-12) for euclidean norms.
+upper bounds (integer-sqrt based, within SLACK) for euclidean norms.
 Distance results are therefore always valid upper bounds of the true value.
 """
 
@@ -22,9 +22,8 @@ from . import _simplex
 
 Point = tuple[Fraction, ...]
 
-#: Comparison slack for certified distance bounds (not an arithmetic fudge:
-#: internal values are tighter; this is the tolerance verifiers allow).
-TOL_DIST = Fraction(1, 10**9)
+#: Width of the interval below an inexact RoundedReal that holds its true value.
+SLACK = Fraction(2, 10**12)
 
 _SQRT_SCALE = 10**12
 
@@ -81,7 +80,7 @@ class RoundedReal:
     """A nonnegative real carried as a rational upper bound of itself, or +infinity.
 
     ``exact`` is True when ``value`` equals the quantity exactly.  When False
-    the true quantity lies in [value - 2/10**12, value], so the stored value
+    the true quantity lies in [value - SLACK, value], so the stored value
     still certifies every upper bound we report.
 
     ``value`` is a Fraction, except in :data:`INF`, whose value is

@@ -53,6 +53,9 @@ def _dimension(obj: dict) -> int:
 MAX_DIGITS = 1000
 MAX_EXPONENT_DIGITS = 3
 _DIGIT_RUNS = re.compile(r"[\d_]+")
+# One ASCII grammar on every Python: Fraction's own reads "1_000" from 3.11,
+# "1 / 2" from 3.12, and non-ASCII digits on all
+_RATIONAL = re.compile(r"(?P<num>[-+]?\d+)(?:/(?P<den>\d+))?|[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?", re.ASCII)
 
 
 def parse_rational(s: Any) -> Fraction:
@@ -67,10 +70,13 @@ def parse_rational(s: Any) -> Fraction:
                 f"rational with over {MAX_DIGITS} digits in a run or over "
                 f"{MAX_EXPONENT_DIGITS} in its exponent: {text[:40]!r}"
             )
+    match = _RATIONAL.fullmatch(text.strip())
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"not a rational: {s!r}") from exc
+        if match:  # p or p/q from its integers, with no second parse
+            return Fraction(int(match["num"]), int(match["den"] or 1)) if match["num"] else Fraction(text)
+    except ZeroDivisionError:
+        pass
+    raise SchemaError(f"not a rational: {s!r}")
 
 
 def point_to_json(p: Point) -> list[str]:

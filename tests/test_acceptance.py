@@ -25,7 +25,6 @@ from eulercert.distance import pair_bound, sum_bound
 from eulercert.flags import build_flag, graded_sheaf
 from eulercert.geometry import (
     Polytope,
-    TOL_DIST,
     affine_map,
     directed_hausdorff,
     from_vertices,
@@ -35,6 +34,7 @@ from eulercert.geometry import (
 from eulercert.sheafsum import difference, global_sections, local_euler, plain, sheaf_sum
 
 from helpers import (
+    TOL_DIST,
     brute_bottleneck,
     expand_units,
     interior_point,

@@ -25,7 +25,8 @@ from eulercert.constructible import (
     indicator,
     zero_function,
 )
-from eulercert.geometry import RoundedReal, from_vertices, homothet
+from eulercert.distance import bottleneck_bound
+from eulercert.geometry import Norm, RoundedReal, from_vertices, homothet
 from eulercert.jsonio import cert_from_json
 
 from helpers import brute_metric, prism, rand_cf, rand_equality_pair
@@ -150,6 +151,24 @@ def test_verify_detects_understated_bound():
     report = verify(tampered)
     assert not report.passed
     assert any(f"bound understated at step {k}" == item for item in report.failures)
+
+
+@pytest.mark.parametrize(
+    "below, passed", [(F(1, 10**13), True), (F(3, 10**12), False)], ids=["within-slack", "beyond-slack"]
+)
+def test_verify_allows_a_rounded_bound_its_slack_and_no_more(below, passed):
+    # under L2 a recomputed bound may be rounded up by at most SLACK = 2/10**12,
+    # so a declared bound within that of it may be true and one below it is not
+    rect = from_vertices([(0, 2), (1, 2), (0, 3), (1, 3)])
+    cert = link(indicator(UNIT_SQUARE), indicator(rect), F(1, 4))
+    k, recomputed = next(
+        (k, b)
+        for k, b in enumerate(bottleneck_bound(s.left, s.right, Norm.L2) for s in cert.steps)
+        if not b.exact
+    )
+    lowered = dataclasses.replace(cert.steps[k], declared_bound=RoundedReal(recomputed.value - below))
+    report = verify(dataclasses.replace(cert, steps=cert.steps[:k] + (lowered,) + cert.steps[k + 1 :]), Norm.L2)
+    assert report == (Report(True, ()) if passed else Report(False, (f"bound understated at step {k}",)))
 
 
 def test_verify_detects_broken_chain():

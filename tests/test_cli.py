@@ -10,9 +10,11 @@ from fractions import Fraction as F
 import pytest
 
 import eulercert
-from eulercert import _simplex, flags
+from eulercert import _simplex, flags, jsonio
 from eulercert.cli import run
+from eulercert.distance import bottleneck_bound
 from eulercert.flags import MAX_FLAG_STEPS
+from eulercert.geometry import Norm
 
 SQUARE = {
     "dimension": 2,
@@ -369,9 +371,53 @@ def test_certificate_values_that_are_no_rational_exit_2(literal, where, tmp_path
     assert f"error: {path}: not a rational: " in capsys.readouterr().err
 
 
-def test_infinite_tolerance_exits_2(capsys):
-    assert run(["--tol-dist", "inf", "verify", os.path.join(DATA, "link2d.cert.json")]) == 2
-    assert capsys.readouterr().err == "error: not a rational: 'inf'\n"
+def test_removed_tol_dist_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--tol-dist", "1", "verify", os.path.join(DATA, "link2d.cert.json")])
+    assert exc.value.code == 2
+    assert "usage: eulercert" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("norm", ["l1", "linf"])
+@pytest.mark.parametrize("below", [10**10, 10**13], ids=["by-1e-10", "by-1e-13"])
+def test_verify_fails_a_bound_below_its_exact_recomputed_value(norm, below, square, tmp_path, capsys):
+    # under a polyhedral norm every recomputed bound is exact, so a declared
+    # bound below it by any amount, even far below the 12 printed places, fails
+    rect = _write(tmp_path, "rect.json", RECT)
+    path = str(tmp_path / "cert.json")
+    assert run(["--norm", norm, "link", square, rect, "--epsilon", "1/4", "--out", path]) == 0
+    with open(path, encoding="utf-8") as fh:
+        blob = json.load(fh)
+    cert = jsonio.cert_from_json(blob)
+    bounds = [bottleneck_bound(s.left, s.right, Norm(norm)) for s in cert.steps]
+    k = next(k for k, b in enumerate(bounds) if b.value > 0)
+    assert bounds[k].exact
+    blob["steps"][k]["bound"] = str(bounds[k].value - F(1, below))
+    capsys.readouterr()
+    assert run(["--norm", norm, "verify", _write(tmp_path, "lowered.json", blob)]) == 1
+    assert capsys.readouterr().out == f"FAIL\n- bound understated at step {k}\n"
+
+
+# the certificate's step 1 F as a 1-D sheaf, and its step 0 chi_F as a 3-D function
+POINT_SHEAF_1D = {"dimension": 1, "summands": [{"outer": {"vertices": [["0"]]}}]}
+POINT_CF_3D = {"dimension": 3, "terms": [{"coeff": 1, "polytope": {"vertices": [["0", "0", "0"]]}}]}
+
+
+@pytest.mark.parametrize(
+    "step, part, value, message",
+    [
+        (1, "F", POINT_SHEAF_1D, "step 1 F: dimension 1 != source dimension 2"),
+        (0, "chi_F", POINT_CF_3D, "step 0 chi_F: dimension 3 != source dimension 2"),
+    ],
+    ids=["sheaf-1d", "function-3d"],
+)
+def test_verify_refuses_a_part_of_another_dimension_naming_the_file(step, part, value, message, tmp_path, capsys):
+    with open(os.path.join(DATA, "link2d.cert.json"), encoding="utf-8") as fh:
+        cert = json.load(fh)
+    cert["steps"][step][part] = value
+    path = _write(tmp_path, "mixed.json", cert)
+    assert run(["verify", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
 def test_concentrate_default_origin(square, capsys):
@@ -555,13 +601,12 @@ def test_config_integers_must_be_json_integers(config, square, tmp_path, capsys)
     "config, message",
     [
         ({"dimension": 5}, "unsupported dimension: 5"),
-        ({"tol_dist": "abc"}, "not a rational: 'abc'"),
-        ({"tol_dist": "-1/2"}, "tol_dist must be positive"),
         ({"norm": "l7"}, "unknown norm: 'l7'"),
         ({"sampel_density": 3, "dimenson": 9}, "unknown key: 'sampel_density'"),
         ({"dimension": 2, "sample_density": 64}, "unknown key: 'sample_density'"),
+        ({"norm": "l7", "tol_dist": "1e-9"}, "unknown key: 'tol_dist'"),
     ],
-    ids=["dimension-range", "tol-not-rational", "tol-negative", "norm-unknown", "unknown-keys", "removed-sample-density"],
+    ids=["dimension-range", "norm-unknown", "unknown-keys", "removed-sample-density", "removed-tol-dist"],
 )
 def test_config_value_errors_name_the_file(config, message, square, tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", config)
@@ -574,10 +619,8 @@ def test_config_value_errors_name_the_file(config, message, square, tmp_path, ca
     [
         (["--dimension", "5"], "unsupported dimension: 5"),
         (["--dimension", "0"], "unsupported dimension: 0"),
-        (["--tol-dist", "abc"], "not a rational: 'abc'"),
-        (["--tol-dist", "0"], "tol_dist must be positive"),
     ],
-    ids=["dimension-range", "dimension-zero", "tol-not-rational", "tol-zero"],
+    ids=["dimension-range", "dimension-zero"],
 )
 def test_flag_value_errors_are_rejected_as_given(flags, message, square, capsys):
     # a zero is a given value, not a missing one

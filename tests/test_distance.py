@@ -9,10 +9,11 @@ import eulercert.distance
 import eulercert.geometry
 from eulercert.distance import MAX_UNITS, Matching, bottleneck_bound, pair_bound, sum_bound
 from eulercert.flags import build_flag, graded_sheaf
-from eulercert.geometry import INF, Norm, TOL_DIST, from_vertices, norm_value, translate, vsub
+from eulercert.geometry import INF, Norm, from_vertices, norm_value, translate, vsub
 from eulercert.sheafsum import Summand, Support, difference, global_sections, plain, sheaf_sum
 
 from helpers import (
+    TOL_DIST,
     brute_bottleneck,
     brute_lex_matching,
     crowded_bucket_pair,

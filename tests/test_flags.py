@@ -8,10 +8,10 @@ from eulercert import flags, geometry
 from eulercert.constructible import Verdict, equals, euler_integral, indicator
 from eulercert.distance import sum_bound
 from eulercert.flags import build_flag, graded_sheaf
-from eulercert.geometry import TOL_DIST, Polytope, directed_hausdorff, from_vertices, homothet, reach
+from eulercert.geometry import Polytope, directed_hausdorff, from_vertices, homothet, reach
 from eulercert.sheafsum import local_euler, plain, sheaf_sum
 
-from helpers import interior_point, rand_polytope
+from helpers import TOL_DIST, interior_point, rand_polytope
 
 UNIT_SQUARE = from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
 

@@ -148,6 +148,7 @@ def _cases(draw):
 @example(("bound", [SHEAF, _mutate(copy.deepcopy(SHEAF2), ("summands", 0, "multiplicity"), "huge", 10**4000)]))
 @example(("chi", [_mutate(copy.deepcopy(SHEAF), ("summands", 0, "outer"), "deep", DEEP)]))
 @example(("verify", [_mutate(copy.deepcopy(CERT), ("steps", 0, "bound"), "tweak", "0")]))
+@example(("verify", [_mutate(copy.deepcopy(CERT), ("steps", 1, "F"), "swap", SHEAF)]))
 def test_hostile_input_ends_in_a_clean_exit(case):
     command, docs = case
     argv, _ = COMMANDS[command]

@@ -11,7 +11,6 @@ from eulercert.geometry import (
     Norm,
     Polytope,
     RoundedReal,
-    TOL_DIST,
     ZERO_REAL,
     affine_map,
     affine_image,
@@ -34,6 +33,7 @@ from eulercert.geometry import (
 )
 
 from helpers import (
+    TOL_DIST,
     _primitive,
     caratheodory_contains,
     contains_oracle,

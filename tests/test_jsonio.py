@@ -168,8 +168,23 @@ def test_parse_rational_rejects_numbers_longer_than_the_limits(text):
     assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1_000", "1/2_0", "1 / 2", "1/ 2", "\u0661", "1/2.5", "1e", "."],
+    ids=["underscore", "underscore-denominator", "spaced-slash", "space-after-slash", "arabic-digit", "decimal-denominator", "bare-e", "dot"],
+)
+def test_parse_rational_reads_one_grammar_on_every_python(text):
+    # Fraction reads the first five on some interpreters only
+    with pytest.raises(SchemaError, match="^not a rational: "):
+        jsonio.parse_rational(text)
+
+
 def test_parse_rational_accepts_numbers_within_the_limits():
     assert jsonio.parse_rational("1e-999") == F(1, 10**999)
     assert jsonio.parse_rational("-2.5E3") == -2500
     assert jsonio.parse_rational("1" * jsonio.MAX_DIGITS) == int("1" * jsonio.MAX_DIGITS)
     assert jsonio.parse_rational("3/4") == F(3, 4)
+    assert jsonio.parse_rational(" -3/4\n") == F(-3, 4)
+    assert jsonio.parse_rational("+.5") == F(1, 2)
+    assert jsonio.parse_rational("2.") == 2
+    assert jsonio.parse_rational(1e-05) == F(1, 10**5)
