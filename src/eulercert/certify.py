@@ -43,7 +43,6 @@ from .distance import bottleneck_bound
 from .flags import _graded_summands, build_flag
 from .geometry import (
     Norm,
-    Point,
     Polytope,
     RoundedReal,
     SLACK,
@@ -162,9 +161,7 @@ def concentrate_to_point(
     # segment terms merge only when their centroids coincide, so the
     # basepoint of a merged segment term is well defined
     seg_pairs = [(t.coeff, from_vertices([c, target_pt])) for t, c in zip(fn.terms, centroids)]
-    base_of: dict[Polytope, Point] = {}
-    for (_, seg), c in zip(seg_pairs, centroids):
-        assert base_of.setdefault(seg, c) == c
+    base_of = {seg: c for (_, seg), c in zip(seg_pairs, centroids)}
     psi = from_terms(fn.dimension, seg_pairs)
     step2 = concentrate_basepoints(psi, [base_of[t.support] for t in psi.terms], eps, norm)
     step3 = concentrate_basepoints(psi, [target_pt for _ in psi.terms], eps, norm)

@@ -172,7 +172,7 @@ def pushforward(f: ConstructibleFunction, m: AffineMap) -> ConstructibleFunction
     coefficient.
     """
     if m.domain_dim != f.dimension:
-        raise ValueError("dimension mismatch")
+        raise ValueError(f"map domain dimension {m.domain_dim} != function dimension {f.dimension}")
     return from_terms(
         m.codomain_dim, [(t.coeff, affine_image(m, t.support)) for t in f.terms]
     )

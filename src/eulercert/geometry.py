@@ -157,10 +157,10 @@ class Polytope:
     Build through :func:`from_vertices`; structural equality of two polytopes
     is then equality as point sets.  The vertices are the public and
     serialized form.  Beside them a polytope caches its integer form
-    (:func:`_integer_form`), which also gives its hash, its chart and its
-    distance faces, each computed from its own vertices on first use, except
-    where they arrive with it (:meth:`_given`): flag levels, and hulls of
-    non-extreme points.
+    (:func:`_integer_form`), which also gives its hash, its chart and the
+    fans of its chart faces, each computed from its own vertices on first
+    use, except where they arrive with it (:meth:`_given`): flag levels, and
+    hulls of non-extreme points.
     """
 
     vertices: tuple[Point, ...]
@@ -195,7 +195,9 @@ class Polytope:
 
     @cached_property
     def _faces(self) -> tuple:
-        return _distance_faces(self)
+        # (row, faces) per chart face: its ring as a point, a segment or a fan
+        # of triangles, the pieces of the L2 kernel and of volume
+        return tuple((row, _fan(ring)) for row, ring in self._chart.faces)
 
     @property
     def affine_dim(self) -> int:
@@ -218,13 +220,11 @@ def from_vertices(points: Iterable) -> Polytope:
     """Canonicalize a point list to the extreme points of its convex hull.
 
     Exact integer tests on the points' integer form decide extremeness, with
-    no LP in any dimension: the two lexicographic ends of points on a line,
-    the counterclockwise ring of points in a plane (in 3-space, in the
-    projection that drops one axis), and in a full-dimensional 3-D set the
-    points whose facet planes have normals of rank 3.  The polytope of the
-    sorted distinct points holds the chart these tests read, and is returned
-    as it is when every point is extreme; otherwise the hull of the extreme
-    points takes over that chart, as the same rows bound both.
+    no LP in any dimension: the points are the lexicographic ends on a line
+    and otherwise the vertices of the boundary faces that the chart of the
+    sorted distinct points records.  That polytope is returned as it is when
+    every point is extreme; otherwise the hull of the extreme points takes
+    over its chart, as the same rows bound both.
     """
     pts = [as_point(p) for p in points]
     if not pts:
@@ -239,24 +239,12 @@ def from_vertices(points: Iterable) -> Polytope:
     poly = Polytope(tuple(v for v, _ in groupby(sorted(pts))))
     den, nums = poly._ints
     chart = poly._chart
-    if chart.k == 3:
-        # a point is a vertex iff the facet planes through it meet only there
-        keep = []
-        for i, v in enumerate(nums):
-            q = v + (-den,)
-            through = [r[:3] for r in chart.ineqs if not dot(r, q)]
-            if len(_basis(through, 3)) == 3:
-                keep.append(i)
-    elif chart.k == 2:
-        keep = sorted(chart.ring)
-    else:
-        # a point, or points on one line: lexicographic order runs along the line
-        keep = sorted({0, len(nums) - 1})
+    keep = sorted({i for _, ring in chart.faces for i in ring})
     if len(keep) == len(nums):  # every point extreme: the chart built is the hull's
         return poly
-    if chart.ring is not None:  # poly is dropped, so its chart is renumbered in place
-        index = {i: j for j, i in enumerate(keep)}
-        chart.ring = tuple(index[i] for i in chart.ring)
+    # poly is dropped, so its chart is renumbered in place
+    index = {i: j for j, i in enumerate(keep)}
+    chart.faces = tuple((row, tuple(index[i] for i in ring)) for row, ring in chart.faces)
     ints = _reduced(den, [nums[i] for i in keep])
     return Polytope._given(tuple(poly.vertices[i] for i in keep), ints, _chart=chart)
 
@@ -362,15 +350,16 @@ def _ring(nums: Sequence[tuple[int, ...]], keep: tuple[int, int]) -> list[int]:
     return [index[q] for q in _ccw_sorted(flat)]
 
 
-def _facet_planes(nums: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _facet_planes(nums: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], list[int]]]:
     """The facet planes of the hull of a full-dimensional set of 3-D integer points.
 
     Every plane through three of the points that leaves them all on one side,
-    as a primitive row (a_1, a_2, a_3, b) with a.v <= b for every point v.
-    The triples are enumerated on integer cross products; a plane met again
-    through another triple is not tested again.
+    as a primitive row (a_1, a_2, a_3, b) with a.v <= b for every point v,
+    together with the indices of the points on it.  The triples are
+    enumerated on integer cross products; a plane met again through another
+    triple is not tested again.
     """
-    planes: list[tuple[int, ...]] = []
+    planes: list[tuple[tuple[int, ...], list[int]]] = []
     tried: set[tuple[int, ...]] = set()
     for i, j, k in combinations(range(len(nums)), 3):
         p = nums[i]
@@ -386,10 +375,9 @@ def _facet_planes(nums: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
         tried.add(row)
         tried.add(flipped)
         vals = [a0 * x + a1 * y + a2 * z for x, y, z in nums]
-        if max(vals) == b:
-            planes.append(row)
-        elif min(vals) == b:
-            planes.append(flipped)
+        top = max(vals)
+        if b in (top, min(vals)):
+            planes.append((row if b == top else flipped, [m for m, v in enumerate(vals) if v == b]))
     return planes
 
 
@@ -413,23 +401,32 @@ class _Chart:
       other than the first one its direction d moves along, and the one
       parameter t = d.(x - v0) / d.d in [0, 1] as two caps;
     * k = 2 (a polygon): in 3-space its plane, and in both cases the edges of
-      the counterclockwise `ring` of vertex indices, taken in the projection
-      that drops one axis;
+      its counterclockwise ring, taken in the projection that drops one axis;
     * k = 3: the facet planes of :func:`_facet_planes`.
+
+    `faces` records the boundary faces as pairs (row, ring), the ring listing
+    vertex indices in cyclic order.  A full-dimensional polytope has one face
+    per inequality row: an endpoint, a ring edge, or the ring of the points
+    on a facet plane.  A lower-dimensional polytope has the one face (None,
+    ring) of its point, its two ends or its polygon ring, which is the whole
+    polytope.  Every nearest point of a full polytope to a point x outside it
+    lies on a face whose row x violates: for the nearest point y, x - y is a
+    nonnegative combination of the outward normals of the facets through y,
+    and as its square is positive, so is its product with one of them.
     """
 
-    __slots__ = ("ambient", "k", "eqs", "ineqs", "ring")
+    __slots__ = ("ambient", "k", "eqs", "ineqs", "faces")
 
     def __init__(self, den: int, nums: tuple[tuple[int, ...], ...]):
         n = self.ambient = len(nums[0])
         o = nums[0]
         basis = _basis([vsub(v, o) for v in nums[1:]], n)
         k = self.k = len(basis)
-        self.ring: Optional[tuple[int, ...]] = None
         eqs: list[Sequence[int]] = []
         ineqs: list[Sequence[int]] = []
         if k == 0:
             eqs = [tuple(int(i == j) for j in range(n)) + (o[i],) for i in range(n)]
+            rings = [(0,)]
         elif k == 1:
             d = basis[0]
             lead = next(i for i in range(n) if d[i])
@@ -439,26 +436,33 @@ class _Chart:
                     row[i], row[lead] = d[lead], -d[i]
                     eqs.append(row + [d[lead] * o[i] - d[i] * o[lead]])
             ts = [dot(d, v) for v in nums]
-            ineqs = [tuple(-a for a in d) + (-min(ts),), d + (max(ts),)]
+            lo, hi = ts.index(min(ts)), ts.index(max(ts))
+            ineqs = [tuple(-a for a in d) + (-ts[lo],), d + (ts[hi],)]
+            rings = [(lo,), (hi,)] if n == 1 else [(lo, hi)]
         elif k == 2:
             keep = (0, 1)
             if n == 3:
                 w = _cross3(basis[0], basis[1])
                 eqs = [w + (dot(w, o),)]
                 keep = _kept_axes(w)
-            ring = self.ring = tuple(_ring(nums, keep))
+            ring = tuple(_ring(nums, keep))
+            edges = list(zip(ring, ring[1:] + ring[:1]))
             x, y = keep
-            for s, t in zip(ring, ring[1:] + ring[:1]):
+            for s, t in edges:
                 p, q = nums[s], nums[t]
                 row = [0] * (n + 1)
                 # outward normal of the edge p -> q, the interior on its left
                 row[x], row[y] = q[y] - p[y], p[x] - q[x]
                 row[n] = row[x] * p[x] + row[y] * p[y]
                 ineqs.append(row)
+            rings = edges if n == 2 else [ring]
         else:
-            ineqs = _facet_planes(nums)
+            planes = _facet_planes(nums)
+            ineqs = [row for row, _ in planes]
+            rings = [tuple(on[i] for i in _ring([nums[j] for j in on], _kept_axes(row))) for row, on in planes]
         self.eqs = [_scaled_row(r, den) for r in eqs]
         self.ineqs = [_scaled_row(r, den) for r in ineqs]
+        self.faces = tuple(zip(self.ineqs if k == n else [None], rings))
 
     def holds(self, num: tuple[int, ...], den: int) -> bool:
         """Whether the point num / den lies in the polytope: a.num = b den on
@@ -570,32 +574,6 @@ def _fan(ring: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple((ring[0], ring[i], ring[i + 1]) for i in range(1, len(ring) - 1))
 
 
-def _distance_faces(p: Polytope) -> tuple[tuple[Optional[tuple[int, ...]], tuple[tuple[int, ...], ...]], ...]:
-    """Faces (1 to 3 vertex indices) whose union holds every nearest point of
-    p to a point outside it, grouped as (facet row, faces).
-
-    A full-dimensional polytope gives one group per facet: an endpoint, a
-    ring edge or the fan triangles of a facet polygon.  A nearest point y of
-    an outside point x lies on a facet that x faces, a.x > b: x - y is a
-    nonnegative combination of the outward normals of the facets through y,
-    and as its square is positive, so is its product with one of them.  A
-    lower-dimensional polytope gives one group, with no row, of faces that
-    cover the polytope itself.
-    """
-    ch = p._chart
-    if ch.k < ch.ambient:
-        ring = ch.ring if ch.k == 2 else range(len(p.vertices))
-        return ((None, _fan(ring)),)
-    den, nums = p._ints
-    groups = []
-    for row in ch.ineqs:
-        on = [i for i, v in enumerate(nums) if not dot(row, v + (-den,))]
-        if len(on) > 2:  # a facet polygon of a 3-polytope, in cyclic order
-            on = [on[i] for i in _ring([nums[i] for i in on], _kept_axes(row))]
-        groups.append((row, _fan(on)))
-    return tuple(groups)
-
-
 def _face_sqdist(y: tuple[int, ...], face: tuple[int, ...], pts: Sequence[tuple[int, ...]]) -> tuple[int, int]:
     """Squared distance (num, den) from the integer point y to a face of pts."""
     a = pts[face[0]]
@@ -646,8 +624,8 @@ def _face_sqdist(y: tuple[int, ...], face: tuple[int, ...], pts: Sequence[tuple[
 def _sqdist_outside(den: int, queries: Sequence[tuple[int, ...]], p: Polytope) -> Fraction:
     """The largest squared L2 distance to p of the points num / den outside it.
 
-    Against a full-dimensional polytope only the faces of the facets that a
-    point faces are tried (see :func:`_distance_faces`).
+    Against a full-dimensional polytope only the faces whose rows a point
+    violates are tried (see :class:`_Chart`).
     """
     pden, pnums = p._ints
     big = math.lcm(den, pden)
@@ -703,7 +681,7 @@ def _support_gap(den: int, queries: Sequence[tuple[int, ...]], p: Polytope, norm
     ball_normals, ball_edges = _ball(norm, ch.ambient)
     normals = {r[:-1] for r in ch.eqs + ch.ineqs}.union(ball_normals)
     if ch.ambient == 3:
-        edges = {e for _, faces in p._faces for face in faces for e in combinations(face, 2)}
+        edges = {(min(e), max(e)) for _, ring in ch.faces for e in zip(ring, ring[1:] + ring[:1])}
         crosses = (_cross3(vsub(pnums[j], pnums[i]), f) for i, j in edges for f in ball_edges)
         normals.update(w for w in crosses if any(w))
     worst, worst_den = 0, 1
@@ -799,10 +777,10 @@ def affine_image(f: AffineMap, p: Polytope) -> Polytope:
 def volume(p: Polytope) -> Fraction:
     """Lebesgue measure in the ambient dimension n, exact.
 
-    The cones from the vertex centroid over the boundary faces of
-    `Polytope._faces` (the endpoints in 1-D, the ring edges in 2-D, the fan
-    triangles of the facets in 3-D) tile a full-dimensional polytope, and
-    each is a simplex of volume |det(face - centroid)| / n!.
+    The cones from the vertex centroid over the pieces of `Polytope._faces`
+    (the endpoints in 1-D, the ring edges in 2-D, the fan triangles of the
+    facets in 3-D) tile a full-dimensional polytope, and each is a simplex
+    of volume |det(face - centroid)| / n!.
     """
     n = p.dimension
     if p.affine_dim < n:

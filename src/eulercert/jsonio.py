@@ -191,8 +191,8 @@ def affine_map_from_json(obj: Any) -> AffineMap:
     if not all(isinstance(row, list) for row in _list(obj, "matrix")):
         raise SchemaError("affine map matrix must be a list of rows")
     matrix = tuple(tuple(parse_rational(v) for v in row) for row in obj["matrix"])
-    if not matrix:
-        raise SchemaError("affine map matrix must be nonempty")
+    if len(matrix) not in (1, 2, 3):
+        raise SchemaError("affine map codomain dimension must be 1, 2 or 3")
     return AffineMap(matrix, point_from_json(obj["offset"]))
 
 

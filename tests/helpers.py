@@ -35,11 +35,6 @@ from eulercert.geometry import (
 from eulercert.sheafsum import SheafSum, Summand, Support, difference, plain, sheaf_sum
 from eulercert.geometry import homothet
 
-#: Slack these tests allow when they compare a bound with an independently
-#: computed value; the verifier itself compares bounds without one.
-TOL_DIST = Fraction(1, 10**9)
-
-
 def rand_fraction(rng: random.Random, lo: int = -4, hi: int = 4, dens=(1, 2, 4)) -> Fraction:
     den = rng.choice(dens)
     return Fraction(rng.randint(lo * den, hi * den), den)

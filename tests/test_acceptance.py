@@ -24,6 +24,7 @@ from eulercert.constructible import (
 from eulercert.distance import pair_bound, sum_bound
 from eulercert.flags import build_flag, graded_sheaf
 from eulercert.geometry import (
+    SLACK,
     Polytope,
     affine_map,
     directed_hausdorff,
@@ -34,7 +35,6 @@ from eulercert.geometry import (
 from eulercert.sheafsum import difference, global_sections, local_euler, plain, sheaf_sum
 
 from helpers import (
-    TOL_DIST,
     brute_bottleneck,
     expand_units,
     interior_point,
@@ -70,7 +70,7 @@ def test_criteria_1_and_2_telescoping_and_flag_bound():
         # criterion 2: certified bound against the basepoint sheaf
         singleton = sheaf_sum(dim, [plain(Polytope((center,)))])
         bound, _ = sum_bound(sheaf, singleton)
-        limit = reach(poly, center).value / (2 * n) + TOL_DIST
+        limit = reach(poly, center).value / (2 * n) + SLACK  # L2 values, rounded up
         assert bound.value <= limit
     _report(1, "telescoping identity", started)
     _report(2, "flag distance bound", started, budget=60.0)
@@ -91,7 +91,7 @@ def test_criterion_3_vanishing_rule():
             continue
         bound = pair_bound(difference(outer, inner), None)
         dh = directed_hausdorff(outer, inner)
-        assert abs(bound.value - dh.value / 2) <= TOL_DIST
+        assert bound.value == dh.value / 2
 
         n = rng.randint(1, 8)
         i = rng.randint(1, n)
@@ -99,7 +99,7 @@ def test_criterion_3_vanishing_rule():
         lo = homothet(outer, center, F(i - 1, n))
         chain_gap = directed_hausdorff(hi, lo)
         expected = reach(outer, center).value / n
-        assert abs(chain_gap.value - expected) <= TOL_DIST
+        assert abs(chain_gap.value - expected) <= SLACK  # L2 values, rounded up
         checked += 1
     _report(3, "vanishing rule", started)
 
@@ -190,7 +190,7 @@ def test_criterion_8_probe_table():
     schedule = [F(1, 2**k) for k in range(1, 11)]
     rows = probe_metric(MetricKind.L1, indicator(UNIT_SQUARE), (0, 0), schedule)
     for eps, row in zip(schedule, rows):
-        assert abs(row.dc_bound.value - eps) <= TOL_DIST
+        assert row.dc_bound.value == eps
         assert row.delta.value == 1  # the square's volume
     gap_rows = probe_metric(MetricKind.INTEGRAL_GAP, indicator(UNIT_SQUARE), (0, 0), schedule)
     assert all(row.delta.value == 0 for row in gap_rows)

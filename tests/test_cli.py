@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -67,6 +68,12 @@ def test_pushforward(square, tmp_path, capsys):
         "dimension": 1,
         "terms": [{"coeff": 1, "polytope": {"vertices": [["0"], ["1"]]}}],
     }
+
+
+def test_pushforward_map_of_another_domain_gives_both_dimensions(square, tmp_path, capsys):
+    wide = _write(tmp_path, "wide.json", {"matrix": [["1", "0", "0"]], "offset": ["0"]})
+    assert run(["pushforward", square, "--map", wide]) == 2
+    assert capsys.readouterr() == ("", "error: map domain dimension 3 != function dimension 2\n")
 
 
 def test_chi_of_flag_sheaf(tmp_path, capsys):
@@ -489,6 +496,7 @@ SHEAF_SUMMAND = {"outer": {"vertices": [["0"], ["1"]]}, "inner": None, "shift": 
         (["chi", "BAD"], {"dimension": 1, "summands": [dict(SHEAF_SUMMAND, multiplicity=True)]}),
         (["chi", "BAD"], {"dimension": True, "summands": [SHEAF_SUMMAND]}),
         (["pushforward", "SQUARE", "--map", "BAD"], {"matrix": 5, "offset": ["0"]}),
+        (["pushforward", "SQUARE", "--map", "BAD"], {"matrix": [["1", "0"]] * 4, "offset": ["0"] * 4}),
         (["verify", "BAD"], {"epsilon": "1/4", "source": SQUARE, "target": SQUARE, "steps": 5}),
         (["chi", "BAD"], {"dimension": 1, "summands": [dict(SHEAF_SUMMAND, multiplicity=0)]}),
         (["integrate", "BAD"], "{not json"),
@@ -508,6 +516,7 @@ SHEAF_SUMMAND = {"outer": {"vertices": [["0"], ["1"]]}, "inner": None, "shift": 
         "multiplicity-bool",
         "dimension-bool",
         "matrix-not-list",
+        "codomain-four",
         "steps-not-list",
         "multiplicity-zero",
         "malformed-json",
@@ -688,15 +697,45 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
-def _fresh(argv, timeout=60):
+def _fresh(argv, timeout=60, interpreter_options=()):
     """Exit code, stdout and stderr of one command in a new interpreter of at
-    most 1 GiB, killed after `timeout` seconds."""
+    most 1 GiB, started with `interpreter_options`, killed after `timeout`
+    seconds."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eulercert.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-m", "eulercert.cli", *argv],
+        [sys.executable, *interpreter_options, "-m", "eulercert.cli", *argv],
         capture_output=True, text=True, env=env, timeout=timeout, preexec_fn=_limit_memory,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["link", "link2d_F.json", "link2d_G.json", "--epsilon", "1/4"],
+        ["concentrate", "link2d_F.json", "--epsilon", "1/2"],
+        ["probe", "link2d_F.json", "--metric", "sup", "--schedule", "1/2,1/4"],
+    ],
+    ids=["link", "concentrate", "probe"],
+)
+def test_optimized_interpreter_prints_the_same_bytes(argv):
+    # python -O drops assert statements, so no step of a command may be one
+    argv = [os.path.join(DATA, a) if a.endswith(".json") else a for a in argv]
+    plain = _fresh(argv)
+    assert plain[0] == 0 and plain[1]
+    assert _fresh(argv, interpreter_options=["-O"]) == plain
+
+
+def test_the_package_has_no_assert_statement():
+    # a check written as an assert vanishes under python -O
+    package = os.path.dirname(eulercert.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_commands_in_one_process_match_fresh_processes(square, tmp_path, capsys):

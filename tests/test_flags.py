@@ -8,10 +8,10 @@ from eulercert import flags, geometry
 from eulercert.constructible import Verdict, equals, euler_integral, indicator
 from eulercert.distance import sum_bound
 from eulercert.flags import build_flag, graded_sheaf
-from eulercert.geometry import Polytope, directed_hausdorff, from_vertices, homothet, reach
+from eulercert.geometry import SLACK, Polytope, directed_hausdorff, from_vertices, homothet, reach
 from eulercert.sheafsum import local_euler, plain, sheaf_sum
 
-from helpers import TOL_DIST, interior_point, rand_polytope
+from helpers import interior_point, rand_polytope
 
 UNIT_SQUARE = from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
 
@@ -137,7 +137,7 @@ def test_flag_distance_bound():
         fl = build_flag(p, c, n)
         singleton = sheaf_sum(dim, [plain(Polytope((c,)))])
         bound, _ = sum_bound(graded_sheaf(fl), singleton)
-        assert bound.value <= fl.spacing.value / 2 + TOL_DIST
+        assert bound.value <= fl.spacing.value / 2 + SLACK  # L2 values, rounded up
 
 
 _COORD = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5]))
@@ -183,5 +183,5 @@ def test_flag_levels_nested_with_certified_spacing(flag_input, n):
     fl = build_flag(p, c, n)
     for lo, hi in zip(fl.levels, fl.levels[1:]):
         assert not geometry._outside(lo, hi)
-        assert directed_hausdorff(hi, lo).value <= fl.spacing.value + TOL_DIST
+        assert directed_hausdorff(hi, lo).value <= fl.spacing.value + SLACK  # L2 values, rounded up
     assert fl.spacing.value == reach(p, c).value / n

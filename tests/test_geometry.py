@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from eulercert import _simplex, geometry
 from eulercert.geometry import (
     INF,
+    SLACK,
     Norm,
     Polytope,
     RoundedReal,
@@ -18,6 +19,7 @@ from eulercert.geometry import (
     decimal_up,
     directed_hausdorff,
     distance_point_to_polytope,
+    dot,
     from_vertices,
     hausdorff,
     homothet,
@@ -27,13 +29,14 @@ from eulercert.geometry import (
     translate,
     vertex_centroid,
     volume,
+    vsub,
     _ccw_sorted,
+    _cross3,
     _integer_form,
     _sqdist_outside,
 )
 
 from helpers import (
-    TOL_DIST,
     _primitive,
     caratheodory_contains,
     contains_oracle,
@@ -158,7 +161,7 @@ def test_from_vertices_hands_the_hull_the_form_and_chart_of_its_own(pts):
     p = from_vertices(pts)
     assert p._ints == _integer_form(p.vertices)
     fresh, ch = geometry._Chart(*p._ints), p._chart
-    assert (ch.ambient, ch.k, ch.ring) == (fresh.ambient, fresh.k, fresh.ring)
+    assert (ch.ambient, ch.k, sorted(ch.faces)) == (fresh.ambient, fresh.k, sorted(fresh.faces))
     assert sorted(ch.ineqs) == sorted(fresh.ineqs)
     # an equality row may come with either sign
     assert geometry._planes([p]) == sorted(
@@ -186,6 +189,41 @@ def test_chart_planes_are_the_rational_facet_planes(pts):
     assume(p.affine_dim == p.dimension)
     oracle = polygon_ineqs if p.dimension == 2 else polyhedron_ineqs
     assert set(p._chart.ineqs) == {_primitive(list(a) + [b]) for a, b in oracle(p.vertices)}
+
+
+def _cyclic(ring):
+    """Whether consecutive points of a ring of coplanar points are joined by
+    edges of their hull: every other point lies strictly on one side of the
+    line through them, the same side for every pair."""
+    pts = [tuple(v) + (F(0),) * (3 - len(v)) for v in ring]
+    turns = []
+    for p, q in zip(pts, pts[1:] + pts[:1]):
+        turns += [_cross3(vsub(q, p), vsub(r, p)) for r in pts if r not in (p, q)]
+    return all(dot(t, turns[0]) > 0 for t in turns)
+
+
+@given(_hull_input())
+@example([(F(x), F(y), F(z)) for x in (0, 1) for y in (0, 1) for z in (0, 1)] + [(F(1, 2), F(1, 2), F(0))])
+def test_chart_faces_are_the_facets_with_their_vertex_rings(pts):
+    p = from_vertices(pts)
+    faces = p._chart.faces
+    if p.affine_dim < p.dimension:  # one face, the whole polytope
+        ((row, ring),) = faces
+        assert row is None and sorted(ring) == list(range(len(p.vertices)))
+    else:
+        if p.dimension == 1:
+            (lo,), (hi,) = p.vertices
+            oracle = [((F(-1),), -lo), ((F(1),), hi)]
+        else:
+            oracle = (polygon_ineqs if p.dimension == 2 else polyhedron_ineqs)(p.vertices)
+        facets = {
+            _primitive(list(a) + [b]): [i for i, v in enumerate(p.vertices) if dot(a, v) == b] for a, b in oracle
+        }
+        assert sorted(row for row, _ in faces) == sorted(facets)
+        for row, ring in faces:
+            assert sorted(ring) == facets[row]
+    for _, ring in faces:
+        assert len(ring) < 3 or _cyclic([p.vertices[i] for i in ring])
 
 
 def test_hulls_solve_no_lp(monkeypatch):
@@ -493,7 +531,7 @@ def test_point_distance_against_sampled_lower_bounds():
             for _ in range(12):
                 inside = interior_point(rng, p)
                 gap = norm_value(tuple(a - b for a, b in zip(x, inside)), norm)
-                assert d.value <= gap.value + TOL_DIST
+                assert d.value <= gap.value + (0 if d.exact else SLACK)
             if contains(p, x):
                 assert d.value == 0
 
@@ -524,8 +562,8 @@ def test_norm_comparisons():
         d1 = distance_point_to_polytope(x, p, Norm.L1).value
         d2 = distance_point_to_polytope(x, p, Norm.L2).value
         di = distance_point_to_polytope(x, p, Norm.LINF).value
-        assert di <= d2 + TOL_DIST
-        assert d2 <= d1 + TOL_DIST
+        assert di <= d2  # d2 is rounded up
+        assert d2 <= d1 + SLACK
 
 
 def test_flag_spacing_property():
@@ -540,7 +578,7 @@ def test_flag_spacing_property():
             hi = homothet(p, c, F(i, n))
             lo = homothet(p, c, F(i - 1, n))
             d = directed_hausdorff(hi, lo)
-            assert d.value <= r.value / n + TOL_DIST
+            assert d.value <= r.value / n + SLACK  # L2 values, rounded up
 
 
 # --- affine maps --------------------------------------------------------------
