@@ -45,7 +45,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from .geometry import Point, Polytope, _cross3, _planes, dot, from_vertices
+from .geometry import Point, Polytope, _cross3, _planes, dot
 
 Terms = Sequence[tuple[int, Polytope]]
 
@@ -150,15 +150,16 @@ def _event_heights(supports: Sequence[Polytope]) -> list[Fraction]:
 
 
 def _slice(p: Polytope, z: Fraction) -> Optional[Polytope]:
-    """The hull, one dimension down, of the vertices of p = V / D at height
-    z = h / q and of the points where segments joining vertices on either side
-    cross it: V's side is the sign of s = q V_n - h D, and A, B with
-    s_a < 0 < s_b cross at (s_b A - s_a B) / (D (s_b - s_a)), in integers."""
+    """The polytope, one dimension down, that p = V / D meets the plane H at
+    height z = h / q in, cut from p's edges with no hull (Ziegler, *Lectures
+    on Polytopes*, 1995): the face of p holding a slice vertex in its relative
+    interior meets H in it alone, so the vertices are p's vertices on H and,
+    as edges share at most an end, the distinct crossings (s_b A - s_a B) /
+    (D (s_b - s_a)) of edges A, B with sides s_a s_b < 0, s = q V_n - h D."""
     den, nums = p._ints
     sides = [(z.denominator * v[-1] - z.numerator * den, v[:-1]) for v in nums]
     pts = [tuple(Fraction(x, den) for x in a) for s, a in sides if not s]
-    above = [(sb, b) for sb, b in sides if sb > 0]
-    for sa, a in sides:
-        if sa < 0:
-            pts += [tuple(Fraction(sb * x - sa * y, den * (sb - sa)) for x, y in zip(a, b)) for sb, b in above]
-    return from_vertices(pts) if pts else None
+    for (sa, a), (sb, b) in ((sides[i], sides[j]) for i, j in p._edges):
+        if sa * sb < 0:
+            pts.append(tuple(Fraction(sb * x - sa * y, den * (sb - sa)) for x, y in zip(a, b)))
+    return Polytope(tuple(sorted(pts))) if pts else None

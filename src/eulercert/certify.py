@@ -154,7 +154,7 @@ def concentrate_to_point(
     target_pt = as_point(x)
     fn = normalize(f)
     if len(target_pt) != fn.dimension:
-        raise ValueError("dimension mismatch")
+        raise ValueError(f"target dimension {len(target_pt)} != function dimension {fn.dimension}")
     centroids = [vertex_centroid(t.support) for t in fn.terms]
     step1 = concentrate_basepoints(fn, centroids, eps, norm)
 
@@ -180,7 +180,7 @@ def link(
 ) -> Certificate:
     """Chain two functions of equal Euler integral through a point mass at 0."""
     if f.dimension != g.dimension:
-        raise ValueError("dimension mismatch")
+        raise ValueError(f"second function dimension {g.dimension} != first function dimension {f.dimension}")
     mf, mg = euler_integral(f), euler_integral(g)
     if mf != mg:
         raise ValueError(f"integral mismatch: {mf} != {mg}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -208,7 +209,7 @@ def _dispatch(args: argparse.Namespace, dimension: Optional[int], norm: Norm) ->
         return 0
     if cmd == "concentrate":
         f = load(args.cf, jsonio.cf_from_json)
-        target = _parse_point(args.target) if args.target else (Fraction(0),) * f.dimension
+        target = (Fraction(0),) * f.dimension if args.target is None else _parse_point(args.target)
         cert = concentrate_to_point(f, target, jsonio.parse_rational(args.epsilon), norm)
         _emit(jsonio.cert_to_json(cert), args.out)
         return 0
@@ -230,7 +231,7 @@ def _dispatch(args: argparse.Namespace, dimension: Optional[int], norm: Norm) ->
         return 1
     if cmd == "probe":
         f = load(args.cf, jsonio.cf_from_json)
-        target = _parse_point(args.target) if args.target else (Fraction(0),) * f.dimension
+        target = (Fraction(0),) * f.dimension if args.target is None else _parse_point(args.target)
         schedule = [jsonio.parse_rational(part) for part in args.schedule.split(",")]
         rows = probe_metric(MetricKind(args.metric), f, target, schedule, norm)
         print("epsilon,dc_bound,delta")
@@ -241,7 +242,14 @@ def _dispatch(args: argparse.Namespace, dimension: Optional[int], norm: Norm) ->
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # or the flush at exit fails again
+        print(f"error: stdout: cannot write ({exc.strerror})", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

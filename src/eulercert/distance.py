@@ -205,7 +205,7 @@ class _Matcher:
 
     def __init__(self, f: SheafSum, g: SheafSum, norm: Norm) -> None:
         if f.dimension != g.dimension:
-            raise ValueError("dimension mismatch")
+            raise ValueError(f"right sheaf dimension {g.dimension} != left sheaf dimension {f.dimension}")
         self.left, self.right = f.summands, g.summands
         groups: dict = {}
         for side, summands in enumerate((self.left, self.right)):

@@ -38,7 +38,7 @@ class Flag:
 def build_flag(base: Polytope, center, steps: int, norm: Norm = Norm.L2) -> Flag:
     c = as_point(center)
     if len(c) != base.dimension:
-        raise ValueError("dimension mismatch")
+        raise ValueError(f"center dimension {len(c)} != polytope dimension {base.dimension}")
     tip = Polytope((c,))  # levels[0]: its integer form serves the check, every level and the reach
     # before the step count, which a caller may derive from the center's reach
     if _outside(tip, base):

@@ -157,20 +157,18 @@ class Polytope:
     Build through :func:`from_vertices`; structural equality of two polytopes
     is then equality as point sets.  The vertices are the public and
     serialized form.  Beside them a polytope caches its integer form
-    (:func:`_integer_form`), which also gives its hash, its chart and the
-    fans of its chart faces, each computed from its own vertices on first
-    use, except where they arrive with it (:meth:`_given`): flag levels, and
-    hulls of non-extreme points.
+    (:func:`_integer_form`), which also gives its hash, its chart, its edges
+    and the fans of its chart faces, each computed on first use, except a
+    flag level's integer form, which arrives with it (:meth:`_given`).
     """
 
     vertices: tuple[Point, ...]
 
     @classmethod
-    def _given(cls, vertices: tuple, ints: tuple, **known) -> "Polytope":
-        """The polytope of these canonical vertices, whose integer form in
-        least terms is ints, with any other cached value `known`."""
+    def _given(cls, vertices: tuple, ints: tuple) -> "Polytope":
+        """The polytope of these canonical vertices, of least-terms integer form ints."""
         p = cls(vertices)
-        p.__dict__.update(known, _ints=ints)
+        p.__dict__["_ints"] = ints
         return p
 
     def __hash__(self) -> int:
@@ -199,6 +197,11 @@ class Polytope:
         # of triangles, the pieces of the L2 kernel and of volume
         return tuple((row, _fan(ring)) for row, ring in self._chart.faces)
 
+    @cached_property
+    def _edges(self) -> frozenset:
+        # (i, j), i < j, for the vertices consecutive on a chart face's ring
+        return frozenset((min(e), max(e)) for _, r in self._chart.faces for e in zip(r, r[1:] + r[:1]) if e[0] != e[1])
+
     @property
     def affine_dim(self) -> int:
         return self._chart.k
@@ -219,12 +222,10 @@ def _in_hull_lp(points: Sequence[Point], x: Point) -> bool:
 def from_vertices(points: Iterable) -> Polytope:
     """Canonicalize a point list to the extreme points of its convex hull.
 
-    Exact integer tests on the points' integer form decide extremeness, with
-    no LP in any dimension: the points are the lexicographic ends on a line
-    and otherwise the vertices of the boundary faces that the chart of the
-    sorted distinct points records.  That polytope is returned as it is when
-    every point is extreme; otherwise the hull of the extreme points takes
-    over its chart, as the same rows bound both.
+    Exact integer tests decide extremeness, with no LP in any dimension: the
+    extreme points are the vertices of the boundary faces that the chart of
+    the sorted distinct points records.  When all are extreme, that polytope,
+    chart and all, is the hull.
     """
     pts = [as_point(p) for p in points]
     if not pts:
@@ -234,19 +235,9 @@ def from_vertices(points: Iterable) -> Polytope:
         raise ValueError("mixed coordinate dimensions")
     if n not in (1, 2, 3):
         raise ValueError(f"unsupported dimension {n}")
-    if n == 1:  # points on the real line: the two ends
-        return Polytope(tuple(sorted({min(pts), max(pts)})))
     poly = Polytope(tuple(v for v, _ in groupby(sorted(pts))))
-    den, nums = poly._ints
-    chart = poly._chart
-    keep = sorted({i for _, ring in chart.faces for i in ring})
-    if len(keep) == len(nums):  # every point extreme: the chart built is the hull's
-        return poly
-    # poly is dropped, so its chart is renumbered in place
-    index = {i: j for j, i in enumerate(keep)}
-    chart.faces = tuple((row, tuple(index[i] for i in ring)) for row, ring in chart.faces)
-    ints = _reduced(den, [nums[i] for i in keep])
-    return Polytope._given(tuple(poly.vertices[i] for i in keep), ints, _chart=chart)
+    keep = sorted({i for _, ring in poly._chart.faces for i in ring})
+    return poly if len(keep) == len(poly.vertices) else Polytope(tuple(poly.vertices[i] for i in keep))
 
 
 def translate(p: Polytope, v: Point) -> Polytope:
@@ -681,8 +672,7 @@ def _support_gap(den: int, queries: Sequence[tuple[int, ...]], p: Polytope, norm
     ball_normals, ball_edges = _ball(norm, ch.ambient)
     normals = {r[:-1] for r in ch.eqs + ch.ineqs}.union(ball_normals)
     if ch.ambient == 3:
-        edges = {(min(e), max(e)) for _, ring in ch.faces for e in zip(ring, ring[1:] + ring[:1])}
-        crosses = (_cross3(vsub(pnums[j], pnums[i]), f) for i, j in edges for f in ball_edges)
+        crosses = (_cross3(vsub(pnums[j], pnums[i]), f) for i, j in p._edges for f in ball_edges)
         normals.update(w for w in crosses if any(w))
     worst, worst_den = 0, 1
     for u in normals:

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
@@ -10,6 +11,7 @@ from hypothesis import given
 
 from eulercert import cellcomplex
 from eulercert.cellcomplex import _event_heights, _slice, arrangement
+from eulercert.constructible import from_terms, oracle_integral
 from eulercert.geometry import _planes, contains, from_vertices, volume
 from eulercert.jsonio import cf_from_json
 
@@ -154,10 +156,24 @@ def test_slice_matches_the_fraction_route(pts):
     _assert_slices_match_the_fraction_route(from_vertices(pts))
 
 
-@pytest.mark.parametrize("name", ["link3dflat_F.json", "link3dline_F.json"])
+@pytest.mark.parametrize("name", ["link3dflat_F.json", "link3dline_F.json", "l11_f.json"])
 def test_slice_matches_the_fraction_route_on_flat_and_line_supports(name):
     with open(os.path.join(DATA, name), encoding="utf-8") as fh:
         supports = [t.support for t in cf_from_json(json.load(fh)).terms]
     assert supports
     for p in supports:
         _assert_slices_match_the_fraction_route(p)
+
+
+def test_the_slice_recursion_makes_no_hull(monkeypatch):
+    # each slice is cut from its polytope's chart edges, so no module hulls a
+    # point list while 3-D functions are sliced down to their 1-D pieces
+    rng = random.Random(7)
+    f = from_terms(3, [(rng.choice([-1, 1]), rand_polytope(rng, 3)) for _ in range(3)])
+    calls = []
+    for mod in [m for name, m in sys.modules.items() if name.startswith("eulercert")]:
+        real = getattr(mod, "from_vertices", None)
+        if real is not None:
+            monkeypatch.setattr(mod, "from_vertices", lambda pts, real=real: calls.append(pts) or real(pts))
+    assert oracle_integral(f) == 1
+    assert calls == []

@@ -190,6 +190,15 @@ def test_arrangement_outputs_are_byte_identical(fixture, capsys):
     assert capsys.readouterr().out == out.splitlines(keepends=True)[0]
 
 
+# The seed-3 `link` input of the benchmark whose two 6-vertex solids give 411
+# event heights; its Euler integral was recorded while slices were still hulled
+def test_oracle_integrate_of_many_event_heights_is_byte_identical(capsys):
+    cf = os.path.join(DATA, "l11_f.json")
+    assert run(["oracle-integrate", cf]) == 0
+    with open(os.path.join(DATA, "l11_f_oracle.out"), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
 # Certificates written by `link` at eps = 1/16 while hulls were still solved
 # by simplex LPs: link2d and link3d before dimensions 1 and 2 moved to
 # Andrew's monotone chain, link3dflat (triangles in slanted planes) and
@@ -459,7 +468,18 @@ def test_target_of_another_dimension_exits_2(argv, terms, tmp_path, capsys):
     path = _write(tmp_path, "f.json", {"dimension": 1, "terms": terms})
     argv = [path if a == "F" else a for a in argv]
     assert run(argv + ["--target", "1,2,3"]) == 2
-    assert capsys.readouterr() == ("", "error: dimension mismatch\n")
+    assert capsys.readouterr() == ("", "error: target dimension 3 != function dimension 1\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["concentrate", "SQUARE", "--epsilon", "1/4"], ["probe", "SQUARE", "--metric", "sup", "--schedule", "1/2,1/4"]],
+    ids=["concentrate", "probe"],
+)
+def test_empty_target_is_not_the_origin(argv, square, capsys):
+    # a given target is parsed, so "" is no point at all
+    assert run([square if a == "SQUARE" else a for a in argv] + ["--target", ""]) == 2
+    assert capsys.readouterr() == ("", "error: not a rational: ''\n")
 
 
 def test_malformed_json_exit_2(tmp_path, capsys):
@@ -552,6 +572,63 @@ def test_malformed_input_exits_2_without_traceback(argv, blob, square, tmp_path)
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: {path}: ")
     assert proc.stderr.count(path) == 1
+    assert "Traceback" not in proc.stderr
+
+
+SEGMENT_3D = {"vertices": [["0", "0", "0"], ["1", "0", "0"]]}
+
+
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        (
+            ["link", "A", "B", "--epsilon", "1/4"],
+            {"A": SQUARE, "B": {"dimension": 3, "terms": [{"coeff": 1, "polytope": SEGMENT_3D}]}},
+            "second function dimension 3 != first function dimension 2",
+        ),
+        (
+            ["bound", "A", "B"],
+            {
+                "A": {"dimension": 1, "summands": [SHEAF_SUMMAND]},
+                "B": {"dimension": 3, "summands": [dict(SHEAF_SUMMAND, outer=SEGMENT_3D)]},
+            },
+            "right sheaf dimension 3 != left sheaf dimension 1",
+        ),
+        (
+            ["flag", "A", "--center", "0,0,0", "--steps", "2"],
+            {"A": SQUARE["terms"][0]["polytope"]},
+            "center dimension 3 != polytope dimension 2",
+        ),
+    ],
+    ids=["link", "bound", "flag"],
+)
+def test_dimension_mismatch_names_both_dimensions(argv, files, message, tmp_path, capsys):
+    paths = {name: _write(tmp_path, f"{name}.json", blob) for name, blob in files.items()}
+    assert run([paths.get(a, a) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "link2d.cert.json"], ["link", "link2d_F.json", "link2d_G.json", "--epsilon", "1/16"]],
+    ids=["verify", "link"],
+)
+def test_closed_stdout_exits_2_without_traceback(argv):
+    # stdout is a pipe whose read end was closed before the start; exit 1
+    # would read as a failed verification
+    argv = [os.path.join(DATA, a) if a.endswith(".json") else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(eulercert.__file__)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "eulercert.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, text=True, env=env
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: stdout: ")
+    assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
 
 
