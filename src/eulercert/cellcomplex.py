@@ -89,11 +89,16 @@ def _stack(terms: Terms, n: int) -> Iterator[tuple[Cell, int]]:
     # (height, width) of every wall (width 0) and slab (width None: unbounded)
     slices = [(z, 0) for z in zs] + [((a + b) / 2, b - a) for a, b in zip(zs, zs[1:])]
     slices += [(zs[0] - 1, None), (zs[-1] + 1, None)] if zs else [(Fraction(0), None)]
+    spans = []  # each term's height range [lo, hi] / D, read once
+    for c, p in terms:
+        den, nums = p._ints
+        spans.append((c, p, den, min(v[-1] for v in nums), max(v[-1] for v in nums)))
     for z, width in slices:
+        h, q = z.numerator, z.denominator
         cuts: dict[Polytope, int] = {}
-        for c, p in terms:
-            s = _slice(p, z)
-            if s is not None:
+        for c, p, den, lo, hi in spans:
+            if lo * q <= h * den <= hi * q:  # only a term that z = h / q meets is cut
+                s = _slice(p, z)
                 cuts[s] = cuts.get(s, 0) + c
         for cell, v in _stack([(c, s) for s, c in cuts.items() if c], n - 1):
             rep = cell.representative + (z,)

@@ -27,15 +27,6 @@ from .jsonio import SchemaError
 from .sheafsum import local_euler
 
 
-def _dimension(value) -> int:
-    # `type(x) is int` as in jsonio: a JSON true, 2.7 or "1" is no integer
-    if type(value) is not int:
-        raise SchemaError(f"dimension must be an integer: {value!r}")
-    if value not in (1, 2, 3):
-        raise SchemaError(f"unsupported dimension: {value}")
-    return value
-
-
 def _norm(value) -> Norm:
     try:
         return Norm(str(value).lower())
@@ -44,7 +35,7 @@ def _norm(value) -> Norm:
 
 
 #: each setting's check, for a config file value and a flag alike
-_SETTINGS = {"dimension": _dimension, "norm": _norm}
+_SETTINGS = {"dimension": jsonio.parse_dimension, "norm": _norm}
 
 
 def _load_config(args: argparse.Namespace) -> dict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .cellcomplex import Cell, _stack
 from .geometry import (
@@ -47,24 +47,21 @@ class ConstructibleFunction:
     def __add__(self, other: "ConstructibleFunction") -> "ConstructibleFunction":
         if other.dimension != self.dimension:
             raise ValueError("dimension mismatch")
-        return normalize(ConstructibleFunction(self.dimension, self.terms + other.terms))
+        return from_terms(self.dimension, self._pairs() + other._pairs())
 
     def __neg__(self) -> "ConstructibleFunction":
-        return ConstructibleFunction(
-            self.dimension, tuple(Term(-t.coeff, t.support) for t in self.terms)
-        )
+        return from_terms(self.dimension, self._pairs(-1))
 
     def __sub__(self, other: "ConstructibleFunction") -> "ConstructibleFunction":
-        return self + (-other)
+        if other.dimension != self.dimension:
+            raise ValueError("dimension mismatch")
+        return from_terms(self.dimension, self._pairs() + other._pairs(-1))
 
     def __rmul__(self, k: int) -> "ConstructibleFunction":
-        if k == 0:
-            return ConstructibleFunction(self.dimension, ())
-        return normalize(
-            ConstructibleFunction(
-                self.dimension, tuple(Term(k * t.coeff, t.support) for t in self.terms)
-            )
-        )
+        return from_terms(self.dimension, self._pairs(k))
+
+    def _pairs(self, k: int = 1) -> list[tuple[int, Polytope]]:
+        return [(k * t.coeff, t.support) for t in self.terms]
 
     def supports(self) -> tuple[Polytope, ...]:
         return tuple(t.support for t in self.terms)
@@ -78,21 +75,23 @@ def zero_function(dimension: int) -> ConstructibleFunction:
     return ConstructibleFunction(dimension, ())
 
 
-def from_terms(dimension: int, pairs: Sequence[tuple[int, Polytope]]) -> ConstructibleFunction:
-    return normalize(
-        ConstructibleFunction(dimension, tuple(Term(c, p) for c, p in pairs if c != 0))
-    )
+def from_terms(dimension: int, pairs: Iterable[tuple[int, Polytope]]) -> ConstructibleFunction:
+    """The canonical function sum of c 1[P]: coefficients merged per
+    structurally equal support, zero sums dropped, terms sorted by vertices.
+    This is the one place a function is made canonical."""
+    merged: dict[Polytope, int] = {}
+    for c, p in pairs:
+        if c:
+            if p.dimension != dimension:
+                raise ValueError("term dimension mismatch")
+            merged[p] = merged.get(p, 0) + c
+    kept = sorted((p for p, c in merged.items() if c), key=lambda p: p.vertices)
+    return ConstructibleFunction(dimension, tuple(Term(merged[p], p) for p in kept))
 
 
 def normalize(f: ConstructibleFunction) -> ConstructibleFunction:
-    """Merge terms with structurally equal supports, drop zero coefficients."""
-    merged: dict[Polytope, int] = {}
-    for t in f.terms:
-        merged[t.support] = merged.get(t.support, 0) + t.coeff
-    terms = tuple(
-        Term(c, p) for p, c in sorted(merged.items(), key=lambda kv: kv[0].vertices) if c != 0
-    )
-    return ConstructibleFunction(f.dimension, terms)
+    """f in canonical form (:func:`from_terms`)."""
+    return from_terms(f.dimension, f._pairs())
 
 
 def evaluate(f: ConstructibleFunction, x) -> int:

@@ -38,13 +38,15 @@ def _list(obj: dict, key: str) -> list:
     return items
 
 
-def _dimension(obj: dict) -> int:
+def parse_dimension(value: Any) -> int:
+    """An ambient dimension, of a file or a workspace setting alike."""
     # integer fields are tested with `type(x) is int` throughout: bool is an
-    # int subclass, and a JSON true or 1.0 must not pass for 1
-    dim = obj["dimension"]
-    if type(dim) is not int or dim not in (1, 2, 3):
-        raise SchemaError(f"unsupported dimension: {dim!r}")
-    return dim
+    # int subclass, and a JSON true, 2.0 or "1" must not pass for an integer
+    if type(value) is not int:
+        raise SchemaError(f"dimension must be an integer: {value!r}")
+    if value not in (1, 2, 3):
+        raise SchemaError(f"unsupported dimension: {value}")
+    return value
 
 
 # Longest run of digits, and longest exponent, a rational may be written with.
@@ -136,7 +138,7 @@ def cf_from_json(obj: Any, polytopes: Optional[dict] = None) -> ConstructibleFun
         polytopes = {}
     if not isinstance(obj, dict) or "dimension" not in obj or "terms" not in obj:
         raise SchemaError("constructible function needs 'dimension' and 'terms'")
-    dim = _dimension(obj)
+    dim = parse_dimension(obj["dimension"])
     pairs = []
     for t in _list(obj, "terms"):
         if not isinstance(t, dict) or "coeff" not in t or "polytope" not in t:
@@ -169,7 +171,7 @@ def sheaf_from_json(obj: Any, polytopes: Optional[dict] = None) -> SheafSum:
         polytopes = {}
     if not isinstance(obj, dict) or "dimension" not in obj or "summands" not in obj:
         raise SchemaError("sheaf sum needs 'dimension' and 'summands'")
-    dim = _dimension(obj)
+    dim = parse_dimension(obj["dimension"])
     summands = []
     for sm in _list(obj, "summands"):
         if not isinstance(sm, dict) or "outer" not in sm:

@@ -5,13 +5,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from eulercert import _simplex
 from eulercert.cellcomplex import arrangement
 from eulercert.certify import MetricKind
-from eulercert.constructible import ConstructibleFunction, EvalReport, Verdict, evaluate, from_terms
+from eulercert.constructible import ConstructibleFunction, EvalReport, Term, Verdict, evaluate, from_terms
 from eulercert.distance import pair_bound
 from eulercert.geometry import (
     Norm,
@@ -453,6 +454,16 @@ def _barycentric(subset: Sequence[Point], x: Point) -> Optional[list[Fraction]]:
     for i, c in enumerate(pivots):
         lam[c] = rows[i][-1]
     return lam
+
+
+def brute_canonical(dimension: int, pairs: Sequence[tuple[int, Polytope]]) -> ConstructibleFunction:
+    """The canonical function sum of c 1[P], by brute force: a Counter merge
+    of the coefficients, zero sums dropped, sorted by vertices."""
+    merged: Counter = Counter()
+    for c, p in pairs:
+        merged[p] += c
+    kept = sorted((p.vertices, c, p) for p, c in merged.items() if c)
+    return ConstructibleFunction(dimension, tuple(Term(c, p) for _, c, p in kept))
 
 
 def brute_equals(f: ConstructibleFunction, g: ConstructibleFunction) -> EvalReport:

@@ -701,6 +701,23 @@ def test_config_value_errors_name_the_file(config, message, square, tmp_path, ca
 
 
 @pytest.mark.parametrize(
+    "argv, blob, message",
+    [
+        (["integrate"], dict(SQUARE, dimension=2.0), "dimension must be an integer: 2.0"),
+        (["chi"], {"dimension": True, "summands": [SHEAF_SUMMAND]}, "dimension must be an integer: True"),
+        (["integrate"], dict(SQUARE, dimension="2"), "dimension must be an integer: '2'"),
+        (["chi"], {"dimension": 4, "summands": [SHEAF_SUMMAND]}, "unsupported dimension: 4"),
+    ],
+    ids=["float", "bool", "string", "range"],
+)
+def test_file_dimension_errors_read_as_the_setting_errors(argv, blob, message, tmp_path, capsys):
+    # a file's dimension and the dimension setting share one check
+    bad = _write(tmp_path, "bad.json", blob)
+    assert run([*argv, bad]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize(
     "flags, message",
     [
         (["--dimension", "5"], "unsupported dimension: 5"),

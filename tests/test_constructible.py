@@ -30,6 +30,7 @@ from eulercert.constructible import (
 from eulercert.geometry import affine_map, from_vertices, homothet
 
 from helpers import (
+    brute_canonical,
     brute_equals,
     interior_point,
     prism,
@@ -54,6 +55,38 @@ def test_normalize_merges_and_cancels():
     a, b = from_vertices([(0,), (1,)]), from_vertices([(1,), (2,)])
     two = normalize(ConstructibleFunction(1, (Term(2, a), Term(3, b))))
     assert len(two.terms) == 2
+
+
+# a few shared 2-D supports, listed out of vertex order, and one 1-D one
+SHARED = (UNIT_SQUARE, from_vertices([(0, 0)]), INNER, from_vertices([(-1, 2), (3, 0)]))
+SEGMENT_1D = from_vertices([(0,), (1,)])
+_PAIRS = st.lists(st.tuples(st.integers(-3, 3), st.sampled_from(SHARED)), max_size=8)
+
+
+def _by_hand(pairs):
+    # not canonical: repeated supports, cancelling terms, unsorted
+    return ConstructibleFunction(2, tuple(Term(c, p) for c, p in pairs if c))
+
+
+@given(_PAIRS, _PAIRS, st.integers(-2, 2), st.integers(1, 3))
+def test_group_operations_are_the_brute_canonical_form(a, b, k, c):
+    f, g = _by_hand(a), _by_hand(b)
+    neg_b = [(-x, p) for x, p in b]
+    assert from_terms(2, a) == brute_canonical(2, a)
+    assert normalize(f) == brute_canonical(2, a)
+    assert f + g == brute_canonical(2, a + b)
+    assert f - g == brute_canonical(2, a + neg_b)
+    assert -g == brute_canonical(2, neg_b)
+    assert k * f == brute_canonical(2, [(k * x, p) for x, p in a])
+    # a support of another dimension is refused even where it cancels, but
+    # not with a zero coefficient
+    with pytest.raises(ValueError, match="term dimension mismatch"):
+        from_terms(2, a + [(c, SEGMENT_1D), (-c, SEGMENT_1D)])
+    assert from_terms(2, a + [(0, SEGMENT_1D)]) == brute_canonical(2, a)
+    for h in (zero_function(1), indicator(SEGMENT_1D)):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(ValueError, match="^dimension mismatch"):
+                op(f, h)
 
 
 def test_normalize_preserves_values():

@@ -42,6 +42,7 @@ from helpers import (
     contains_oracle,
     fraction_homothet,
     fraction_reach,
+    fraction_slice,
     gram_sqdist,
     interior_point,
     lp_distance,
@@ -627,6 +628,27 @@ def test_volume_3d():
 def test_volume_matches_the_shoelace_area(pts):
     p = from_vertices(pts)
     assert volume(p) == shoelace_area(_ccw_sorted(p.vertices))
+
+
+@settings(deadline=None)
+@given(_hull_input(dims=(3,)))
+@example([(F(x), F(y), F(0)) for x in (0, 2) for y in (0, 2)] + [(F(1), F(1), F(3))])  # a square base
+@example([(F(x), F(y), F(z)) for x in (0, 1) for y in (0, 1) for z in (0, 1)][:7])  # a cube less a corner
+def test_volume_3d_integrates_the_slice_areas(pts):
+    # a slice's area is quadratic in its height on each gap between vertex
+    # heights, so Milne's rule, (4h/3)(2 A(a + h) - A(a + 2h) + 2 A(a + 3h))
+    # with h = (b - a)/4, integrates it exactly; flat inputs have area 0
+    p = from_vertices(pts)
+
+    def area(z):
+        return shoelace_area(_ccw_sorted(fraction_slice(p, z).vertices))
+
+    zs = sorted({v[-1] for v in p.vertices})
+    total = F(0)
+    for a, b in zip(zs, zs[1:]):
+        h = (b - a) / 4
+        total += 4 * h / 3 * (2 * area(a + h) - area(a + 2 * h) + 2 * area(a + 3 * h))
+    assert volume(p) == total
 
 
 def test_translate_and_centroid():

@@ -15,6 +15,8 @@ the metric's bound, and the verdict of the perf-claim protocol: a gain holds
 when at least 10 pairs ran, the change wins at least 9 pairs in 10 and its
 median beats the parent's by more than the parent's interquartile range.
 With fewer pairs such a result reads "better, too few pairs to claim".  A
+change that failed more ops than the parent, or had a run that was not
+correct, claims nothing: such a result reads "not a gain" and says why.  A
 metric whose parent interquartile range exceeds its bound reads "unresolved".
 """
 
@@ -27,6 +29,7 @@ import os
 import statistics
 import subprocess
 import sys
+from typing import Optional
 
 MIN_PAIRS = 10
 
@@ -60,6 +63,33 @@ def verdict(parent: list, change: list, better: str) -> tuple:
     return wins, wins >= math.ceil(0.9 * len(parent)) and gap > p3 - p1
 
 
+def run_fault(parent_runs: list, change_runs: list) -> Optional[str]:
+    """Why the change's runs cannot carry a gain, or None: it failed more ops
+    than the parent, or one of its runs was not correct."""
+    if sum(r["failed"] for r in change_runs) > sum(r["failed"] for r in parent_runs):
+        return "the change failed more ops"
+    if not all(r["correct"] for r in change_runs):
+        return "a change run was not correct"
+    return None
+
+
+def judge(parent: list, change: list, better: str, bound: float, fault: Optional[str] = None) -> tuple:
+    """(wins, relative change of the medians, note) for one metric of paired
+    runs; `fault` is :func:`run_fault`'s answer for the runs."""
+    wins, holds = verdict(parent, change, better)
+    p1, pm, p3 = _quartiles(parent)
+    rel = (statistics.median(change) - pm) / pm if pm else 0.0
+    worse = rel if better == "lower" else -rel
+    if holds:
+        if fault:
+            return wins, rel, f"not a gain: {fault}"
+        return wins, rel, "gain" if len(parent) >= MIN_PAIRS else "better, too few pairs to claim"
+    if worse > bound:
+        return wins, rel, "worse beyond bound"
+    # a spread wider than the bound cannot show the metric unchanged
+    return wins, rel, "unresolved, spread over bound" if pm and (p3 - p1) / pm > bound else "no claim"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent", help="root of the parent tree")
@@ -84,22 +114,15 @@ def main(argv=None) -> int:
         bad = [r for r in results if not r["correct"] or r["failed"]]
         print(f"{side}: {len(results)} runs, {sum(r['attempted'] for r in results)} ops, "
               f"{sum(r['failed'] for r in results)} failed, {len(bad)} runs not correct")
+    fault = run_fault(runs["parent"], runs["change"])
     print(f"{'metric':16s} {'parent median [q1, q3]':>34s} {'change median [q1, q3]':>34s} "
           f"{'wins':>6s} {'change':>8s} {'bound':>6s}  verdict")
     for metric in spec["end_to_end"]:
         name = metric["name"]
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
-        wins, holds = verdict(parent, change, metric["better"])
+        wins, rel, note = judge(parent, change, metric["better"], metric["bound"], fault)
         (p1, pm, p3), (c1, cm, c3) = _quartiles(parent), _quartiles(change)
-        rel = (cm - pm) / pm if pm else 0.0
-        worse = rel if metric["better"] == "lower" else -rel
-        if holds:
-            note = "gain" if len(parent) >= MIN_PAIRS else "better, too few pairs to claim"
-        elif worse > metric["bound"]:
-            note = "worse beyond bound"
-        else:  # a spread wider than the bound cannot show the metric unchanged
-            note = "unresolved, spread over bound" if pm and (p3 - p1) / pm > metric["bound"] else "no claim"
         print(f"{name:16s} {pm:12.6g} [{p1:9.6g}, {p3:9.6g}] {cm:12.6g} [{c1:9.6g}, {c3:9.6g}] "
               f"{wins:3d}/{len(parent):<2d} {rel:+8.2%} {metric['bound']:6.0%}  {note}")
     return 0
