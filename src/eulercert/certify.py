@@ -24,7 +24,7 @@ geometry, and rechecks chaining, endpoints and integral preservation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -73,6 +73,9 @@ class Certificate:
     target: ConstructibleFunction
     epsilon: Fraction
     steps: tuple[CertificateStep, ...]
+    # the norm it was built under, None for a file that records none; it says
+    # how to check the certificate, so equality ignores it
+    norm: Optional[Norm] = field(default=None, compare=False)
 
     def __post_init__(self):
         parts = [("target", self.target)]  # named as in the certificate's JSON
@@ -107,7 +110,9 @@ def concentrate_basepoints(
     in homological degree 1 so the local Euler characteristics come out with
     the right sign.  The declared bound is eps itself (0 if every block is
     degenerate); the recomputed bound certifies it.  A basepoint outside its
-    term's support raises ValueError, from `build_flag`.
+    term's support raises ValueError, from `build_flag`.  The left sheaf keeps
+    its flag blocks (flag, shift, multiplicity), which the writers write in
+    place of the levels.
     """
     eps = Fraction(epsilon)
     if eps <= 0:
@@ -116,7 +121,7 @@ def concentrate_basepoints(
     pts = [as_point(p) for p in basepoints]
     if len(pts) != len(fn.terms):
         raise ValueError("one basepoint per normalized term required")
-    left_parts: list[Summand] = []
+    blocks = []
     right_parts: list[Summand] = []
     degenerate = True
     for term, pt in zip(fn.terms, pts):
@@ -127,9 +132,9 @@ def concentrate_basepoints(
             degenerate = False
         shift = 0 if term.coeff > 0 else 1
         mult = abs(term.coeff)
-        left_parts += _graded_summands(flag, shift, mult)
+        blocks.append((flag, shift, mult))
         right_parts.append(Summand(Support(Polytope((pt,))), shift, mult))
-    left = sheaf_sum(fn.dimension, left_parts)
+    left = sheaf_sum(fn.dimension, [sm for block in blocks for sm in _graded_summands(*block)], tuple(blocks))
     right = sheaf_sum(fn.dimension, right_parts)
     chi_right = from_terms(
         fn.dimension, [(t.coeff, Polytope((pt,))) for t, pt in zip(fn.terms, pts)]
@@ -172,7 +177,7 @@ def concentrate_to_point(
         if total
         else zero_function(fn.dimension)
     )
-    return Certificate(fn, target_fn, eps, (step1, step2.reversed(), step3))
+    return Certificate(fn, target_fn, eps, (step1, step2.reversed(), step3), norm)
 
 
 def link(
@@ -188,7 +193,7 @@ def link(
     down = concentrate_to_point(f, origin, epsilon, norm)
     up = concentrate_to_point(g, origin, epsilon, norm)
     steps = down.steps + tuple(s.reversed() for s in reversed(up.steps))
-    return Certificate(down.source, up.source, Fraction(epsilon), steps)
+    return Certificate(down.source, up.source, Fraction(epsilon), steps, norm)
 
 
 @dataclass(frozen=True)

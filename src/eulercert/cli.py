@@ -27,15 +27,8 @@ from .jsonio import SchemaError
 from .sheafsum import local_euler
 
 
-def _norm(value) -> Norm:
-    try:
-        return Norm(str(value).lower())
-    except ValueError:
-        raise SchemaError(f"unknown norm: {value!r}") from None
-
-
 #: each setting's check, for a config file value and a flag alike
-_SETTINGS = {"dimension": jsonio.parse_dimension, "norm": _norm}
+_SETTINGS = {"dimension": jsonio.parse_dimension, "norm": jsonio.parse_norm}
 
 
 def _load_config(args: argparse.Namespace) -> dict:
@@ -212,6 +205,10 @@ def _dispatch(args: argparse.Namespace, dimension: Optional[int], norm: Norm) ->
         return 0
     if cmd == "verify":
         cert = load(args.cert, jsonio.cert_from_json)
+        if cert.norm is None:
+            print(f"note: {args.cert}: records no norm (version 1); verifying under {norm.value}", file=sys.stderr)
+        elif cert.norm is not norm:
+            raise SchemaError(f"{args.cert}: certificate built under norm {cert.norm.value}, but the configured norm is {norm.value}")
         report = verify(cert, norm)
         if report.passed:
             print("PASS")

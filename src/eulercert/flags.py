@@ -9,7 +9,8 @@ The builder trusts one fact and nothing else: the levels of a flag that
 So :func:`graded_sheaf` makes the differences of consecutive levels without a
 containment test (`Support._nested`).  Every difference a certificate or sheaf
 file holds is parsed through `Support`'s checks, so `verify` and `bound`
-re-check all of them.
+re-check all of them, those a flag block in the file stands for included: the
+reader rebuilds that flag and makes each of its differences with the checks.
 """
 
 from __future__ import annotations
@@ -51,12 +52,17 @@ def build_flag(base: Polytope, center, steps: int, norm: Norm = Norm.L2) -> Flag
     return Flag(base, c, steps, levels, _reach(base, tip, norm) / steps)
 
 
-def _graded_summands(flag: Flag, shift: int = 0, multiplicity: int = 1) -> list[Summand]:
-    """The summands of :func:`graded_sheaf`, shifted and repeated, unsorted."""
+def _graded_summands(flag: Flag, shift: int = 0, multiplicity: int = 1, checked: bool = False) -> list[Summand]:
+    """The summands of :func:`graded_sheaf`, shifted and repeated, unsorted.
+
+    `checked` makes every difference with `Support`'s containment check, as a
+    reader of a flag block must; the builder's own flags skip it.
+    """
+    nested = Support if checked else Support._nested
     summands = [Summand(Support(flag.levels[0]), shift, multiplicity)]
     for lo, hi in zip(flag.levels, flag.levels[1:]):
         if lo != hi:
-            summands.append(Summand(Support._nested(hi, lo), shift, multiplicity))
+            summands.append(Summand(nested(hi, lo), shift, multiplicity))
     return summands
 
 

@@ -4,6 +4,13 @@ Rational coordinates travel as exact "p/q" (or integer) strings; distance
 bounds travel as decimals rounded up to 12 places, so serialized bounds stay
 valid upper bounds.  Parsing re-canonicalizes geometry, so a round trip
 reproduces a structurally equal value.
+
+A sheaf's summand list may hold flag blocks, each standing for one flag's
+graded sheaf; the reader rebuilds the flag and makes each level difference
+with `Support`'s checks, so a block parses to exactly the summands it stands
+for.  Certificates are written in version 2, which records the norm and
+writes each flag of the builder as one block; a file without a version is
+version 1, which records no norm.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from typing import Any, Optional
 
 from .certify import Certificate, CertificateStep
 from .constructible import ConstructibleFunction, from_terms
-from .flags import Flag, build_flag
+from .flags import Flag, _graded_summands, build_flag
 from .geometry import (
     AffineMap,
     Norm,
@@ -47,6 +54,14 @@ def parse_dimension(value: Any) -> int:
     if value not in (1, 2, 3):
         raise SchemaError(f"unsupported dimension: {value}")
     return value
+
+
+def parse_norm(value: Any) -> Norm:
+    """A norm, of a certificate or a workspace setting alike."""
+    try:
+        return Norm(str(value).lower())
+    except ValueError:
+        raise SchemaError(f"unknown norm: {value!r}") from None
 
 
 # Longest run of digits, and longest exponent, a rational may be written with.
@@ -109,18 +124,27 @@ def polytope_from_json(obj: Any, polytopes: Optional[dict] = None) -> Polytope:
     coordinate strings, to its Polytope; one dict per document lets every
     repeat share one hull and its chart, and a repeat is not parsed again.
     A list with a number or a bool in it is parsed every time: true == 1.
+    Only all-string keys are stored, and a JSON string equals no other JSON
+    value, so the coordinates' types are tested on a miss alone.
     """
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise SchemaError("polytope must be an object with a 'vertices' list")
     verts = obj["vertices"]
     if not isinstance(verts, list) or not verts:
         raise SchemaError("polytope needs a nonempty vertex list")
-    if polytopes is None or not all(type(v) is list and all(type(c) is str for c in v) for v in verts):
+    # a string or an object vertex would key like the list of its characters or keys
+    if polytopes is None or not all(type(v) is list for v in verts):
         return from_vertices([point_from_json(v) for v in verts])
     key = tuple(map(tuple, verts))
-    if key not in polytopes:
-        polytopes[key] = from_vertices([point_from_json(v) for v in verts])
-    return polytopes[key]
+    try:
+        hit = polytopes.get(key)
+    except TypeError:  # a list or an object coordinate, which is no rational
+        hit = None
+    if hit is None:
+        hit = from_vertices([point_from_json(v) for v in verts])
+        if all(type(c) is str for v in verts for c in v):
+            polytopes[key] = hit
+    return hit
 
 
 def cf_to_json(f: ConstructibleFunction, written: Optional[dict] = None) -> dict:
@@ -150,41 +174,63 @@ def cf_from_json(obj: Any, polytopes: Optional[dict] = None) -> ConstructibleFun
     return from_terms(dim, pairs)
 
 
+def _entry_to_json(entry, written: Optional[dict]) -> dict:
+    """A summand, or a flag block (flag, shift, multiplicity)."""
+    if isinstance(entry, Summand):
+        inner = entry.support.inner
+        return {
+            "outer": polytope_to_json(entry.support.outer, written),
+            "inner": None if inner is None else polytope_to_json(inner, written),
+            "shift": entry.shift,
+            "multiplicity": entry.multiplicity,
+        }
+    flag, shift, multiplicity = entry
+    return {"flag": flag_to_json(flag, written), "shift": shift, "multiplicity": multiplicity}
+
+
 def sheaf_to_json(s: SheafSum, written: Optional[dict] = None) -> dict:
-    return {
-        "dimension": s.dimension,
-        "summands": [
-            {
-                "outer": polytope_to_json(sm.support.outer, written),
-                "inner": None if sm.support.inner is None else polytope_to_json(sm.support.inner, written),
-                "shift": sm.shift,
-                "multiplicity": sm.multiplicity,
-            }
-            for sm in s.summands
-        ],
-    }
+    """The sum's JSON: its flag blocks where it keeps them, else its summands."""
+    entries = s.summands if s.blocks is None else s.blocks
+    return {"dimension": s.dimension, "summands": [_entry_to_json(e, written) for e in entries]}
+
+
+def _shift_and_multiplicity(entry: dict) -> tuple[int, int]:
+    shift = entry.get("shift", 0)
+    mult = entry.get("multiplicity", 1)
+    if type(shift) is not int or type(mult) is not int:
+        raise SchemaError("shift and multiplicity must be integers")
+    return shift, mult
 
 
 def sheaf_from_json(obj: Any, polytopes: Optional[dict] = None) -> SheafSum:
-    """Parse a sheaf sum; `polytopes` as in `polytope_from_json`."""
+    """Parse a sheaf sum; `polytopes` as in `polytope_from_json`.
+
+    A flag block expands to the summands of its flag's graded sheaf, each
+    level difference checked to be nested; the sum keeps the blocks.
+    """
     if polytopes is None:
         polytopes = {}
     if not isinstance(obj, dict) or "dimension" not in obj or "summands" not in obj:
         raise SchemaError("sheaf sum needs 'dimension' and 'summands'")
     dim = parse_dimension(obj["dimension"])
-    summands = []
+    summands, entries = [], []
+    flagged = False
     for sm in _list(obj, "summands"):
+        if isinstance(sm, dict) and "flag" in sm:
+            shift, mult = _shift_and_multiplicity(sm)
+            flag = flag_from_json(sm["flag"], polytopes=polytopes)
+            summands += _graded_summands(flag, shift, mult, checked=True)
+            entries.append((flag, shift, mult))
+            flagged = True
+            continue
         if not isinstance(sm, dict) or "outer" not in sm:
             raise SchemaError("summand needs at least an 'outer' polytope")
         outer = polytope_from_json(sm["outer"], polytopes)
         inner = sm.get("inner")
         support = Support(outer, None if inner is None else polytope_from_json(inner, polytopes))
-        shift = sm.get("shift", 0)
-        mult = sm.get("multiplicity", 1)
-        if type(shift) is not int or type(mult) is not int:
-            raise SchemaError("shift and multiplicity must be integers")
-        summands.append(Summand(support, shift, mult))
-    return sheaf_sum(dim, summands)
+        summands.append(Summand(support, *_shift_and_multiplicity(sm)))
+        entries.append(summands[-1])
+    return sheaf_sum(dim, summands, tuple(entries) if flagged else None)
 
 
 def affine_map_from_json(obj: Any) -> AffineMap:
@@ -198,15 +244,20 @@ def affine_map_from_json(obj: Any) -> AffineMap:
     return AffineMap(matrix, point_from_json(obj["offset"]))
 
 
-def flag_to_json(flag: Flag) -> dict:
+def flag_to_json(flag: Flag, written: Optional[dict] = None) -> dict:
     return {
-        "polytope": polytope_to_json(flag.base),
+        "polytope": polytope_to_json(flag.base, written),
         "center": point_to_json(flag.center),
         "steps": flag.steps,
     }
 
 
-def flag_from_json(obj: Any, norm: Norm = Norm.L2) -> Flag:
+def flag_from_json(obj: Any, norm: Norm = Norm.L2, polytopes: Optional[dict] = None) -> Flag:
+    """Parse a flag; `polytopes` as in `polytope_from_json`.
+
+    The base is hulled, and the center and the step count checked, before any
+    level is built, so a block costs at most `MAX_FLAG_STEPS` levels.
+    """
     if not isinstance(obj, dict) or not {"polytope", "center", "steps"} <= obj.keys():
         raise SchemaError("flag needs 'polytope', 'center' and 'steps'")
     steps = obj["steps"]
@@ -214,15 +265,23 @@ def flag_from_json(obj: Any, norm: Norm = Norm.L2) -> Flag:
         raise SchemaError(f"flag steps must be an integer: {steps!r}")
     # levels are recomputed, which revalidates every invariant
     return build_flag(
-        polytope_from_json(obj["polytope"]), point_from_json(obj["center"]), steps, norm
+        polytope_from_json(obj["polytope"], polytopes), point_from_json(obj["center"]), steps, norm
     )
 
 
+CERT_VERSION = 2
+
+
 def cert_to_json(cert: Certificate) -> dict:
-    """The certificate's JSON.  Each distinct polytope's JSON is built once and
-    shared by its occurrences, so an edit of one occurrence edits them all."""
+    """The certificate's JSON, in version 2.  Each distinct polytope's JSON is
+    built once and shared by its occurrences, so an edit of one occurrence
+    edits them all."""
+    if cert.norm is None:
+        raise ValueError("a certificate is written with the norm it was built under")
     written: dict = {}
     return {
+        "version": CERT_VERSION,
+        "norm": cert.norm.value,
         "epsilon": decimal_up(cert.epsilon),
         "source": cf_to_json(cert.source, written),
         "target": cf_to_json(cert.target, written),
@@ -240,8 +299,17 @@ def cert_to_json(cert: Certificate) -> dict:
 
 
 def cert_from_json(obj: Any) -> Certificate:
+    """Parse a certificate of version 2, or of version 1 (no "version" key),
+    which records no norm."""
     if not isinstance(obj, dict) or not {"epsilon", "source", "target", "steps"} <= obj.keys():
         raise SchemaError("certificate needs 'epsilon', 'source', 'target' and 'steps'")
+    norm = None
+    if "version" in obj:
+        if type(obj["version"]) is not int or obj["version"] != CERT_VERSION:
+            raise SchemaError(f"unsupported certificate version: {obj['version']!r}")
+        if "norm" not in obj:
+            raise SchemaError(f"a version {CERT_VERSION} certificate needs a 'norm'")
+        norm = parse_norm(obj["norm"])
     polytopes: dict = {}
     steps = []
     for s in _list(obj, "steps"):
@@ -263,4 +331,5 @@ def cert_from_json(obj: Any) -> Certificate:
         cf_from_json(obj["target"], polytopes),
         parse_rational(obj["epsilon"]),
         tuple(steps),
+        norm,
     )

@@ -13,7 +13,7 @@ except the flag builder's differences of its own levels (`Support._nested`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .constructible import ConstructibleFunction, from_terms
@@ -71,6 +71,11 @@ class Summand:
 class SheafSum:
     dimension: int
     summands: tuple[Summand, ...]
+    # The entries the sum was made from when some are flag blocks, each a
+    # Summand or a block (flag, shift, multiplicity) standing for that flag's
+    # graded sheaf; writers write these instead of the merged summands, and
+    # equality ignores them.
+    blocks: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 def _sort_key(s: Summand):
@@ -83,8 +88,9 @@ def _sort_key(s: Summand):
     )
 
 
-def sheaf_sum(dimension: int, summands: Iterable[Summand]) -> SheafSum:
-    """Canonical form: merge equal (support, shift) pairs, sort."""
+def sheaf_sum(dimension: int, summands: Iterable[Summand], blocks: Optional[tuple] = None) -> SheafSum:
+    """Canonical form: merge equal (support, shift) pairs, sort.  `blocks`, the
+    entries the summands were expanded from, is kept for the writers."""
     merged: dict = {}
     for s in summands:
         if s.support.outer.dimension != dimension:
@@ -93,7 +99,7 @@ def sheaf_sum(dimension: int, summands: Iterable[Summand]) -> SheafSum:
         merged[key] = merged.get(key, 0) + s.multiplicity
     out = [Summand(sup, shift, m) for (sup, shift), m in merged.items()]
     out.sort(key=_sort_key)
-    return SheafSum(dimension, tuple(out))
+    return SheafSum(dimension, tuple(out), blocks)
 
 
 def plain(p: Polytope, shift: int = 0, multiplicity: int = 1) -> Summand:

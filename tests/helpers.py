@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import json
 import math
 import random
 from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from eulercert import _simplex
+from eulercert import _simplex, jsonio
 from eulercert.cellcomplex import arrangement
-from eulercert.certify import MetricKind
+from eulercert.certify import Certificate, MetricKind
 from eulercert.constructible import ConstructibleFunction, EvalReport, Term, Verdict, evaluate, from_terms
 from eulercert.distance import pair_bound
 from eulercert.geometry import (
@@ -631,3 +633,15 @@ def crowded_bucket_pair(rng: random.Random, dim: int, max_units: int = 6) -> tup
         else:
             sides.append([plain(rand_polytope(rng, dim, 4, lo=-2, hi=2), 0, m) for m in mults])
     return sheaf_sum(dim, sides[0]), sheaf_sum(dim, sides[1])
+
+
+def v1_cert_bytes(cert: Certificate) -> bytes:
+    """The bytes `link --out` wrote for this certificate in format v1: every
+    summand written out, flag levels included, and no version or norm."""
+    def plain(s: SheafSum) -> SheafSum:
+        return SheafSum(s.dimension, s.summands)
+
+    steps = tuple(dataclasses.replace(st, left=plain(st.left), right=plain(st.right)) for st in cert.steps)
+    blob = jsonio.cert_to_json(dataclasses.replace(cert, steps=steps, norm=cert.norm or Norm.L2))
+    del blob["version"], blob["norm"]
+    return (json.dumps(blob) + "\n").encode()

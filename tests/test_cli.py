@@ -11,11 +11,13 @@ from fractions import Fraction as F
 import pytest
 
 import eulercert
-from eulercert import _simplex, flags, jsonio
+from eulercert import _simplex, certify, flags, jsonio, sheafsum
 from eulercert.cli import run
 from eulercert.distance import bottleneck_bound
 from eulercert.flags import MAX_FLAG_STEPS
 from eulercert.geometry import Norm
+
+from helpers import v1_cert_bytes
 
 SQUARE = {
     "dimension": 2,
@@ -204,17 +206,33 @@ def test_oracle_integrate_of_many_event_heights_is_byte_identical(capsys):
 # Andrew's monotone chain, link3dflat (triangles in slanted planes) and
 # link3dline (segments in space) before dimension 3 moved to integer charts.
 # The inputs list duplicate, edge-interior and interior vertices, so the hull
-# canonicalization shows in the certificate bytes.
+# canonicalization shows in the certificate bytes.  These goldens are format
+# v1, every level written out; `link` now writes the v2 twin beside each
+# (`.v2.cert.json`), and the v1 rendering of what it wrote, expanded by the
+# reader, must still be the v1 golden byte for byte.  The sha256 pins below
+# hold the same pair: the v1 rendering's and the v2 file's.
 @pytest.mark.parametrize("fixture", ["link2d", "link3d", "link3dflat", "link3dline"])
 def test_link_certificate_is_byte_identical(fixture, tmp_path, capsys):
     left, right = (os.path.join(DATA, f"{fixture}_{side}.json") for side in "FG")
     out = tmp_path / "cert.json"
     assert run(["link", left, right, "--epsilon", "1/16", "--out", str(out)]) == 0
-    golden = os.path.join(DATA, f"{fixture}.cert.json")
-    with open(golden, "rb") as fh:
+    golden, twin = (os.path.join(DATA, f"{fixture}{v}.cert.json") for v in ("", ".v2"))
+    with open(twin, "rb") as fh:
         assert out.read_bytes() == fh.read()
-    assert run(["verify", golden]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+    with open(golden, "rb") as fh:
+        assert v1_cert_bytes(_parsed(out)) == fh.read()
+    for cert in (golden, twin):
+        assert run(["verify", cert]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
+
+def _parsed(path):
+    return jsonio.cert_from_json(json.loads(path.read_bytes()))
+
+
+def _pins(out, v1_pin: str, v2_pin: str) -> None:
+    assert hashlib.sha256(v1_cert_bytes(_parsed(out))).hexdigest() == v1_pin
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == v2_pin
 
 
 # sha256 of the certificates `link --epsilon 1/16` wrote under L1 and
@@ -229,6 +247,17 @@ POLYHEDRAL_LINKS = {
     ("link3dflat", "linf"): "09c39c05b19bfc8a7517663322d6e6edb80db3bfc3994e855066bece236ab3fe",
     ("link3dline", "linf"): "d8c6c90c5be41c2220d5a6539c4b1f86068d2a8ffb34ad3eb69736ff5eb1d388",
 }
+# sha256 of the same certificates as `link` writes them in format v2
+POLYHEDRAL_LINKS_V2 = {
+    ("link2d", "l1"): "120c3d1deef2b5a289067ce092467d7111f3768b4315c5a1d1d43af7fe7344da",
+    ("link3d", "l1"): "76765a83a1b62fde8b1016c02ae7282576dcbb70fcf9c5e41276b3372876bf5a",
+    ("link3dflat", "l1"): "63009f62b0ef2716c17c34440b1f874f0a6d3506f38f3efb8f36f2ca8e64662b",
+    ("link3dline", "l1"): "c4e718597571460cb3daeb10b1d48a9bdc4c9da4fb1df3ff3dd27d858b261745",
+    ("link2d", "linf"): "d7dea7bee42e0e800916af62820bf4bb2c7876ae0faaeacf6a5c18a0425b4e68",
+    ("link3d", "linf"): "310ae2da6b51ba0688575b729c816ec2a72909d8d5789a935d9a30544f66747d",
+    ("link3dflat", "linf"): "57d7cf659e1afa7ea239ccf3c719578bc0c3cbcd04ded95eb68b59b9cf9b215f",
+    ("link3dline", "linf"): "c38de47f974e49abc589b1784ffb7920b0250c48df9e3cb0c09000549bcbce2e",
+}
 
 
 @pytest.mark.parametrize("fixture, norm", sorted(POLYHEDRAL_LINKS))
@@ -236,9 +265,10 @@ def test_polyhedral_link_certificate_is_byte_identical(fixture, norm, tmp_path, 
     left, right = (os.path.join(DATA, f"{fixture}_{side}.json") for side in "FG")
     out = tmp_path / "cert.json"
     assert run(["--norm", norm, "link", left, right, "--epsilon", "1/16", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == POLYHEDRAL_LINKS[fixture, norm]
+    _pins(out, POLYHEDRAL_LINKS[fixture, norm], POLYHEDRAL_LINKS_V2[fixture, norm])
     assert run(["--norm", norm, "verify", str(out)]) == 0
-    # the L2 golden certificate holds under L-infinity, which is never larger
+    # the L2 golden certificate holds under L-infinity, which is never larger;
+    # its v1 file records no norm, so verify takes the configured one
     if norm == "linf":
         assert run(["--norm", norm, "verify", os.path.join(DATA, f"{fixture}.cert.json")]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "PASS"
@@ -252,6 +282,13 @@ FINE_LINKS = {
     "link3dflat": "1fbf79e15c01d364bfba1d1ec0f4a0234ac64fea19e59b90023d7e92d5faa4d5",
     "link3dline": "d754ac6e4d416d6d1df2a0faf3dcb3fce99779e474b4a032038ef077f4f5bcbd",
 }
+# in format v2 each flag is one block, so the size no longer grows with 1/eps
+FINE_LINKS_V2 = {
+    "link2d": "c2502c152e6dced3608f37981e598fb1b711cd031df064d075152e81d6eee230",
+    "link3d": "286b561be93d7da94f0ae880f8c029a7db7d5c8bce51b1611a82a9c86f5ca6bd",
+    "link3dflat": "e363ed11f5b5f12b412c6b32feedc5efda56322f8307fcf1cc86df03c958c994",
+    "link3dline": "d0f470586faa57581bfa4783935dc8b90cbf8c264fa3b284f048ec1b32d3e242",
+}
 
 
 @pytest.mark.parametrize("fixture", sorted(FINE_LINKS))
@@ -259,7 +296,7 @@ def test_fine_link_certificate_is_byte_identical(fixture, tmp_path):
     left, right = (os.path.join(DATA, f"{fixture}_{side}.json") for side in "FG")
     out = tmp_path / "cert.json"
     assert run(["link", left, right, "--epsilon", "1/256", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == FINE_LINKS[fixture]
+    _pins(out, FINE_LINKS[fixture], FINE_LINKS_V2[fixture])
 
 
 def test_bound_large_multiplicity_against_itself(tmp_path, capsys):
@@ -355,17 +392,23 @@ def test_verify_refuses_a_difference_moved_out_of_its_outer(tmp_path, capsys):
 
 
 def test_verify_rechecks_the_nesting_that_link_trusts(square, tmp_path, monkeypatch, capsys):
-    # a builder whose flags run from the base down to the center writes
+    # a builder whose flags run from the base down to the center makes
     # differences of a smaller outer level minus a larger inner one, which
-    # `link` takes on trust and `verify` must refuse when it parses them
+    # `link` takes on trust and `verify` must refuse: where a v1 file writes
+    # them out, and where its own expansion of a v2 flag block makes them
     real = flags._levels
     monkeypatch.setattr(flags, "_levels", lambda *args: real(*args)[::-1])
     rect = _write(tmp_path, "rect.json", RECT)
     cert = str(tmp_path / "cert.json")
     assert run(["link", square, rect, "--epsilon", "1/4", "--out", cert]) == 0
-    monkeypatch.undo()
     assert run(["verify", cert]) == 2
     assert capsys.readouterr().err == f"error: {cert}: inner polytope not contained in outer\n"
+    built = certify.link(jsonio.cf_from_json(SQUARE), jsonio.cf_from_json(RECT), F(1, 4))
+    monkeypatch.undo()
+    v1 = tmp_path / "v1.json"
+    v1.write_bytes(v1_cert_bytes(built))
+    assert run(["verify", str(v1)]) == 2
+    assert capsys.readouterr().err == f"error: {v1}: inner polytope not contained in outer\n"
 
 
 # JSON texts that are no rational: float literals the parser reads as inf or
@@ -610,7 +653,7 @@ def test_dimension_mismatch_names_both_dimensions(argv, files, message, tmp_path
 
 @pytest.mark.parametrize(
     "argv",
-    [["verify", "link2d.cert.json"], ["link", "link2d_F.json", "link2d_G.json", "--epsilon", "1/16"]],
+    [["verify", "link2d.v2.cert.json"], ["link", "link2d_F.json", "link2d_G.json", "--epsilon", "1/16"]],
     ids=["verify", "link"],
 )
 def test_closed_stdout_exits_2_without_traceback(argv):
@@ -885,3 +928,125 @@ def test_deterministic_output(square, tmp_path, capsys):
     first = capsys.readouterr().out
     assert run(["link", square, rect, "--epsilon", "0.125"]) == 0
     assert capsys.readouterr().out == first
+
+
+# --- certificate format v2: recorded norm and flag blocks ------------------
+
+V2 = os.path.join(DATA, "link2d.v2.cert.json")
+
+
+def _v2(tmp_path, edit) -> str:
+    """The v2 golden, edited in place by `edit`, written to a file."""
+    with open(V2, encoding="utf-8") as fh:
+        blob = json.load(fh)
+    edit(blob)
+    return _write(tmp_path, "v2.json", blob)
+
+
+def _block(blob: dict) -> dict:
+    """Step 0's first flag block, the first block the reader meets."""
+    return blob["steps"][0]["F"]["summands"][0]
+
+
+@pytest.mark.parametrize("norm", ["l1", "linf"])
+def test_verify_refuses_a_certificate_built_under_another_norm(norm, capsys):
+    assert run(["--norm", norm, "verify", V2]) == 2
+    assert capsys.readouterr() == ("", f"error: {V2}: certificate built under norm l2, but the configured norm is {norm}\n")
+
+
+def test_v1_certificate_verifies_under_the_configured_norm_with_a_note(capsys):
+    golden = os.path.join(DATA, "link2d.cert.json")
+    assert run(["verify", golden]) == 0
+    assert capsys.readouterr() == ("PASS\n", f"note: {golden}: records no norm (version 1); verifying under l2\n")
+    # the L2 bounds are understated under L1, which a v1 file cannot tell
+    assert run(["--norm", "l1", "verify", golden]) == 1
+    assert capsys.readouterr() == (
+        "FAIL\n" + "".join(f"- bound understated at step {k}\n" for k in range(6)),
+        f"note: {golden}: records no norm (version 1); verifying under l1\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda b: b.update(version=1), "unsupported certificate version: 1"),
+        (lambda b: b.update(version=3), "unsupported certificate version: 3"),
+        (lambda b: b.update(version="2"), "unsupported certificate version: '2'"),
+        (lambda b: b.update(version=True), "unsupported certificate version: True"),
+        (lambda b: b.update(version=2.0), "unsupported certificate version: 2.0"),
+        (lambda b: b.pop("norm"), "a version 2 certificate needs a 'norm'"),
+        (lambda b: b.update(norm="l7"), "unknown norm: 'l7'"),
+        (lambda b: b.update(norm=None), "unknown norm: None"),
+    ],
+    ids=["version-1", "version-3", "version-string", "version-bool", "version-float", "no-norm", "bad-norm", "null-norm"],
+)
+def test_verify_refuses_an_unknown_version_or_norm(edit, message, tmp_path, capsys):
+    path = _v2(tmp_path, edit)
+    assert run(["verify", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("steps", 0, "a flag needs at least one step"),
+        ("steps", True, "flag steps must be an integer: True"),
+        ("steps", MAX_FLAG_STEPS + 1, f"a flag may have at most {MAX_FLAG_STEPS} steps"),
+        ("center", ["9", "9"], "flag center must lie in the base polytope"),
+    ],
+    ids=["steps-0", "steps-bool", "steps-over-max", "center-outside"],
+)
+def test_verify_refuses_a_hostile_block_before_building_a_level(key, value, message, tmp_path, monkeypatch, capsys):
+    path = _v2(tmp_path, lambda b: _block(b)["flag"].update({key: value}))
+    built = []
+    real = flags._levels
+    monkeypatch.setattr(flags, "_levels", lambda *args: built.append(args) or real(*args))
+    assert run(["verify", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+    assert built == []
+
+
+@pytest.mark.parametrize("flag", [5, None, [], "x", {"polytope": {"vertices": [["0", "0"]]}}])
+def test_verify_refuses_a_flag_that_is_not_a_flag_object(flag, tmp_path, capsys):
+    path = _v2(tmp_path, lambda b: _block(b).update(flag=flag))
+    assert run(["verify", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: flag needs 'polytope', 'center' and 'steps'\n")
+
+
+def test_verify_fails_a_shifted_block_as_the_same_v1_tampering(tmp_path, capsys):
+    # the block's base and center move together, so the flag stays valid and
+    # its graded sheaf no longer matches the step's chi_F or its bound
+    def shift(blob):
+        flag = _block(blob)["flag"]
+        flag["polytope"]["vertices"] = [[str(F(x) + 10), y] for x, y in flag["polytope"]["vertices"]]
+        flag["center"] = [str(F(flag["center"][0]) + 10), flag["center"][1]]
+
+    path = _v2(tmp_path, shift)
+    assert run(["verify", path]) == 1
+    out = capsys.readouterr().out
+    assert out == "FAIL\n- left local euler mismatch at step 0\n- bound understated at step 0\n"
+    # the v1 file of the same tampering writes every level of the block moved
+    with open(path, encoding="utf-8") as fh:
+        v1 = _write(tmp_path, "v1.json", json.loads(v1_cert_bytes(jsonio.cert_from_json(json.load(fh)))))
+    assert run(["verify", v1]) == 1
+    assert capsys.readouterr().out == out
+
+
+def test_verify_of_a_v2_certificate_makes_no_nested_call(square, tmp_path, monkeypatch, capsys):
+    calls = []
+    real = sheafsum.Support._nested
+    monkeypatch.setattr(sheafsum.Support, "_nested", classmethod(lambda cls, *args: calls.append(args) or real(*args)))
+    assert run(["verify", V2]) == 0
+    assert calls == []
+    # the builder's own flags do take the shortcut, so the spy sees them
+    assert run(["link", square, _write(tmp_path, "rect.json", RECT), "--epsilon", "1/4"]) == 0
+    assert calls
+
+
+def test_bool_coordinate_after_the_same_string_list_exits_2(tmp_path, capsys):
+    # a repeated list of strings is a cache hit, tested for types only when
+    # stored; [true] must miss it and be parsed
+    terms = [{"coeff": 1, "polytope": {"vertices": [c]}} for c in (["1"], ["1"], [True])]
+    path = _write(tmp_path, "cf.json", {"dimension": 1, "terms": terms})
+    assert run(["integrate", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: not a rational: True\n")

@@ -32,6 +32,7 @@ def _fixture(name):
 CF, CF2 = _fixture("link2d_F.json"), _fixture("link2d_G.json")
 SHEAF, SHEAF2 = _fixture("shifts_F.json"), _fixture("shifts_G.json")
 CERT = _fixture("link3dline.cert.json")
+CERT_V2 = _fixture("link3dline.v2.cert.json")  # the same certificate, each flag one block
 POLYTOPE = CF["terms"][0]["polytope"]
 MAP = {"matrix": [["1", "2"]], "offset": ["1/2"]}
 
@@ -46,6 +47,7 @@ COMMANDS = {
     "concentrate": (["concentrate", 0, "--epsilon", "1/2"], [CF]),
     "link": (["link", 0, 1, "--epsilon", "1/2"], [CF, CF2]),
     "verify": (["verify", 0], [CERT]),
+    "verify-v2": (["verify", 0], [CERT_V2]),
     "probe": (["probe", 0, "--metric", "gap", "--schedule", "1/2,1/4"], [CF]),
 }
 
@@ -149,6 +151,8 @@ def _cases(draw):
 @example(("chi", [_mutate(copy.deepcopy(SHEAF), ("summands", 0, "outer"), "deep", DEEP)]))
 @example(("verify", [_mutate(copy.deepcopy(CERT), ("steps", 0, "bound"), "tweak", "0")]))
 @example(("verify", [_mutate(copy.deepcopy(CERT), ("steps", 1, "F"), "swap", SHEAF)]))
+@example(("verify-v2", [_mutate(copy.deepcopy(CERT_V2), ("steps", 0, "F", "summands", 0, "flag", "steps"), "huge", 10**4000)]))
+@example(("verify-v2", [_mutate(copy.deepcopy(CERT_V2), ("steps", 0, "F", "summands", 0, "flag"), "swap", [])]))
 def test_hostile_input_ends_in_a_clean_exit(case):
     command, docs = case
     argv, _ = COMMANDS[command]
@@ -161,6 +165,6 @@ def test_hostile_input_ends_in_a_clean_exit(case):
         code, out, err = _run([paths[a] if isinstance(a, int) else a for a in argv])
     assert code in (0, 1, 2), err
     assert "Traceback" not in err
-    assert code != 1 or command == "verify"
+    assert code != 1 or argv[0] == "verify"
     if code == 2:
         assert err.startswith("error: ")

@@ -11,6 +11,7 @@ from eulercert.certify import link
 from eulercert.constructible import indicator
 from eulercert.geometry import Norm, from_vertices
 from eulercert.jsonio import SchemaError
+from eulercert.sheafsum import Summand
 
 from helpers import rand_cf, rand_sheaf
 
@@ -66,13 +67,16 @@ def _vertex_lists(blob) -> list:
 
 
 def _polytopes(cert) -> list:
+    """Every polytope the certificate's JSON writes: a flag block writes its base."""
     cfs = [cert.source, cert.target] + [f for s in cert.steps for f in (s.chi_left, s.chi_right)]
     sheaves = [sh for s in cert.steps for sh in (s.left, s.right)]
-    supports = [sm.support for sh in sheaves for sm in sh.summands]
+    entries = [e for sh in sheaves for e in (sh.summands if sh.blocks is None else sh.blocks)]
+    supports = [e.support for e in entries if isinstance(e, Summand)]
     return (
         [t.support for f in cfs for t in f.terms]
         + [sup.outer for sup in supports]
         + [sup.inner for sup in supports if sup.inner is not None]
+        + [e[0].base for e in entries if not isinstance(e, Summand)]
     )
 
 
@@ -121,6 +125,58 @@ def test_vertex_lists_key_on_raw_strings_only():
     for verts in ([[True, 0], [0, 0]], [["1", "0"], [False, "0"]]):
         with pytest.raises(SchemaError, match="rational"):
             jsonio.polytope_from_json({"vertices": verts}, polytopes)
+
+
+def test_cached_parse_refuses_list_and_object_coordinates():
+    # such a coordinate cannot key the cache, and is no rational
+    for coord in (["1"], {"1": 1}):
+        with pytest.raises(SchemaError, match="rational"):
+            jsonio.polytope_from_json({"vertices": [[coord]]}, {})
+
+
+FIXTURES = ["link2d", "link3d", "link3dflat", "link3dline"]
+
+
+def _cert_file(name):
+    with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+        return jsonio.cert_from_json(json.load(fh))
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_v2_twin_parses_equal_to_its_v1_golden(fixture):
+    v1, v2 = _cert_file(f"{fixture}.cert.json"), _cert_file(f"{fixture}.v2.cert.json")
+    assert v2 == v1
+    assert (v1.norm, v2.norm) == (None, Norm.L2)
+    assert all(s.left.blocks is None and s.right.blocks is None for s in v1.steps)
+    assert all((s.left.blocks is None) != (s.right.blocks is None) for s in v2.steps)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_v2_certificate_round_trips_to_the_same_bytes(fixture):
+    with open(os.path.join(DATA, f"{fixture}.v2.cert.json"), "rb") as fh:
+        raw = fh.read()
+    cert = jsonio.cert_from_json(json.loads(raw))
+    assert (json.dumps(jsonio.cert_to_json(cert)) + "\n").encode() == raw
+
+
+def test_sheaf_of_blocks_and_summands_expands_and_round_trips():
+    block = {"flag": {"polytope": {"vertices": [["0"], ["4"]]}, "center": ["0"], "steps": 4}, "shift": 1, "multiplicity": 2}
+    point = {"outer": {"vertices": [["9"]]}, "inner": None, "shift": 0, "multiplicity": 1}
+    blob = {"dimension": 1, "summands": [point, block]}
+    s = jsonio.sheaf_from_json(blob)
+    levels = [{"vertices": [["0"]]}] + [{"vertices": [["0"], [str(i)]]} for i in range(1, 5)]
+    expanded = [point] + [
+        {"outer": hi, "inner": lo, "shift": 1, "multiplicity": 2} for lo, hi in zip([None] + levels, levels)
+    ]
+    plain = jsonio.sheaf_from_json({"dimension": 1, "summands": expanded})
+    assert s == plain and plain.blocks is None
+    assert jsonio.sheaf_to_json(s) == blob
+
+
+def test_cert_to_json_refuses_a_certificate_with_no_norm():
+    cert = _cert_file("link2d.cert.json")
+    with pytest.raises(ValueError, match="norm"):
+        jsonio.cert_to_json(cert)
 
 
 def test_affine_map_schema():

@@ -28,6 +28,11 @@ and two trees can be compared on the same inputs:
     python3 tools/opdigest.py --src parent/src --inputs in > parent.txt
     python3 tools/opdigest.py --src src --inputs in > change.txt
     diff parent.txt change.txt
+
+When the change alters the certificate format, build the inputs once per
+tree instead (``--inputs in-parent`` and ``--inputs in-change``, both empty
+at the start): ``verify`` must read the certificates that the tree's own
+``link`` wrote, and one tree may not read the other's format.
 """
 
 from __future__ import annotations
