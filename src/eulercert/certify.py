@@ -40,7 +40,7 @@ from .constructible import (
     zero_function,
 )
 from .distance import bottleneck_bound
-from .flags import _graded_summands, build_flag
+from .flags import build_flag
 from .geometry import (
     Norm,
     Polytope,
@@ -110,9 +110,10 @@ def concentrate_basepoints(
     in homological degree 1 so the local Euler characteristics come out with
     the right sign.  The declared bound is eps itself (0 if every block is
     degenerate); the recomputed bound certifies it.  A basepoint outside its
-    term's support raises ValueError, from `build_flag`.  The left sheaf keeps
-    its flag blocks (flag, shift, multiplicity), which the writers write in
-    place of the levels.
+    term's support raises ValueError, from `build_flag`, which also refuses a
+    flag of over `MAX_FLAG_STEPS` steps.  The left sheaf holds only its flag
+    blocks (flag, shift, multiplicity), which the writers write; no level is
+    built until its summands are first read.
     """
     eps = Fraction(epsilon)
     if eps <= 0:
@@ -134,7 +135,7 @@ def concentrate_basepoints(
         mult = abs(term.coeff)
         blocks.append((flag, shift, mult))
         right_parts.append(Summand(Support(Polytope((pt,))), shift, mult))
-    left = sheaf_sum(fn.dimension, [sm for block in blocks for sm in _graded_summands(*block)], tuple(blocks))
+    left = SheafSum(fn.dimension, None, tuple(blocks))
     right = sheaf_sum(fn.dimension, right_parts)
     chi_right = from_terms(
         fn.dimension, [(t.coeff, Polytope((pt,))) for t, pt in zip(fn.terms, pts)]

@@ -4,6 +4,12 @@ A chain with n steps scales the base polytope toward an interior center by
 ratios i/n.  Consecutive levels are then exactly reach/n apart in directed
 Hausdorff distance, which is the certified spacing the distance bounds use.
 
+A flag's levels are built on first read, not by :func:`build_flag`, which
+runs every check of the flag before it returns.  The builders `concentrate`,
+`link` and `probe` read no level: a certificate writes each flag as a block of
+base, center and step count.  Only the readers (`verify`, `chi`, `bound`) and
+`flag` build levels.
+
 The builder trusts one fact and nothing else: the levels of a flag that
 :func:`build_flag` made are nested, since its center lies in the convex base.
 So :func:`graded_sheaf` makes the differences of consecutive levels without a
@@ -15,15 +21,17 @@ reader rebuilds that flag and makes each of its differences with the checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .geometry import Norm, Point, Polytope, RoundedReal, _levels, _outside, _reach, as_point
 from .sheafsum import SheafSum, Summand, Support, sheaf_sum
 
-#: Most steps a flag may have.  Every level is built and kept, and `flag`,
-#: `concentrate`, `link` and `probe` build their levels here alone, so their
-#: work stays within this many levels per term whatever epsilon or step count
-#: is written in the input.
+#: Most steps a flag may have.  A flag's levels are built here alone, once
+#: and on first read: `verify`, `chi`, `bound` and `flag` read them, and
+#: `concentrate`, `link` and `probe` do not.  So a reader's work stays within
+#: this many levels per block whatever step count a file writes, and the
+#: builders refuse any flag a reader would refuse.
 MAX_FLAG_STEPS = 10**4
 
 
@@ -32,15 +40,20 @@ class Flag:
     base: Polytope
     center: Point
     steps: int
-    levels: tuple[Polytope, ...]  # levels[0] = {center}, levels[steps] = base
     spacing: RoundedReal  # certified max directed Hausdorff gap, reach/steps
+    tip: Polytope = field(repr=False, compare=False)  # {center}, levels[0]
+
+    @cached_property
+    def levels(self) -> tuple[Polytope, ...]:
+        """levels[0] = {center}, levels[steps] = base; built on first read."""
+        return _levels(self.base, self.tip, self.steps)
 
 
 def build_flag(base: Polytope, center, steps: int, norm: Norm = Norm.L2) -> Flag:
     c = as_point(center)
     if len(c) != base.dimension:
         raise ValueError(f"center dimension {len(c)} != polytope dimension {base.dimension}")
-    tip = Polytope((c,))  # levels[0]: its integer form serves the check, every level and the reach
+    tip = Polytope((c,))  # levels[0]: its integer form serves the check, the reach and every level
     # before the step count, which a caller may derive from the center's reach
     if _outside(tip, base):
         raise ValueError("flag center must lie in the base polytope")
@@ -48,8 +61,7 @@ def build_flag(base: Polytope, center, steps: int, norm: Norm = Norm.L2) -> Flag
         raise ValueError("a flag needs at least one step")
     if steps > MAX_FLAG_STEPS:
         raise ValueError(f"a flag may have at most {MAX_FLAG_STEPS} steps")
-    levels = _levels(base, tip, steps)
-    return Flag(base, c, steps, levels, _reach(base, tip, norm) / steps)
+    return Flag(base, c, steps, _reach(base, tip, norm) / steps, tip)
 
 
 def _graded_summands(flag: Flag, shift: int = 0, multiplicity: int = 1, checked: bool = False) -> list[Summand]:

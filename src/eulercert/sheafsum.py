@@ -9,11 +9,14 @@ triangle of a nested difference of convex compacts has vanishing sections.
 
 Every difference support is checked to be nested when it is made or parsed,
 except the flag builder's differences of its own levels (`Support._nested`).
+A sum the builder makes of its flags holds only their blocks; their levels
+and differences are made when its summands are first read, which `concentrate`,
+`link` and `probe` never do.  A reader expands every block as it parses it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .constructible import ConstructibleFunction, from_terms
@@ -67,15 +70,41 @@ class Summand:
             raise ValueError("multiplicity must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SheafSum:
+    """A sum in the canonical form of :func:`sheaf_sum`.
+
+    `blocks`, when set, are the entries the sum was made from, some of them
+    flag blocks: each a Summand or a block (flag, shift, multiplicity) standing
+    for that flag's graded sheaf.  Writers write these instead of the merged
+    summands.  A sum made with no summands holds its blocks alone, and its
+    summands are expanded from them on first read.  Equality and hash are
+    over (dimension, summands), whichever way the sum was made.
+    """
+
     dimension: int
-    summands: tuple[Summand, ...]
-    # The entries the sum was made from when some are flag blocks, each a
-    # Summand or a block (flag, shift, multiplicity) standing for that flag's
-    # graded sheaf; writers write these instead of the merged summands, and
-    # equality ignores them.
-    blocks: Optional[tuple] = field(default=None, compare=False, repr=False)
+    _summands: Optional[tuple[Summand, ...]]
+    blocks: Optional[tuple] = None
+
+    @property
+    def summands(self) -> tuple[Summand, ...]:
+        if self._summands is None:
+            from .flags import _graded_summands  # flags imports this module
+
+            expanded = [sm for e in self.blocks for sm in ([e] if isinstance(e, Summand) else _graded_summands(*e))]
+            object.__setattr__(self, "_summands", sheaf_sum(self.dimension, expanded).summands)
+        return self._summands
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dimension, self.summands) == (other.dimension, other.summands)
+
+    def __hash__(self):
+        return hash((self.dimension, self.summands))
+
+    def __repr__(self):
+        return f"SheafSum(dimension={self.dimension!r}, summands={self.summands!r})"
 
 
 def _sort_key(s: Summand):

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eulercert import constructible
 from eulercert.certify import (
@@ -27,7 +28,9 @@ from eulercert.constructible import (
 )
 from eulercert.distance import bottleneck_bound
 from eulercert.geometry import Norm, RoundedReal, from_vertices, homothet
-from eulercert.jsonio import cert_from_json
+from eulercert.flags import _graded_summands
+from eulercert.jsonio import cert_from_json, cert_to_json
+from eulercert.sheafsum import sheaf_sum
 
 from helpers import brute_metric, prism, rand_cf, rand_equality_pair
 
@@ -310,3 +313,42 @@ def test_random_links_verify_with_constant_step_count():
             ints |= {euler_integral(s.chi_right) for s in cert.steps}
             assert ints == {euler_integral(f)}
         assert len(counts) == 1
+
+
+# --- sums of flag blocks, expanded on first read ----------------------------------
+
+
+@st.composite
+def _cf(draw, dim):
+    """1 to 3 terms of coefficient -3 to 3, some on a point, in [0, 2]^dim."""
+    point = st.tuples(*[st.fractions(0, 2, max_denominator=2)] * dim)
+    pairs = [
+        (draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), from_vertices(draw(st.lists(point, min_size=1, max_size=4))))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return from_terms(dim, pairs)
+
+
+@st.composite
+def _link_input(draw):
+    dim = draw(st.sampled_from([1, 2, 3]))
+    f, g = draw(_cf(dim)), draw(_cf(dim))
+    gap = euler_integral(f) - euler_integral(g)
+    if gap:
+        g = g + from_terms(dim, [(gap, from_vertices([draw(st.tuples(*[st.integers(0, 2)] * dim))]))])
+    return f, g, draw(st.sampled_from([F(1, 2), F(1, 4)]))
+
+
+@settings(deadline=None, max_examples=30)  # a 3-D verify takes up to a second
+@given(_link_input())
+def test_built_sums_expand_to_the_merged_summands_and_round_trip(link_input):
+    f, g, eps = link_input
+    cert = link(f, g, eps)
+    for step in cert.steps:
+        for side in (step.left, step.right):
+            if side.blocks is not None:
+                eager = sheaf_sum(side.dimension, [sm for block in side.blocks for sm in _graded_summands(*block)])
+                assert side.summands == eager.summands
+    parsed = cert_from_json(json.loads(json.dumps(cert_to_json(cert))))
+    assert parsed == cert and hash(parsed) == hash(cert)
+    assert verify(cert).passed

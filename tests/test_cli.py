@@ -404,9 +404,9 @@ def test_verify_rechecks_the_nesting_that_link_trusts(square, tmp_path, monkeypa
     assert run(["verify", cert]) == 2
     assert capsys.readouterr().err == f"error: {cert}: inner polytope not contained in outer\n"
     built = certify.link(jsonio.cf_from_json(SQUARE), jsonio.cf_from_json(RECT), F(1, 4))
-    monkeypatch.undo()
     v1 = tmp_path / "v1.json"
-    v1.write_bytes(v1_cert_bytes(built))
+    v1.write_bytes(v1_cert_bytes(built))  # reads the levels, reversed, before the undo
+    monkeypatch.undo()
     assert run(["verify", str(v1)]) == 2
     assert capsys.readouterr().err == f"error: {v1}: inner polytope not contained in outer\n"
 
@@ -1038,9 +1038,57 @@ def test_verify_of_a_v2_certificate_makes_no_nested_call(square, tmp_path, monke
     monkeypatch.setattr(sheafsum.Support, "_nested", classmethod(lambda cls, *args: calls.append(args) or real(*args)))
     assert run(["verify", V2]) == 0
     assert calls == []
-    # the builder's own flags do take the shortcut, so the spy sees them
+    # `link` writes its flags as blocks and never expands them
     assert run(["link", square, _write(tmp_path, "rect.json", RECT), "--epsilon", "1/4"]) == 0
+    assert calls == []
+    # the builder's own flags do take the shortcut when their summands are read
+    certify.link(jsonio.cf_from_json(SQUARE), jsonio.cf_from_json(RECT), F(1, 4)).steps[0].left.summands
     assert calls
+
+
+def _spy_on_levels_and_differences(monkeypatch) -> list:
+    """Record every level build and every unchecked difference."""
+    calls = []
+    real_levels, real_nested = flags._levels, sheafsum.Support._nested
+    monkeypatch.setattr(flags, "_levels", lambda *args: calls.append("_levels") or real_levels(*args))
+    monkeypatch.setattr(sheafsum.Support, "_nested", classmethod(lambda cls, *args: calls.append("_nested") or real_nested(*args)))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["link", "link2d_F.json", "link2d_G.json", "--epsilon", "1/64"],
+        ["link", "link3d_F.json", "link3d_G.json", "--epsilon", "1/16"],
+        ["concentrate", "link2d_F.json", "--epsilon", "1/64"],
+        ["probe", "link2d_F.json", "--metric", "gap", "--schedule", "1/4,1/64"],
+        ["probe", "link2d_F.json", "--metric", "sup", "--schedule", "1/4,1/64"],
+    ],
+    ids=["link", "link-3d", "concentrate", "probe-gap", "probe-sup"],
+)
+def test_builders_build_no_level_and_no_difference(argv, monkeypatch, capsys):
+    calls = _spy_on_levels_and_differences(monkeypatch)
+    assert run([os.path.join(DATA, a) if a.endswith(".json") else a for a in argv]) == 0
+    assert calls == []
+
+
+def test_link_at_the_step_limit_writes_what_the_reader_accepts(tmp_path, monkeypatch, capsys):
+    # the unit segment's flags have reach 1/2, so eps = 1/(4n) needs n steps
+    seg = _write(tmp_path, "seg.json", {"dimension": 1, "terms": [{"coeff": 1, "polytope": {"vertices": [["0"], ["1"]]}}]})
+    dot = _write(tmp_path, "dot.json", {"dimension": 1, "terms": [{"coeff": 1, "polytope": {"vertices": [["0"]]}}]})
+    calls = _spy_on_levels_and_differences(monkeypatch)
+    cert = tmp_path / "cert.json"
+    assert run(["link", seg, dot, "--epsilon", f"1/{4 * MAX_FLAG_STEPS}", "--out", str(cert)]) == 0
+    assert calls == []
+    monkeypatch.undo()
+    blob = json.loads(cert.read_text())
+    steps = [e["flag"]["steps"] for s in blob["steps"] for side in ("F", "G") for e in s[side]["summands"] if "flag" in e]
+    assert max(steps) == MAX_FLAG_STEPS
+    jsonio.cert_from_json(blob)  # every level built and every difference checked
+    over = tmp_path / "over.json"
+    assert run(["link", seg, dot, "--epsilon", f"1/{4 * (MAX_FLAG_STEPS + 1)}", "--out", str(over)]) == 2
+    assert capsys.readouterr() == ("", f"error: a flag may have at most {MAX_FLAG_STEPS} steps\n")
+    assert not over.exists()
 
 
 def test_bool_coordinate_after_the_same_string_list_exits_2(tmp_path, capsys):
