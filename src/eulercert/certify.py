@@ -17,8 +17,12 @@ integral m onto m times a point mass, and two functions with equal integral
 are linked through that common point mass.
 
 Verification is independent of construction: it rederives every local Euler
-characteristic, recomputes every distance bound from the embedded rational
-geometry, and rechecks chaining, endpoints and integral preservation.
+characteristic, decides each declared distance bound from the embedded
+rational geometry, and rechecks chaining, endpoints and integral
+preservation.  It does not recompute the optimal bound: it asks whether some
+matching of the step's summands stays within the declared one
+(`distance.decide`), and every cost it reads is recomputed from the parsed
+geometry or is a proven upper or lower bound of one.
 """
 
 from __future__ import annotations
@@ -39,13 +43,12 @@ from .constructible import (
     normalize,
     zero_function,
 )
-from .distance import bottleneck_bound
+from .distance import decide
 from .flags import build_flag
 from .geometry import (
     Norm,
     Polytope,
     RoundedReal,
-    SLACK,
     ZERO_REAL,
     as_point,
     from_vertices,
@@ -206,8 +209,11 @@ class Report:
 def verify(cert: Certificate, norm: Norm = Norm.L2) -> Report:
     """Re-derive everything a certificate claims; report itemized failures.
 
-    Bounds compare exactly, except that a recomputed bound that is not exact
-    (a rounded L2 value) may exceed the declared one by up to SLACK.
+    Each step's declared bound d is decided, not recomputed: the step passes
+    when some partial matching of its summands keeps every element within d
+    (`distance.decide`).  An element x, a vanishing bound or an edge cost, is
+    within d when x.value - (0 if x.exact else SLACK) <= d: exact values
+    compare exactly, and a rounded L2 value may exceed d by up to SLACK.
     """
     failures: list[str] = []
 
@@ -220,8 +226,7 @@ def verify(cert: Certificate, norm: Norm = Norm.L2) -> Report:
     for k, step in enumerate(cert.steps):
         check_equal(local_euler(step.left), step.chi_left, f"left local euler mismatch at step {k}")
         check_equal(local_euler(step.right), step.chi_right, f"right local euler mismatch at step {k}")
-        recomputed = bottleneck_bound(step.left, step.right, norm)
-        if recomputed.value - (0 if recomputed.exact else SLACK) > step.declared_bound.value:
+        if not decide(step.left, step.right, norm, step.declared_bound.value):
             failures.append(f"bound understated at step {k}")
         if step.declared_bound.value > cert.epsilon:
             failures.append(f"declared bound exceeds epsilon at step {k}")

@@ -37,6 +37,41 @@ the lexicographically least optimal one in unit indices, unmatched last;
 copies being interchangeable, each left summand gives each right summand in
 turn as many copies as keep its forced bucket's flow saturated, or all it can
 when its bucket is not forced.
+
+`decide(f, g, norm, d)` answers the question `verify` asks of each step: is
+some partial matching within the declared bound d?  It never computes the
+optimum.  An element x, a vanishing bound or an edge cost, is within d when
+x.value - (0 if x.exact else SLACK) <= d.  A bucket is unforced when its
+vanishing bound is within d, and needs nothing; a forced bucket needs equal
+multiplicity totals on its two sides and one saturated flow on its edges
+within d.  The first forced bucket that fails ends the decision.
+
+Vertex filter.  For polytopes Y and X, the directed Hausdorff distance from Y
+to X is the largest dist(y, X) over y in Y.  dist(., X) is convex, so that
+largest value is reached at a vertex of Y, and dist(y, X) <= ||y - w|| for
+every w in X.  So any pairing of Y's vertices with points of X bounds it from
+above, for any two polytopes, whoever built them.  `decide` pairs vertex i of
+outer with vertex i of inner when their counts agree (a positive homothety
+keeps the sorted vertex order, so for flag levels this is the spacing itself)
+and each outer vertex with its nearest inner vertex otherwise, and compares
+twice d with that bound exactly on the integer forms, squared under L2.  A
+difference that passes is unforced: its true vanishing bound is at most d,
+and a rounded L2 value exceeds its true value by less than SLACK / 2, so the
+slack rule would not force it either.  Only a difference that fails gets a
+bucket key, and each bucket of such differences one exact vanishing bound.
+
+Grid lemma.  For compact A and B, and every axis k, the Hausdorff distance of
+A and B is at least |min_k A - min_k B|: if min_k A is the smaller, the point
+of A where it is reached lies at least that far from every point of B along
+axis k, and the L1, L2 and L-infinity norms of a vector are each at least the
+absolute value of any of its coordinates.  The translation of one difference
+onto another moves each lowest coordinate by that coordinate of the
+translation, which its norm bounds the same way.  An edge within d has a
+cost whose true value is at most d, or d + SLACK if the cost is rounded, so
+the lowest corners of its ends lie within side = d (d + SLACK under L2) on
+every axis, and in neighbouring cells of a grid of that side.  Only such
+candidate pairs get an exact edge cost.  At side 0 the corners are equal,
+and a hash of the corner finds them.
 """
 
 from __future__ import annotations
@@ -45,13 +80,14 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Optional
 
 from .geometry import (
     INF,
     Norm,
     RoundedReal,
+    SLACK,
     ZERO_REAL,
     directed_hausdorff,
     hausdorff,
@@ -59,7 +95,7 @@ from .geometry import (
     translate,
     vsub,
 )
-from .sheafsum import SheafSum, Summand
+from .sheafsum import SheafSum, Summand, Support
 
 #: Most unit copies a side of `sum_bound` may hold: its matching lists every
 #: copy, so a multiplicity written in the input would otherwise set its size.
@@ -293,3 +329,96 @@ def sum_bound(f: SheafSum, g: SheafSum, norm: Norm = Norm.L2) -> tuple[RoundedRe
         raise ValueError(f"a matching may list at most {MAX_UNITS} unit copies a side")
     matcher = _Matcher(f, g, norm)
     return matcher.bound, matcher.lex_matching()
+
+
+def _within(x: RoundedReal, d: Fraction) -> bool:
+    """The slack rule of `decide`: x less its own rounding slack is at most d."""
+    return x.value - (0 if x.exact else SLACK) <= d
+
+
+def _gap(norm: Norm, pairs, do: int, di: int) -> int:
+    """The largest norm of o di - w do over the pairs (o, w) of integer
+    points, squared under L2."""
+    if norm is Norm.L1:
+        return max(sum(abs(a * di - b * do) for a, b in zip(o, w)) for o, w in pairs)
+    if norm is Norm.LINF:
+        return max(abs(a * di - b * do) for o, w in pairs for a, b in zip(o, w))
+    return max(sum((a * di - b * do) ** 2 for a, b in zip(o, w)) for o, w in pairs)
+
+
+def _paired_within(sup: Support, norm: Norm, d: Fraction) -> bool:
+    """Whether a pairing of outer with inner vertices shows the directed
+    Hausdorff distance from outer to inner at most 2d (the vertex filter).
+
+    With outer O / Do and inner I / Di, each gap o - w is (o Di - w Do) /
+    (Do Di), so its norm is compared with 2d = 2p / q as the norm of the
+    integer vector o Di - w Do times q against 2 p Do Di.
+    """
+    (do, outer), (di, inner) = sup.outer._ints, sup.inner._ints
+    limit, q = 2 * d.numerator * do * di, d.denominator
+    if len(outer) == len(inner):
+        worst = _gap(norm, zip(outer, inner), do, di)
+    else:  # each outer vertex with its nearest inner vertex
+        worst = max(min(_gap(norm, ((o, w),), do, di) for w in inner) for o in outer)
+    return worst * q * q <= limit * limit if norm is Norm.L2 else worst * q <= limit
+
+
+def _cell(s: Summand, side: Fraction) -> tuple:
+    """The grid cell of the lowest corner of s's outer polytope, or for side
+    0 the corner itself in lowest terms."""
+    den, nums = s.support.outer._ints
+    corner = [min(c) for c in zip(*nums)]
+    if not side:
+        g = math.gcd(den, *corner)
+        return (den // g,) + tuple(c // g for c in corner)
+    a, b = side.numerator, side.denominator
+    return tuple(c * b // (den * a) for c in corner)
+
+
+def _matched(ls: list[Summand], rs: list[Summand], norm: Norm, d: Fraction) -> bool:
+    """Whether every copy of a forced bucket matches along its edges within d:
+    one flow over the candidate pairs that the grid lemma leaves."""
+    if sum(s.multiplicity for s in ls) != sum(s.multiplicity for s in rs):
+        return False
+    side = d + SLACK if norm is Norm.L2 else d
+    cells: dict = {}
+    for j, b in enumerate(rs):
+        cells.setdefault(_cell(b, side), []).append(j)
+    arcs = []
+    for i, a in enumerate(ls):
+        key = _cell(a, side)
+        near = product(*((c - 1, c, c + 1) for c in key)) if side else (key,)
+        arcs += [
+            (("g", j), ("f", i))
+            for cell in near
+            for j in cells.get(cell, ())
+            if _within(_edge(a, rs[j], norm), d)
+        ]
+    supply = {("g", j): b.multiplicity for j, b in enumerate(rs)}
+    demand = {("f", i): a.multiplicity for i, a in enumerate(ls)}
+    return _Flow(supply, demand, arcs).saturated
+
+
+def decide(f: SheafSum, g: SheafSum, norm: Norm, d) -> bool:
+    """Whether some partial matching keeps every element within d, the
+    per-element slack rule: the decision of `verify` at a declared bound.
+
+    Differences that the vertex filter shows unforced get no bucket key; each
+    remaining bucket of differences computes its one vanishing bound, and is
+    unforced if that is within d.  Every forced bucket must then be matched
+    (`_matched`); the first that cannot be ends the decision.  No bound is
+    negative, so no d below 0 holds one.
+    """
+    if f.dimension != g.dimension:
+        raise ValueError(f"right sheaf dimension {g.dimension} != left sheaf dimension {f.dimension}")
+    d = Fraction(d)
+    if d < 0:
+        return False
+    groups: dict = {}
+    for side, summands in enumerate((f.summands, g.summands)):
+        for s in summands:
+            if not (s.support.is_difference and _paired_within(s.support, norm, d)):
+                groups.setdefault(_bucket(s), ([], []))[side].append(s)
+    return all(
+        _within(_vanishing((ls or rs)[0], norm), d) or _matched(ls, rs, norm, d) for ls, rs in groups.values()
+    )

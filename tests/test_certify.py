@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eulercert.distance
 from eulercert import constructible
 from eulercert.certify import (
     MetricKind,
@@ -34,6 +35,7 @@ from eulercert.sheafsum import sheaf_sum
 
 from helpers import brute_metric, prism, rand_cf, rand_equality_pair
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
 UNIT_SQUARE = from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
 SEG = from_vertices([(0,), (4,)])
 
@@ -172,6 +174,24 @@ def test_verify_allows_a_rounded_bound_its_slack_and_no_more(below, passed):
     lowered = dataclasses.replace(cert.steps[k], declared_bound=RoundedReal(recomputed.value - below))
     report = verify(dataclasses.replace(cert, steps=cert.steps[:k] + (lowered,) + cert.steps[k + 1 :]), Norm.L2)
     assert report == (Report(True, ()) if passed else Report(False, (f"bound understated at step {k}",)))
+
+
+@pytest.mark.parametrize("name", ["link2d", "link3d", "link3dflat", "link3dline"])
+def test_verify_of_a_golden_computes_no_vanishing_bound_of_a_level_difference(name, monkeypatch):
+    # each flag level difference passes the vertex filter at the declared
+    # bound, so verify never computes its directed Hausdorff distance
+    with open(os.path.join(DATA, f"{name}.v2.cert.json"), encoding="utf-8") as fh:
+        cert = cert_from_json(json.load(fh))
+    calls = []
+    real = eulercert.distance._vanishing
+
+    def spy(s, norm):
+        calls.append(s)
+        return real(s, norm)
+
+    monkeypatch.setattr(eulercert.distance, "_vanishing", spy)
+    assert verify(cert, cert.norm) == Report(True, ())
+    assert not [s for s in calls if s.support.is_difference]
 
 
 def test_verify_detects_broken_chain():

@@ -4,10 +4,11 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import eulercert.distance
 import eulercert.geometry
-from eulercert.distance import MAX_UNITS, Matching, bottleneck_bound, pair_bound, sum_bound
+from eulercert.distance import MAX_UNITS, Matching, _bucket, _edge, _vanishing, bottleneck_bound, decide, pair_bound, sum_bound
 from eulercert.flags import build_flag, graded_sheaf
 from eulercert.geometry import INF, SLACK, Norm, from_vertices, norm_value, translate, vsub
 from eulercert.sheafsum import Summand, Support, difference, global_sections, plain, sheaf_sum
@@ -318,3 +319,131 @@ def test_integer_bucket_key_partitions_like_the_fraction_key():
             expect = _partition(summands, _fraction_bucket)
             assert len(expect) < len(summands)  # translates share a bucket
             assert _partition(summands, eulercert.distance._bucket) == expect
+
+
+# --- decide: the per-element decision that verify makes --------------------------
+
+
+def _within(x, d):
+    # the per-element slack rule, applied here to the optimum
+    return x.value - (0 if x.exact else SLACK) <= d
+
+
+def _costs(f, g, norm):
+    """Every element a decision may read: the optimum, each vanishing bound
+    and each same-bucket edge cost."""
+    costs = [bottleneck_bound(f, g, norm)]
+    costs += [_vanishing(s, norm) for s in f.summands + g.summands if s.support.is_difference]
+    costs += [_edge(a, b, norm) for a in f.summands for b in g.summands if _bucket(a) == _bucket(b)]
+    return costs
+
+
+@settings(deadline=None, max_examples=90)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from(list(Norm)),
+    st.sampled_from(["rand", "nearby", "crowded"]),
+)
+def test_decide_is_the_optimum_within_d(seed, dim, norm, kind):
+    rng = random.Random(seed)
+    if kind == "crowded":
+        f, g = crowded_bucket_pair(rng, dim)
+    else:
+        f = rand_sheaf(rng, dim, max_summands=4)
+        g = rand_nearby_sheaf(rng, f) if kind == "nearby" else rand_sheaf(rng, dim, max_summands=4)
+    costs = _costs(f, g, norm)
+    best = costs[0]
+    step = F(1, 10**9)
+    ds = {F(0)} | {c.value + k * step for c in costs if c != INF for k in (-1, 0, 1)}
+    # the two slack rules can part only within SLACK below an inexact element
+    rounded = [c.value for c in costs if not c.exact]
+    for d in sorted(ds):
+        if any(abs(d - r) <= SLACK for r in rounded):
+            continue
+        assert decide(f, g, norm, d) == _within(best, d), (d, best)
+
+
+def test_decide_lets_each_rounded_element_alone_have_its_slack():
+    # two plain pairs that must match as they are: (0, 0)-(1, 1) costs
+    # sqrt 2, rounded up, and (10, 0)-(10 + c, 0) costs c exactly, c lying
+    # within SLACK below the rounded sqrt 2; the optimum is the rounded one
+    root2 = norm_value((F(1), F(1)), Norm.L2)
+    c = root2.value - F(1, 10**12)
+    assert not root2.exact and c * c < 2
+    f = sheaf_sum(2, [plain(from_vertices([(0, 0)])), plain(from_vertices([(10, 0)]))])
+    g = sheaf_sum(2, [plain(from_vertices([(1, 1)])), plain(from_vertices([(10 + c, 0)]))])
+    best = bottleneck_bound(f, g, Norm.L2)
+    assert best == root2
+    d = root2.value - SLACK  # c > d >= root2 - SLACK
+    # the optimum's own slack would pass d, but the exact element c > d
+    # fails it, and no other matching is near: the decision rejects
+    assert _within(best, d) and not decide(f, g, Norm.L2, d)
+    assert decide(f, g, Norm.L2, c) and not decide(f, g, Norm.L2, c - F(1, 10**15))
+
+
+def test_decide_refuses_a_negative_bound():
+    empty = sheaf_sum(1, [])
+    assert decide(empty, empty, Norm.L2, 0) and not decide(empty, empty, Norm.L2, F(-1, 10**20))
+    with pytest.raises(ValueError, match="right sheaf dimension 2 != left sheaf dimension 1"):
+        decide(empty, sheaf_sum(2, []), Norm.L2, 1)
+
+
+@pytest.mark.parametrize("norm", list(Norm))
+def test_decide_finds_equal_corners_at_zero(norm):
+    # at d = 0 a plain bucket matches equal supports only: a hash of the
+    # lowest corner under L1 and L-infinity, a grid of side SLACK under L2
+    pts = [from_vertices([(k, 2 * k), (k + 1, 2 * k)]) for k in range(6)]
+    f = sheaf_sum(2, [plain(p) for p in pts])
+    assert decide(f, f, norm, 0)
+    moved = sheaf_sum(2, [plain(translate(p, (F(0), F(1, 10**15)))) for p in pts])
+    assert not decide(f, moved, norm, 0) and decide(f, moved, norm, F(1, 10**15))
+
+
+def test_decide_prices_o_of_k_candidate_edges(monkeypatch):
+    # k point summands a side, right = left + 1/3: every plain pair is an
+    # edge of the one bucket, and the optimum prices all k^2 of them; the
+    # grid leaves each left point one candidate
+    k = 1000
+    f = sheaf_sum(1, [plain(from_vertices([(i,)])) for i in range(k)])
+    g = sheaf_sum(1, [plain(from_vertices([(i + F(1, 3),)])) for i in range(k)])
+    calls = []
+    real = eulercert.distance._edge
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(eulercert.distance, "_edge", spy)
+    started = time.perf_counter()
+    assert decide(f, g, Norm.L2, F(1, 3))
+    elapsed = time.perf_counter() - started
+    assert len(calls) <= 3 * k
+    assert elapsed < 1.0
+    calls.clear()
+    assert not decide(f, g, Norm.L2, F(1, 3) - F(1, 10**9))
+    assert len(calls) <= 3 * k
+
+
+def test_decide_filters_flag_level_differences(monkeypatch):
+    # at half its spacing, each level difference of a flag passes the vertex
+    # filter: no exact vanishing bound, no bucket key; just below, each fails
+    # it, and their exact vanishing bounds, equal to it here, force them
+    calls = []
+    real = eulercert.distance._vanishing
+
+    def spy(s, norm):
+        calls.append(s)
+        return real(s, norm)
+
+    monkeypatch.setattr(eulercert.distance, "_vanishing", spy)
+    for norm in Norm:
+        flag = build_flag(from_vertices([(0, 0), (4, 0), (0, 3)]), (1, 1), 6, norm)
+        f = graded_sheaf(flag)
+        point = sheaf_sum(2, [plain(from_vertices([(1, 1)]))])
+        half = flag.spacing.value / 2
+        calls.clear()
+        assert decide(f, point, norm, half)
+        assert not [s for s in calls if s.support.is_difference]
+        assert not decide(f, point, norm, half - F(1, 10**9))
+        assert [s for s in calls if s.support.is_difference]
