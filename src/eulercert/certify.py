@@ -130,9 +130,8 @@ def concentrate_basepoints(
     degenerate = True
     for term, pt in zip(fn.terms, pts):
         r = reach(term.support, pt, norm)
-        steps = max(1, math.ceil(r.value / (2 * eps)))
-        flag = build_flag(term.support, pt, steps, norm)
-        if flag.spacing.value > 0:
+        flag = build_flag(term.support, pt, max(1, math.ceil(r.value / (2 * eps))))
+        if r.value > 0:  # so is the flag's spacing, r / its steps
             degenerate = False
         shift = 0 if term.coeff > 0 else 1
         mult = abs(term.coeff)
@@ -206,15 +205,20 @@ class Report:
     failures: tuple[str, ...]
 
 
-def verify(cert: Certificate, norm: Norm = Norm.L2) -> Report:
+def verify(cert: Certificate) -> Report:
     """Re-derive everything a certificate claims; report itemized failures.
 
-    Each step's declared bound d is decided, not recomputed: the step passes
-    when some partial matching of its summands keeps every element within d
+    Distances are measured under the norm the certificate records.  One that
+    records none (version 1) raises ValueError: its caller sets one with
+    `dataclasses.replace`, as the CLI sets its configured norm.  Each step's
+    declared bound d is decided, not recomputed: the step passes when some
+    partial matching of its summands keeps every element within d
     (`distance.decide`).  An element x, a vanishing bound or an edge cost, is
     within d when x.value - (0 if x.exact else SLACK) <= d: exact values
     compare exactly, and a rounded L2 value may exceed d by up to SLACK.
     """
+    if cert.norm is None:
+        raise ValueError("the certificate records no norm to verify it under")
     failures: list[str] = []
 
     def check_equal(a: ConstructibleFunction, b: ConstructibleFunction, what: str) -> None:
@@ -226,7 +230,7 @@ def verify(cert: Certificate, norm: Norm = Norm.L2) -> Report:
     for k, step in enumerate(cert.steps):
         check_equal(local_euler(step.left), step.chi_left, f"left local euler mismatch at step {k}")
         check_equal(local_euler(step.right), step.chi_right, f"right local euler mismatch at step {k}")
-        if not decide(step.left, step.right, norm, step.declared_bound.value):
+        if not decide(step.left, step.right, cert.norm, step.declared_bound.value):
             failures.append(f"bound understated at step {k}")
         if step.declared_bound.value > cert.epsilon:
             failures.append(f"declared bound exceeds epsilon at step {k}")

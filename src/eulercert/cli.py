@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -22,7 +23,7 @@ from .certify import MetricKind, concentrate_to_point, link, probe_metric, verif
 from .constructible import euler_integral, oracle_integral, pushforward
 from .distance import sum_bound
 from .flags import build_flag, graded_sheaf
-from .geometry import Norm, decimal_up
+from .geometry import Norm, decimal_up, reach
 from .jsonio import SchemaError
 from .sheafsum import local_euler
 
@@ -176,11 +177,9 @@ def _dispatch(args: argparse.Namespace, dimension: Optional[int], norm: Norm) ->
         return 0
     if cmd == "flag":
         poly = load(args.polytope, jsonio.polytope_from_json)
-        fl = build_flag(poly, _parse_point(args.center), args.steps, norm)
-        _emit(
-            {"eta": fl.spacing.decimal_up(), "sheaf": jsonio.sheaf_to_json(graded_sheaf(fl))},
-            None,
-        )
+        fl = build_flag(poly, _parse_point(args.center), args.steps)
+        eta = reach(poly, fl.center, norm) / fl.steps
+        _emit({"eta": eta.decimal_up(), "sheaf": jsonio.sheaf_to_json(graded_sheaf(fl))}, None)
         return 0
     if cmd == "bound":
         left = load(args.left, jsonio.sheaf_from_json)
@@ -207,9 +206,10 @@ def _dispatch(args: argparse.Namespace, dimension: Optional[int], norm: Norm) ->
         cert = load(args.cert, jsonio.cert_from_json)
         if cert.norm is None:
             print(f"note: {args.cert}: records no norm (version 1); verifying under {norm.value}", file=sys.stderr)
+            cert = dataclasses.replace(cert, norm=norm)
         elif cert.norm is not norm:
             raise SchemaError(f"{args.cert}: certificate built under norm {cert.norm.value}, but the configured norm is {norm.value}")
-        report = verify(cert, norm)
+        report = verify(cert)
         if report.passed:
             print("PASS")
             return 0

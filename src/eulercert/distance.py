@@ -89,6 +89,7 @@ from .geometry import (
     RoundedReal,
     SLACK,
     ZERO_REAL,
+    _gap,
     directed_hausdorff,
     hausdorff,
     norm_value,
@@ -334,16 +335,6 @@ def sum_bound(f: SheafSum, g: SheafSum, norm: Norm = Norm.L2) -> tuple[RoundedRe
 def _within(x: RoundedReal, d: Fraction) -> bool:
     """The slack rule of `decide`: x less its own rounding slack is at most d."""
     return x.value - (0 if x.exact else SLACK) <= d
-
-
-def _gap(norm: Norm, pairs, do: int, di: int) -> int:
-    """The largest norm of o di - w do over the pairs (o, w) of integer
-    points, squared under L2."""
-    if norm is Norm.L1:
-        return max(sum(abs(a * di - b * do) for a, b in zip(o, w)) for o, w in pairs)
-    if norm is Norm.LINF:
-        return max(abs(a * di - b * do) for o, w in pairs for a, b in zip(o, w))
-    return max(sum((a * di - b * do) ** 2 for a, b in zip(o, w)) for o, w in pairs)
 
 
 def _paired_within(sup: Support, norm: Norm, d: Fraction) -> bool:

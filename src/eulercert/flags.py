@@ -2,7 +2,10 @@
 
 A chain with n steps scales the base polytope toward an interior center by
 ratios i/n.  Consecutive levels are then exactly reach/n apart in directed
-Hausdorff distance, which is the certified spacing the distance bounds use.
+Hausdorff distance, where reach is the base's farthest point from the center
+under the norm in use.  A flag is the same under every norm, so it carries no
+spacing: the readers of one, `concentrate_basepoints` and the CLI `flag`,
+compute `reach(base, center, norm) / steps` under their norm.
 
 A flag's levels are built on first read, not by :func:`build_flag`, which
 runs every check of the flag before it returns.  The builders `concentrate`,
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .geometry import Norm, Point, Polytope, RoundedReal, _levels, _outside, _reach, as_point
+from .geometry import Point, Polytope, _levels, _outside, as_point
 from .sheafsum import SheafSum, Summand, Support, sheaf_sum
 
 #: Most steps a flag may have.  A flag's levels are built here alone, once
@@ -40,7 +43,6 @@ class Flag:
     base: Polytope
     center: Point
     steps: int
-    spacing: RoundedReal  # certified max directed Hausdorff gap, reach/steps
     tip: Polytope = field(repr=False, compare=False)  # {center}, levels[0]
 
     @cached_property
@@ -49,11 +51,11 @@ class Flag:
         return _levels(self.base, self.tip, self.steps)
 
 
-def build_flag(base: Polytope, center, steps: int, norm: Norm = Norm.L2) -> Flag:
+def build_flag(base: Polytope, center, steps: int) -> Flag:
     c = as_point(center)
     if len(c) != base.dimension:
         raise ValueError(f"center dimension {len(c)} != polytope dimension {base.dimension}")
-    tip = Polytope((c,))  # levels[0]: its integer form serves the check, the reach and every level
+    tip = Polytope((c,))  # levels[0]: its integer form serves the check and every level
     # before the step count, which a caller may derive from the center's reach
     if _outside(tip, base):
         raise ValueError("flag center must lie in the base polytope")
@@ -61,7 +63,7 @@ def build_flag(base: Polytope, center, steps: int, norm: Norm = Norm.L2) -> Flag
         raise ValueError("a flag needs at least one step")
     if steps > MAX_FLAG_STEPS:
         raise ValueError(f"a flag may have at most {MAX_FLAG_STEPS} steps")
-    return Flag(base, c, steps, _reach(base, tip, norm) / steps, tip)
+    return Flag(base, c, steps, tip)
 
 
 def _graded_summands(flag: Flag, shift: int = 0, multiplicity: int = 1, checked: bool = False) -> list[Summand]:

@@ -525,25 +525,28 @@ def _levels(
     return tuple(out)
 
 
+def _gap(norm: Norm, pairs, do: int, di: int) -> int:
+    """The largest norm of o di - w do over the pairs (o, w) of integer
+    points, squared under L2."""
+    if norm is Norm.L1:
+        return max(sum(abs(a * di - b * do) for a, b in zip(o, w)) for o, w in pairs)
+    if norm is Norm.LINF:
+        return max(abs(a * di - b * do) for o, w in pairs for a, b in zip(o, w))
+    return max(sum((a * di - b * do) ** 2 for a, b in zip(o, w)) for o, w in pairs)
+
+
 def reach(p: Polytope, c, norm: Norm = Norm.L2) -> RoundedReal:
-    """max over vertices of ||v - c||; the farthest point of p from c."""
+    """max over vertices of ||v - c||; the farthest point of p from c.  On
+    integer forms p = V / D and c = C / L, each v - c is (L V - D C) / (L D)."""
     center = as_point(c)
     if len(center) != p.dimension:
         raise ValueError("dimension mismatch")
-    return _reach(p, Polytope((center,)), norm)
-
-
-def _reach(p: Polytope, tip: Polytope, norm: Norm) -> RoundedReal:
-    """:func:`reach` from the point of tip, on integer forms: with p = V / D
-    and tip = C / L each v - c is (L V - D C) / (L D)."""
     den, nums = p._ints
-    cden, (cnum,) = tip._ints
-    diffs = [[cden * a - den * b for a, b in zip(v, cnum)] for v in nums]
-    scale = cden * den
+    cden, (cnum,) = _integer_form((center,))
+    worst, scale = _gap(norm, ((v, cnum) for v in nums), den, cden), cden * den
     if norm is Norm.L2:
-        return sqrt_upper(Fraction(max(dot(w, w) for w in diffs), scale * scale))
-    size = sum if norm is Norm.L1 else max
-    return RoundedReal(Fraction(max(size(map(abs, w)) for w in diffs), scale))
+        return sqrt_upper(Fraction(worst, scale * scale))
+    return RoundedReal(Fraction(worst, scale))
 
 
 # --- point-to-polytope distance --------------------------------------------

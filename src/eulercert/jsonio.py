@@ -218,7 +218,7 @@ def sheaf_from_json(obj: Any, polytopes: Optional[dict] = None) -> SheafSum:
     for sm in _list(obj, "summands"):
         if isinstance(sm, dict) and "flag" in sm:
             shift, mult = _shift_and_multiplicity(sm)
-            flag = flag_from_json(sm["flag"], polytopes=polytopes)
+            flag = flag_from_json(sm["flag"], polytopes)
             summands += _graded_summands(flag, shift, mult, checked=True)
             entries.append((flag, shift, mult))
             flagged = True
@@ -252,7 +252,7 @@ def flag_to_json(flag: Flag, written: Optional[dict] = None) -> dict:
     }
 
 
-def flag_from_json(obj: Any, norm: Norm = Norm.L2, polytopes: Optional[dict] = None) -> Flag:
+def flag_from_json(obj: Any, polytopes: Optional[dict] = None) -> Flag:
     """Parse a flag; `polytopes` as in `polytope_from_json`.
 
     The base is hulled, and the center and the step count checked, before any
@@ -264,9 +264,7 @@ def flag_from_json(obj: Any, norm: Norm = Norm.L2, polytopes: Optional[dict] = N
     if type(steps) is not int:
         raise SchemaError(f"flag steps must be an integer: {steps!r}")
     # levels are recomputed, which revalidates every invariant
-    return build_flag(
-        polytope_from_json(obj["polytope"], polytopes), point_from_json(obj["center"]), steps, norm
-    )
+    return build_flag(polytope_from_json(obj["polytope"], polytopes), point_from_json(obj["center"]), steps)
 
 
 CERT_VERSION = 2

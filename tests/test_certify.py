@@ -172,7 +172,7 @@ def test_verify_allows_a_rounded_bound_its_slack_and_no_more(below, passed):
         if not b.exact
     )
     lowered = dataclasses.replace(cert.steps[k], declared_bound=RoundedReal(recomputed.value - below))
-    report = verify(dataclasses.replace(cert, steps=cert.steps[:k] + (lowered,) + cert.steps[k + 1 :]), Norm.L2)
+    report = verify(dataclasses.replace(cert, steps=cert.steps[:k] + (lowered,) + cert.steps[k + 1 :]))
     assert report == (Report(True, ()) if passed else Report(False, (f"bound understated at step {k}",)))
 
 
@@ -190,8 +190,27 @@ def test_verify_of_a_golden_computes_no_vanishing_bound_of_a_level_difference(na
         return real(s, norm)
 
     monkeypatch.setattr(eulercert.distance, "_vanishing", spy)
-    assert verify(cert, cert.norm) == Report(True, ())
+    assert verify(cert) == Report(True, ())
     assert not [s for s in calls if s.support.is_difference]
+
+
+@pytest.mark.parametrize("norm", [Norm.LINF, Norm.L1])
+def test_verify_decides_under_the_norm_the_certificate_records(norm):
+    rect = from_vertices([(0, 2), (1, 2), (0, 3), (1, 3)])
+    cert = link(indicator(UNIT_SQUARE), indicator(rect), F(1, 4), norm)
+    assert verify(cert) == Report(True, ())
+    with pytest.raises(ValueError, match="records no norm"):
+        verify(dataclasses.replace(cert, norm=None))
+
+
+@pytest.mark.parametrize("norm", list(Norm))
+def test_a_parsed_flag_block_equals_the_built_one(norm):
+    rect = from_vertices([(0, 2), (1, 2), (0, 3), (1, 3)])
+    cert = link(indicator(UNIT_SQUARE), indicator(rect), F(1, 4), norm)
+    parsed = cert_from_json(cert_to_json(cert))
+    for built, read in zip(cert.steps, parsed.steps):
+        assert (read.left.blocks, read.right.blocks) == (built.left.blocks, built.right.blocks)
+    assert any(s.left.blocks or s.right.blocks for s in parsed.steps)
 
 
 def test_verify_detects_broken_chain():
@@ -232,7 +251,7 @@ def test_verify_of_valid_certificate_builds_no_arrangement(monkeypatch):
     real = constructible._stack
     monkeypatch.setattr(constructible, "_stack", lambda *a: built.append(a) or real(*a))
     with open(os.path.join(os.path.dirname(__file__), "data", "link2d.cert.json"), encoding="utf-8") as fh:
-        cert = cert_from_json(json.load(fh))
+        cert = dataclasses.replace(cert_from_json(json.load(fh)), norm=Norm.L2)  # version 1, built under L2
     assert verify(cert).passed
     assert built == []
 

@@ -170,6 +170,18 @@ def test_bound_output_is_byte_identical(name, fixture, options, capsys):
         assert capsys.readouterr().out == fh.read()
 
 
+# recorded while a flag still carried its spacing, computed by `build_flag`
+# under the configured norm; the CLI now computes eta from the flag's reach
+@pytest.mark.parametrize("name, center, steps", [("flag2d", "1/2,1/3", "3"), ("flag3d", "1/3,1/2,1/4", "4")])
+@pytest.mark.parametrize("norm", list(Norm))
+def test_flag_output_is_byte_identical(name, center, steps, norm, capsys):
+    options = [] if norm is Norm.L2 else ["--norm", norm.value]
+    assert run(options + ["flag", os.path.join(DATA, f"{name}_P.json"), "--center", center, "--steps", steps]) == 0
+    suffix = "" if norm is Norm.L2 else f"_{norm.value}"
+    with open(os.path.join(DATA, f"{name}{suffix}.out"), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
 # `oracle-integrate` and `probe --metric l1|sup` read the slice recursion on
 # the input's supports; pieces2d mixes a point, axis-parallel segments and a
 # square, and the link3d inputs are a solid, a flat polygon and a segment in

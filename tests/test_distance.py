@@ -10,7 +10,7 @@ import eulercert.distance
 import eulercert.geometry
 from eulercert.distance import MAX_UNITS, Matching, _bucket, _edge, _vanishing, bottleneck_bound, decide, pair_bound, sum_bound
 from eulercert.flags import build_flag, graded_sheaf
-from eulercert.geometry import INF, SLACK, Norm, from_vertices, norm_value, translate, vsub
+from eulercert.geometry import INF, SLACK, Norm, from_vertices, norm_value, reach, translate, vsub
 from eulercert.sheafsum import Summand, Support, difference, global_sections, plain, sheaf_sum
 
 from helpers import (
@@ -438,10 +438,10 @@ def test_decide_filters_flag_level_differences(monkeypatch):
 
     monkeypatch.setattr(eulercert.distance, "_vanishing", spy)
     for norm in Norm:
-        flag = build_flag(from_vertices([(0, 0), (4, 0), (0, 3)]), (1, 1), 6, norm)
+        flag = build_flag(from_vertices([(0, 0), (4, 0), (0, 3)]), (1, 1), 6)
         f = graded_sheaf(flag)
         point = sheaf_sum(2, [plain(from_vertices([(1, 1)]))])
-        half = flag.spacing.value / 2
+        half = reach(flag.base, flag.center, norm).value / flag.steps / 2
         calls.clear()
         assert decide(f, point, norm, half)
         assert not [s for s in calls if s.support.is_difference]

@@ -8,10 +8,10 @@ from eulercert import flags, geometry
 from eulercert.constructible import Verdict, equals, euler_integral, indicator
 from eulercert.distance import sum_bound
 from eulercert.flags import build_flag, graded_sheaf
-from eulercert.geometry import SLACK, Polytope, directed_hausdorff, from_vertices, homothet, reach
+from eulercert.geometry import SLACK, Norm, Polytope, directed_hausdorff, from_vertices, homothet, reach
 from eulercert.sheafsum import local_euler, plain, sheaf_sum
 
-from helpers import interior_point, rand_polytope
+from helpers import fraction_reach, interior_point, rand_polytope
 
 UNIT_SQUARE = from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
 
@@ -83,7 +83,7 @@ def test_flag_of_segment():
         ((F(0),), (F(3),)),
         ((F(0),), (F(4),)),
     ]
-    assert fl.spacing.value == 1
+    assert reach(fl.base, fl.center).value / fl.steps == 1
 
     gs = graded_sheaf(fl)
     assert len(gs.summands) == 5
@@ -95,14 +95,14 @@ def test_flag_single_step_square():
     fl = build_flag(UNIT_SQUARE, (0, 0), 1)
     assert fl.levels[0].vertices == ((F(0), F(0)),)
     assert fl.levels[1] == UNIT_SQUARE
-    assert fl.spacing.value ** 2 >= 2  # sqrt(2) rounded up
+    assert (reach(fl.base, fl.center).value / fl.steps) ** 2 >= 2  # sqrt(2) rounded up
 
 
 def test_degenerate_flag():
     p = from_vertices([(3,)])
     fl = build_flag(p, (3,), 5)
     assert all(level == p for level in fl.levels)
-    assert fl.spacing.value == 0
+    assert reach(p, (3,)).value / 5 == 0
     assert graded_sheaf(fl).summands == (plain(p),)
 
 
@@ -137,7 +137,7 @@ def test_flag_distance_bound():
         fl = build_flag(p, c, n)
         singleton = sheaf_sum(dim, [plain(Polytope((c,)))])
         bound, _ = sum_bound(graded_sheaf(fl), singleton)
-        assert bound.value <= fl.spacing.value / 2 + SLACK  # L2 values, rounded up
+        assert bound.value <= reach(p, c).value / n / 2 + SLACK  # L2 values, rounded up
 
 
 _COORD = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5]))
@@ -181,7 +181,8 @@ def _flag_input(draw):
 def test_flag_levels_nested_with_certified_spacing(flag_input, n):
     p, c = flag_input
     fl = build_flag(p, c, n)
+    spacing = reach(p, c).value / n
     for lo, hi in zip(fl.levels, fl.levels[1:]):
         assert not geometry._outside(lo, hi)
-        assert directed_hausdorff(hi, lo).value <= fl.spacing.value + SLACK  # L2 values, rounded up
-    assert fl.spacing.value == reach(p, c).value / n
+        assert directed_hausdorff(hi, lo).value <= spacing + SLACK  # L2 values, rounded up
+    assert spacing == fraction_reach(p, c, Norm.L2).value / n

@@ -9,7 +9,7 @@ import pytest
 from eulercert import jsonio
 from eulercert.certify import link
 from eulercert.constructible import indicator
-from eulercert.geometry import Norm, from_vertices
+from eulercert.geometry import Norm, from_vertices, reach
 from eulercert.jsonio import SchemaError
 from eulercert.sheafsum import Summand
 
@@ -188,8 +188,8 @@ def test_affine_map_schema():
 
 def test_flag_round_trip_revalidates():
     fl_blob = {"polytope": {"vertices": [["0"], ["4"]]}, "center": ["0"], "steps": 4}
-    fl = jsonio.flag_from_json(fl_blob, Norm.L2)
-    assert fl.spacing.value == 1
+    fl = jsonio.flag_from_json(fl_blob)
+    assert reach(fl.base, fl.center, Norm.L2).value / fl.steps == 1
     assert jsonio.flag_to_json(fl) == fl_blob
     with pytest.raises(ValueError):
         jsonio.flag_from_json({"polytope": {"vertices": [["0"], ["4"]]}, "center": ["9"], "steps": 4})

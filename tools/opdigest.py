@@ -17,7 +17,11 @@ and ``probe --metric l1|sup``, under each norm as well (lines named
 pieces carry no volume.  And every left sheaf of the same seeds' ``bound``
 inputs is bounded against an empty sheaf of its dimension, written into the
 scratch copy, under each norm (lines named ``infinite``): its global sections
-differ, so the bound is ``inf`` and every unit is left unmatched.
+differ, so the bound is ``inf`` and every unit is left unmatched.  Last,
+``flag`` runs on every term polytope of the same seeds' ``link`` inputs, each
+written into the scratch copy, with its vertex centroid as the center and 3
+steps, under each norm (lines named ``flag``).  The centroid is the mean of
+the written vertices, which the benchmark writes extreme.
 
 The inputs live in DIR/<workload>-<seed>.  When DIR is empty or missing they
 are first written there by ``bench/workloads.py``, imported and left as it
@@ -46,6 +50,7 @@ import os
 import shutil
 import sys
 import tempfile
+from fractions import Fraction
 from typing import Optional
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -127,6 +132,23 @@ def _infinite_ops(bound_ops: list) -> tuple[list, dict]:
     return ops, {f"empty{d}.json": {"dimension": d, "summands": []} for d in sorted(set(dims))}
 
 
+def _flag_ops(inputs: str, link_ops: list) -> tuple[list, dict]:
+    """`flag` of every term polytope of the link ops' function files, at its
+    vertex centroid with 3 steps, and the polytope files those ops read."""
+    ops, polytopes = [], {}
+    for name in (name for op in link_ops for name in op["argv"][1:3]):
+        with open(os.path.join(inputs, name), encoding="utf-8") as fh:
+            terms = json.load(fh)["terms"]
+        for i, term in enumerate(terms):
+            verts = [[Fraction(c) for c in v] for v in term["polytope"]["vertices"]]
+            center = ",".join(str(sum(c) / len(verts)) for c in zip(*verts))
+            path = f"{name[:-5]}_t{i}.json"
+            polytopes[path] = term["polytope"]
+            # "=" keeps a center such as -1/2,1 from reading as an option
+            ops.append({"argv": ["flag", path, f"--center={center}", "--steps", "3"]})
+    return ops, polytopes
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="Print one sha256 per benchmark op.")
     ap.add_argument("--src", required=True, help="directory holding the eulercert package")
@@ -156,6 +178,9 @@ def main(argv=None) -> int:
     for seed in SEEDS:
         inputs = os.path.join(args.inputs, f"bound-{seed}")
         lines += _digest_ops(run, "infinite", seed, inputs, *_infinite_ops(_manifest_ops(inputs)))
+    for seed in SEEDS:
+        inputs = os.path.join(args.inputs, f"link-{seed}")
+        lines += _digest_ops(run, "flag", seed, inputs, *_flag_ops(inputs, _manifest_ops(inputs)))
     print(f"all {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}")
     return 0
 
