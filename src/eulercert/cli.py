@@ -104,6 +104,10 @@ def _emit(obj: dict, out: Optional[str]) -> None:
         print(text)
 
 
+# argparse takes a value such as -1,0 for an option, unless "=" joins it to its own
+_TARGET_HELP = "point x,y,... (default: the origin); write --target=-1,0 if x < 0"
+
+
 @functools.cache  # built once per process; each parse_args returns a fresh Namespace
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="eulercert", description=__doc__)
@@ -123,14 +127,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("sheaf")
     p = sub.add_parser("flag", help="graded sheaf of a homothety flag")
     p.add_argument("polytope")
-    p.add_argument("--center", required=True)
+    p.add_argument("--center", required=True, help="point x,y,...; write --center=-1/2,0 if x < 0")
     p.add_argument("--steps", required=True, type=int)
     p = sub.add_parser("bound", help="certified convolution-distance bound")
     p.add_argument("left")
     p.add_argument("right")
     p = sub.add_parser("concentrate", help="certificate collapsing a function to a point mass")
     p.add_argument("cf")
-    p.add_argument("--target", default=None)
+    p.add_argument("--target", default=None, help=_TARGET_HELP)
     p.add_argument("--epsilon", required=True)
     p.add_argument("--out")
     p = sub.add_parser("link", help="certificate chaining two functions of equal integral")
@@ -143,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="bound vs metric table over a shrinking schedule")
     p.add_argument("cf")
     p.add_argument("--metric", required=True, choices=[k.value for k in MetricKind])
-    p.add_argument("--target", default=None)
+    p.add_argument("--target", default=None, help=_TARGET_HELP)
     p.add_argument("--schedule", required=True)
     return ap
 

@@ -13,13 +13,11 @@ runs every check of the flag before it returns.  The builders `concentrate`,
 base, center and step count.  Only the readers (`verify`, `chi`, `bound`) and
 `flag` build levels.
 
-The builder trusts one fact and nothing else: the levels of a flag that
-:func:`build_flag` made are nested, since its center lies in the convex base.
-So :func:`graded_sheaf` makes the differences of consecutive levels without a
-containment test (`Support._nested`).  Every difference a certificate or sheaf
-file holds is parsed through `Support`'s checks, so `verify` and `bound`
-re-check all of them, those a flag block in the file stands for included: the
-reader rebuilds that flag and makes each of its differences with the checks.
+The levels of a flag that :func:`build_flag` made are nested, since its
+center lies in the convex base, but nothing here trusts that: every difference
+of consecutive levels is made through `Support`'s constructor, which checks
+that it is nested.  So `verify` and `bound` re-check every difference a
+certificate or sheaf file stands for, those of its flag blocks included.
 """
 
 from __future__ import annotations
@@ -66,17 +64,12 @@ def build_flag(base: Polytope, center, steps: int) -> Flag:
     return Flag(base, c, steps, tip)
 
 
-def _graded_summands(flag: Flag, shift: int = 0, multiplicity: int = 1, checked: bool = False) -> list[Summand]:
-    """The summands of :func:`graded_sheaf`, shifted and repeated, unsorted.
-
-    `checked` makes every difference with `Support`'s containment check, as a
-    reader of a flag block must; the builder's own flags skip it.
-    """
-    nested = Support if checked else Support._nested
+def _graded_summands(flag: Flag, shift: int = 0, multiplicity: int = 1) -> list[Summand]:
+    """The summands of :func:`graded_sheaf`, shifted and repeated, unsorted."""
     summands = [Summand(Support(flag.levels[0]), shift, multiplicity)]
     for lo, hi in zip(flag.levels, flag.levels[1:]):
         if lo != hi:
-            summands.append(Summand(nested(hi, lo), shift, multiplicity))
+            summands.append(Summand(Support(hi, lo), shift, multiplicity))
     return summands
 
 

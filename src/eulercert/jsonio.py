@@ -6,9 +6,10 @@ valid upper bounds.  Parsing re-canonicalizes geometry, so a round trip
 reproduces a structurally equal value.
 
 A sheaf's summand list may hold flag blocks, each standing for one flag's
-graded sheaf; the reader rebuilds the flag and makes each level difference
-with `Support`'s checks, so a block parses to exactly the summands it stands
-for.  Certificates are written in version 2, which records the norm and
+graded sheaf; the reader rebuilds the flag and expands the blocks once, as
+`SheafSum.summands` expands any sum of blocks, every level difference checked
+as it is made, so a block parses to exactly the summands it stands for.
+Certificates are written in version 2, which records the norm and
 writes each flag of the builder as one block; a file without a version is
 version 1, which records no norm.
 """
@@ -21,7 +22,7 @@ from typing import Any, Optional
 
 from .certify import Certificate, CertificateStep
 from .constructible import ConstructibleFunction, from_terms
-from .flags import Flag, _graded_summands, build_flag
+from .flags import Flag, build_flag
 from .geometry import (
     AffineMap,
     Norm,
@@ -205,32 +206,31 @@ def _shift_and_multiplicity(entry: dict) -> tuple[int, int]:
 def sheaf_from_json(obj: Any, polytopes: Optional[dict] = None) -> SheafSum:
     """Parse a sheaf sum; `polytopes` as in `polytope_from_json`.
 
-    A flag block expands to the summands of its flag's graded sheaf, each
-    level difference checked to be nested; the sum keeps the blocks.
+    A sum with a flag block keeps its blocks, and its summands are expanded
+    here, so a nesting or dimension error is raised by the parse.
     """
     if polytopes is None:
         polytopes = {}
     if not isinstance(obj, dict) or "dimension" not in obj or "summands" not in obj:
         raise SchemaError("sheaf sum needs 'dimension' and 'summands'")
     dim = parse_dimension(obj["dimension"])
-    summands, entries = [], []
-    flagged = False
+    entries = []
     for sm in _list(obj, "summands"):
         if isinstance(sm, dict) and "flag" in sm:
             shift, mult = _shift_and_multiplicity(sm)
-            flag = flag_from_json(sm["flag"], polytopes)
-            summands += _graded_summands(flag, shift, mult, checked=True)
-            entries.append((flag, shift, mult))
-            flagged = True
+            entries.append((flag_from_json(sm["flag"], polytopes), shift, mult))
             continue
         if not isinstance(sm, dict) or "outer" not in sm:
             raise SchemaError("summand needs at least an 'outer' polytope")
         outer = polytope_from_json(sm["outer"], polytopes)
         inner = sm.get("inner")
         support = Support(outer, None if inner is None else polytope_from_json(inner, polytopes))
-        summands.append(Summand(support, *_shift_and_multiplicity(sm)))
-        entries.append(summands[-1])
-    return sheaf_sum(dim, summands, tuple(entries) if flagged else None)
+        entries.append(Summand(support, *_shift_and_multiplicity(sm)))
+    if all(isinstance(e, Summand) for e in entries):
+        return sheaf_sum(dim, entries)
+    s = SheafSum(dim, None, tuple(entries))
+    s.summands  # expanded and checked now, where the caller names the file
+    return s
 
 
 def affine_map_from_json(obj: Any) -> AffineMap:

@@ -7,11 +7,11 @@ local Euler characteristic and global sections reduce to summand-level rules:
 a plain summand on a compact convex set is contractible, and the restriction
 triangle of a nested difference of convex compacts has vanishing sections.
 
-Every difference support is checked to be nested when it is made or parsed,
-except the flag builder's differences of its own levels (`Support._nested`).
-A sum the builder makes of its flags holds only their blocks; their levels
-and differences are made when its summands are first read, which `concentrate`,
-`link` and `probe` never do.  A reader expands every block as it parses it.
+Every difference support is checked to be nested when it is made, by
+`Support`'s constructor, the flag levels' differences included.  A sum of flag
+blocks is expanded in one place, `SheafSum.summands`: the builder's sums are
+expanded when first read, which `concentrate`, `link` and `probe` never do,
+and a reader's once, as it parses them.
 """
 
 from __future__ import annotations
@@ -39,21 +39,6 @@ class Support:
             if _outside(self.inner, self.outer):
                 raise ValueError("inner polytope not contained in outer")
 
-    @classmethod
-    def _nested(cls, outer: Polytope, inner: Polytope) -> Support:
-        """outer \\ inner, with none of the checks of the constructor.
-
-        Only for consecutive levels lo != hi of a flag made by
-        :func:`flags.build_flag`: its center c lies in the convex base P, so
-        for 0 <= s < t <= 1 the level c + s(P - c) lies in c + t(P - c) (its
-        point c + s(p - c) is c + t(q - c) with q = c + (s/t)(p - c) in P),
-        and both have P's dimension.
-        """
-        support = object.__new__(cls)
-        object.__setattr__(support, "outer", outer)
-        object.__setattr__(support, "inner", inner)
-        return support
-
     @property
     def is_difference(self) -> bool:
         return self.inner is not None
@@ -77,9 +62,10 @@ class SheafSum:
     `blocks`, when set, are the entries the sum was made from, some of them
     flag blocks: each a Summand or a block (flag, shift, multiplicity) standing
     for that flag's graded sheaf.  Writers write these instead of the merged
-    summands.  A sum made with no summands holds its blocks alone, and its
-    summands are expanded from them on first read.  Equality and hash are
-    over (dimension, summands), whichever way the sum was made.
+    summands.  A sum of blocks is made with no summands, which are expanded
+    from its blocks on first read, each difference checked as it is made.
+    Equality and hash are over (dimension, summands), whichever way the sum
+    was made.
     """
 
     dimension: int
@@ -117,9 +103,8 @@ def _sort_key(s: Summand):
     )
 
 
-def sheaf_sum(dimension: int, summands: Iterable[Summand], blocks: Optional[tuple] = None) -> SheafSum:
-    """Canonical form: merge equal (support, shift) pairs, sort.  `blocks`, the
-    entries the summands were expanded from, is kept for the writers."""
+def sheaf_sum(dimension: int, summands: Iterable[Summand]) -> SheafSum:
+    """Canonical form: merge equal (support, shift) pairs, sort."""
     merged: dict = {}
     for s in summands:
         if s.support.outer.dimension != dimension:
@@ -128,7 +113,7 @@ def sheaf_sum(dimension: int, summands: Iterable[Summand], blocks: Optional[tupl
         merged[key] = merged.get(key, 0) + s.multiplicity
     out = [Summand(sup, shift, m) for (sup, shift), m in merged.items()]
     out.sort(key=_sort_key)
-    return SheafSum(dimension, tuple(out), blocks)
+    return SheafSum(dimension, tuple(out))
 
 
 def plain(p: Polytope, shift: int = 0, multiplicity: int = 1) -> Summand:

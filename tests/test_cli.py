@@ -182,6 +182,23 @@ def test_flag_output_is_byte_identical(name, center, steps, norm, capsys):
         assert capsys.readouterr().out == fh.read()
 
 
+# a point whose first coordinate is negative is joined to its option by "=":
+# argparse would read a separate -1/2,1 as an option of its own
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flag", "P", "--center=-1/2,1", "--steps", "2"],
+        ["concentrate", "SQUARE", "--target=-1,0", "--epsilon", "1/4"],
+        ["probe", "SQUARE", "--target=-1,0", "--metric", "gap", "--schedule", "1/4"],
+    ],
+    ids=["flag-center", "concentrate-target", "probe-target"],
+)
+def test_a_negative_point_is_given_with_equals(argv, square, capsys):
+    files = {"P": os.path.join(DATA, "flag2d_P.json"), "SQUARE": square}
+    assert run([files.get(a, a) for a in argv]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # `oracle-integrate` and `probe --metric l1|sup` read the slice recursion on
 # the input's supports; pieces2d mixes a point, axis-parallel segments and a
 # square, and the link3d inputs are a solid, a flat polygon and a segment in
@@ -404,10 +421,11 @@ def test_verify_refuses_a_difference_moved_out_of_its_outer(tmp_path, capsys):
 
 
 def test_verify_rechecks_the_nesting_that_link_trusts(square, tmp_path, monkeypatch, capsys):
-    # a builder whose flags run from the base down to the center makes
-    # differences of a smaller outer level minus a larger inner one, which
-    # `link` takes on trust and `verify` must refuse: where a v1 file writes
-    # them out, and where its own expansion of a v2 flag block makes them
+    # a builder whose flags run from the base down to the center stands for
+    # differences of a smaller outer level minus a larger inner one; `link`
+    # writes its flags as blocks and builds no level, and `verify` must refuse
+    # them: where its own expansion of a v2 flag block makes them, and where
+    # a v1 file writes one out
     real = flags._levels
     monkeypatch.setattr(flags, "_levels", lambda *args: real(*args)[::-1])
     rect = _write(tmp_path, "rect.json", RECT)
@@ -415,12 +433,24 @@ def test_verify_rechecks_the_nesting_that_link_trusts(square, tmp_path, monkeypa
     assert run(["link", square, rect, "--epsilon", "1/4", "--out", cert]) == 0
     assert run(["verify", cert]) == 2
     assert capsys.readouterr().err == f"error: {cert}: inner polytope not contained in outer\n"
-    built = certify.link(jsonio.cf_from_json(SQUARE), jsonio.cf_from_json(RECT), F(1, 4))
-    v1 = tmp_path / "v1.json"
-    v1.write_bytes(v1_cert_bytes(built))  # reads the levels, reversed, before the undo
     monkeypatch.undo()
-    assert run(["verify", str(v1)]) == 2
+    with open(os.path.join(DATA, "link2d.cert.json"), encoding="utf-8") as fh:
+        blob = json.load(fh)
+    summand = next(s for s in blob["steps"][0]["F"]["summands"] if s["inner"] is not None)
+    summand["outer"], summand["inner"] = summand["inner"], summand["outer"]
+    v1 = _write(tmp_path, "v1.json", blob)
+    assert run(["verify", v1]) == 2
     assert capsys.readouterr().err == f"error: {v1}: inner polytope not contained in outer\n"
+
+
+def test_a_built_sum_checks_each_difference_when_its_summands_are_read(monkeypatch):
+    # the builder's own flags take no shortcut: reversed levels are refused
+    # when the summands of the sum that holds their blocks are first read
+    real = flags._levels
+    monkeypatch.setattr(flags, "_levels", lambda *args: real(*args)[::-1])
+    cert = certify.link(jsonio.cf_from_json(SQUARE), jsonio.cf_from_json(RECT), F(1, 4))
+    with pytest.raises(ValueError, match="inner polytope not contained in outer"):
+        cert.steps[0].left.summands
 
 
 # JSON texts that are no rational: float literals the parser reads as inf or
@@ -1025,6 +1055,15 @@ def test_verify_refuses_a_flag_that_is_not_a_flag_object(flag, tmp_path, capsys)
     assert capsys.readouterr() == ("", f"error: {path}: flag needs 'polytope', 'center' and 'steps'\n")
 
 
+def test_a_block_of_another_dimension_exits_2_at_parse(tmp_path, capsys):
+    segment = {"polytope": {"vertices": [["0"], ["1"]]}, "center": ["1/2"], "steps": 2}
+    sheaf = _write(tmp_path, "sheaf.json", {"dimension": 2, "summands": [{"flag": segment}]})
+    cert = _v2(tmp_path, lambda b: _block(b).update(flag=segment))
+    for argv in (["chi", sheaf], ["verify", cert]):
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {argv[1]}: summand dimension mismatch\n")
+
+
 def test_verify_fails_a_shifted_block_as_the_same_v1_tampering(tmp_path, capsys):
     # the block's base and center move together, so the flag stays valid and
     # its graded sheaf no longer matches the step's chi_F or its bound
@@ -1044,26 +1083,29 @@ def test_verify_fails_a_shifted_block_as_the_same_v1_tampering(tmp_path, capsys)
     assert capsys.readouterr().out == out
 
 
-def test_verify_of_a_v2_certificate_makes_no_nested_call(square, tmp_path, monkeypatch, capsys):
-    calls = []
-    real = sheafsum.Support._nested
-    monkeypatch.setattr(sheafsum.Support, "_nested", classmethod(lambda cls, *args: calls.append(args) or real(*args)))
+def test_verify_of_a_v2_certificate_checks_every_difference(monkeypatch, capsys):
+    checked = []
+    real = sheafsum._outside
+    monkeypatch.setattr(sheafsum, "_outside", lambda y, x: checked.append((x, y)) or real(y, x))
     assert run(["verify", V2]) == 0
-    assert calls == []
-    # `link` writes its flags as blocks and never expands them
-    assert run(["link", square, _write(tmp_path, "rect.json", RECT), "--epsilon", "1/4"]) == 0
-    assert calls == []
-    # the builder's own flags do take the shortcut when their summands are read
-    certify.link(jsonio.cf_from_json(SQUARE), jsonio.cf_from_json(RECT), F(1, 4)).steps[0].left.summands
-    assert calls
+    monkeypatch.undo()
+    with open(V2, encoding="utf-8") as fh:
+        cert = jsonio.cert_from_json(json.load(fh))
+    differences = {
+        (sm.support.outer, sm.support.inner)
+        for step in cert.steps
+        for side in (step.left, step.right)
+        for sm in side.summands
+        if sm.support.is_difference
+    }
+    assert differences and differences <= set(checked)
 
 
-def _spy_on_levels_and_differences(monkeypatch) -> list:
-    """Record every level build and every unchecked difference."""
+def _spy_on_levels(monkeypatch) -> list:
+    """Record every level build: with no level, no difference is made."""
     calls = []
-    real_levels, real_nested = flags._levels, sheafsum.Support._nested
-    monkeypatch.setattr(flags, "_levels", lambda *args: calls.append("_levels") or real_levels(*args))
-    monkeypatch.setattr(sheafsum.Support, "_nested", classmethod(lambda cls, *args: calls.append("_nested") or real_nested(*args)))
+    real = flags._levels
+    monkeypatch.setattr(flags, "_levels", lambda *args: calls.append(args) or real(*args))
     return calls
 
 
@@ -1079,7 +1121,7 @@ def _spy_on_levels_and_differences(monkeypatch) -> list:
     ids=["link", "link-3d", "concentrate", "probe-gap", "probe-sup"],
 )
 def test_builders_build_no_level_and_no_difference(argv, monkeypatch, capsys):
-    calls = _spy_on_levels_and_differences(monkeypatch)
+    calls = _spy_on_levels(monkeypatch)
     assert run([os.path.join(DATA, a) if a.endswith(".json") else a for a in argv]) == 0
     assert calls == []
 
@@ -1088,7 +1130,7 @@ def test_link_at_the_step_limit_writes_what_the_reader_accepts(tmp_path, monkeyp
     # the unit segment's flags have reach 1/2, so eps = 1/(4n) needs n steps
     seg = _write(tmp_path, "seg.json", {"dimension": 1, "terms": [{"coeff": 1, "polytope": {"vertices": [["0"], ["1"]]}}]})
     dot = _write(tmp_path, "dot.json", {"dimension": 1, "terms": [{"coeff": 1, "polytope": {"vertices": [["0"]]}}]})
-    calls = _spy_on_levels_and_differences(monkeypatch)
+    calls = _spy_on_levels(monkeypatch)
     cert = tmp_path / "cert.json"
     assert run(["link", seg, dot, "--epsilon", f"1/{4 * MAX_FLAG_STEPS}", "--out", str(cert)]) == 0
     assert calls == []

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eulercert import flags, geometry
+from eulercert import flags, geometry, sheafsum
 from eulercert.constructible import Verdict, equals, euler_integral, indicator
 from eulercert.distance import sum_bound
 from eulercert.flags import build_flag, graded_sheaf
@@ -47,9 +47,9 @@ def test_build_flag_refuses_too_many_steps_before_any_level(monkeypatch):
     assert len(build_flag(from_vertices([(0,), (1,)]), (0,), flags.MAX_FLAG_STEPS).levels) == flags.MAX_FLAG_STEPS + 1
 
 
-def test_build_flag_and_graded_sheaf_form_the_center_once_and_no_chart(monkeypatch):
-    forms, charts = [], []
-    form, init = geometry._integer_form, geometry._Chart.__init__
+def test_build_flag_forms_the_center_once_and_graded_sheaf_checks_each_difference(monkeypatch):
+    forms, charts, checked = [], [], []
+    form, init, outside = geometry._integer_form, geometry._Chart.__init__, sheafsum._outside
 
     def counting_form(points):
         forms.append(points)
@@ -64,14 +64,15 @@ def test_build_flag_and_graded_sheaf_form_the_center_once_and_no_chart(monkeypat
         base._chart  # the base's own form and chart are built before the count
         monkeypatch.setattr(geometry, "_integer_form", counting_form)
         monkeypatch.setattr(geometry._Chart, "__init__", counting_init)
+        monkeypatch.setattr(sheafsum, "_outside", lambda y, x: checked.append((y, x)) or outside(y, x))
         fl = build_flag(base, c, 12)
-        assert forms == [(tuple(map(F, c)),)] and charts == []
-        # the levels are nested by construction, so no difference summand
+        assert forms == [(tuple(map(F, c)),)] and charts == [] and checked == []
+        # the levels are nested by construction, yet each difference summand
         # tests its containment on a chart of its outer level
         graded_sheaf(fl)
         monkeypatch.undo()
-        assert forms == [(tuple(map(F, c)),)] and charts == []
-        forms.clear()
+        assert checked == list(zip(fl.levels, fl.levels[1:]))
+        forms.clear(), charts.clear(), checked.clear()
 
 
 def test_flag_of_segment():
