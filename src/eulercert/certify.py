@@ -43,7 +43,7 @@ from .constructible import (
     normalize,
     zero_function,
 )
-from .distance import decide
+from .distance import _decide_forced, _forced
 from .flags import build_flag
 from .geometry import (
     Norm,
@@ -55,7 +55,7 @@ from .geometry import (
     reach,
     vertex_centroid,
 )
-from .sheafsum import SheafSum, Summand, Support, local_euler, sheaf_sum
+from .sheafsum import SheafSum, Summand, Support, _scan, sheaf_sum
 
 
 @dataclass(frozen=True)
@@ -205,6 +205,13 @@ class Report:
     failures: tuple[str, ...]
 
 
+def _streamed(s: SheafSum, norm: Norm, d: Fraction) -> tuple[ConstructibleFunction, list[Summand]]:
+    """One pass over the summands of s: its local Euler characteristic, and
+    the summands that the vertex filter of `decide` leaves forced at d, which
+    alone are kept."""
+    return _scan(s, lambda sm: d >= 0 and _forced(sm, norm, d))
+
+
 def verify(cert: Certificate) -> Report:
     """Re-derive everything a certificate claims; report itemized failures.
 
@@ -228,9 +235,11 @@ def verify(cert: Certificate) -> Report:
     if not cert.steps:
         return Report(False, ("certificate has no steps",))
     for k, step in enumerate(cert.steps):
-        check_equal(local_euler(step.left), step.chi_left, f"left local euler mismatch at step {k}")
-        check_equal(local_euler(step.right), step.chi_right, f"right local euler mismatch at step {k}")
-        if not decide(step.left, step.right, cert.norm, step.declared_bound.value):
+        d = step.declared_bound.value
+        (chi_f, left), (chi_g, right) = (_streamed(h, cert.norm, d) for h in (step.left, step.right))
+        check_equal(chi_f, step.chi_left, f"left local euler mismatch at step {k}")
+        check_equal(chi_g, step.chi_right, f"right local euler mismatch at step {k}")
+        if not _decide_forced(left, right, cert.norm, d):
             failures.append(f"bound understated at step {k}")
         if step.declared_bound.value > cert.epsilon:
             failures.append(f"declared bound exceeds epsilon at step {k}")

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -79,13 +80,21 @@ def _load(path: str, parse, dimension: Optional[int] = None):
     is one kind; `_read_json` names the file itself.
     """
     raw = _read_json(path)
-    try:
+    with _reading(path):
         value = parse(raw)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
     if dimension is not None and value.dimension != dimension:
         raise SchemaError(f"{path}: dimension {value.dimension} != configured {dimension}")
     return value
+
+
+@contextlib.contextmanager
+def _reading(path: str):
+    """Name the file at path in a ValueError raised while its value is read:
+    by the parse, or by a reader that expands a flag block of it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def _parse_point(text: str):
@@ -177,7 +186,10 @@ def _dispatch(args: argparse.Namespace, dimension: Optional[int], norm: Norm) ->
         _emit(jsonio.cf_to_json(pushforward(f, m)), None)
         return 0
     if cmd == "chi":
-        _emit(jsonio.cf_to_json(local_euler(load(args.sheaf, jsonio.sheaf_from_json))), None)
+        sheaf = load(args.sheaf, jsonio.sheaf_from_json)
+        with _reading(args.sheaf):
+            chi = local_euler(sheaf)
+        _emit(jsonio.cf_to_json(chi), None)
         return 0
     if cmd == "flag":
         poly = load(args.polytope, jsonio.polytope_from_json)
@@ -188,6 +200,9 @@ def _dispatch(args: argparse.Namespace, dimension: Optional[int], norm: Norm) ->
     if cmd == "bound":
         left = load(args.left, jsonio.sheaf_from_json)
         right = load(args.right, jsonio.sheaf_from_json)
+        for path, sheaf in ((args.left, left), (args.right, right)):
+            with _reading(path):
+                sheaf.summands  # a block sum is expanded here
         bound, matching = sum_bound(left, right, norm)
         print(bound.decimal_up())
         print("pairs " + " ".join(f"{i}-{j}" for i, j in matching.pairs))
@@ -213,7 +228,8 @@ def _dispatch(args: argparse.Namespace, dimension: Optional[int], norm: Norm) ->
             cert = dataclasses.replace(cert, norm=norm)
         elif cert.norm is not norm:
             raise SchemaError(f"{args.cert}: certificate built under norm {cert.norm.value}, but the configured norm is {norm.value}")
-        report = verify(cert)
+        with _reading(args.cert):
+            report = verify(cert)
         if report.passed:
             print("PASS")
             return 0

@@ -390,6 +390,27 @@ def _matched(ls: list[Summand], rs: list[Summand], norm: Norm, d: Fraction) -> b
     return _Flow(supply, demand, arcs).saturated
 
 
+def _forced(s: Summand, norm: Norm, d: Fraction) -> bool:
+    """Whether the vertex filter leaves s forced at d >= 0: plain summands
+    always, and the differences it cannot show within d."""
+    return not (s.support.is_difference and _paired_within(s.support, norm, d))
+
+
+def _decide_forced(left: list[Summand], right: list[Summand], norm: Norm, d: Fraction) -> bool:
+    """The decision of `decide` from the summands of each side that `_forced`
+    keeps at d, merged or not: equal summands left apart are flow nodes whose
+    capacities the merge would add, so the verdict is the same."""
+    if d < 0:
+        return False
+    groups: dict = {}
+    for side, summands in enumerate((left, right)):
+        for s in summands:
+            groups.setdefault(_bucket(s), ([], []))[side].append(s)
+    return all(
+        _within(_vanishing((ls or rs)[0], norm), d) or _matched(ls, rs, norm, d) for ls, rs in groups.values()
+    )
+
+
 def decide(f: SheafSum, g: SheafSum, norm: Norm, d) -> bool:
     """Whether some partial matching keeps every element within d, the
     per-element slack rule: the decision of `verify` at a declared bound.
@@ -398,18 +419,11 @@ def decide(f: SheafSum, g: SheafSum, norm: Norm, d) -> bool:
     remaining bucket of differences computes its one vanishing bound, and is
     unforced if that is within d.  Every forced bucket must then be matched
     (`_matched`); the first that cannot be ends the decision.  No bound is
-    negative, so no d below 0 holds one.
+    negative, so no d below 0 holds one.  `verify` reaches the same routine,
+    `_decide_forced`, from its own one pass over each side.
     """
     if f.dimension != g.dimension:
         raise ValueError(f"right sheaf dimension {g.dimension} != left sheaf dimension {f.dimension}")
     d = Fraction(d)
-    if d < 0:
-        return False
-    groups: dict = {}
-    for side, summands in enumerate((f.summands, g.summands)):
-        for s in summands:
-            if not (s.support.is_difference and _paired_within(s.support, norm, d)):
-                groups.setdefault(_bucket(s), ([], []))[side].append(s)
-    return all(
-        _within(_vanishing((ls or rs)[0], norm), d) or _matched(ls, rs, norm, d) for ls, rs in groups.values()
-    )
+    left, right = ([s for s in h.summands if d >= 0 and _forced(s, norm, d)] for h in (f, g))
+    return _decide_forced(left, right, norm, d)

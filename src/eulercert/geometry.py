@@ -150,38 +150,54 @@ def norm_value(v: Point, norm: Norm) -> RoundedReal:
 # polytopes
 
 
-@dataclass(frozen=True)
 class Polytope:
     """Canonical V-representation: the sorted tuple of extreme points.
 
     Build through :func:`from_vertices`; structural equality of two polytopes
     is then equality as point sets.  The vertices are the public and
     serialized form.  Beside them a polytope caches its integer form
-    (:func:`_integer_form`), which also gives its hash, its chart, its edges
-    and the fans of its chart faces, each computed on first use, except a
-    flag level's integer form, which arrives with it (:meth:`_given`).
+    (:func:`_integer_form`), which gives its equality and its hash, its
+    chart, its edges and the fans of its chart faces, each computed on first
+    use.  A flag level is born as its integer form (:meth:`_given`), and its
+    Fraction vertices are built only when first read.  A polytope is
+    immutable, its forms and caches built once each.
     """
 
-    vertices: tuple[Point, ...]
+    def __init__(self, vertices: tuple[Point, ...]):
+        self.__dict__["vertices"] = vertices
 
     @classmethod
-    def _given(cls, vertices: tuple, ints: tuple) -> "Polytope":
-        """The polytope of these canonical vertices, of least-terms integer form ints."""
-        p = cls(vertices)
+    def _given(cls, ints: tuple) -> "Polytope":
+        """The polytope of least-terms integer form ints, of canonical vertices."""
+        p = cls.__new__(cls)
         p.__dict__["_ints"] = ints
         return p
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Polytope is immutable: cannot set {name!r}")
+
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        den, nums = self._ints
+        return tuple(tuple(Fraction(c, den) for c in v) for v in nums)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Polytope:
+            return NotImplemented
+        # equal vertices have one least-terms integer form
+        return self is other or self._ints == other._ints
 
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        # equal vertices have one least-terms integer form, hashed as plain ints
         return hash(self._ints)
 
     @property
     def dimension(self) -> int:
-        return len(self.vertices[0])
+        # off whichever form is at hand: a level builds no vertex for it
+        return len(self.vertices[0] if "vertices" in self.__dict__ else self._ints[1][0])
 
     @cached_property
     def _ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -503,26 +519,44 @@ def homothet(p: Polytope, c, t) -> Polytope:
     return _levels(p, Polytope((center,)), ratio.denominator, (ratio.numerator,))[0]
 
 
-def _levels(
-    base: Polytope, tip: Polytope, steps: int, ratios: Optional[Iterable[int]] = None
-) -> tuple[Polytope, ...]:
+class _levels:
     """base scaled toward the point of tip, checked to lie in it, by i / steps
-    for each i of `ratios` (0 to steps by default).  With base = V / D and tip
-    = C / L, level i is ((steps - i) C D + i L V) / (steps L D), reduced by one
-    gcd; a ratio in (0, 1) keeps the vertices extreme and in their order."""
-    den, nums = base._ints
-    cden, (cnum,) = tip._ints
-    fixed = [c * den for c in cnum]
-    moved = [[cden * c for c in v] for v in nums]
-    out = []
-    for i in range(steps + 1) if ratios is None else ratios:
+    for each i of `ratios` (0 to steps by default): a sequence, like range,
+    whose items are built when read, so iterating yields the levels one at a
+    time and keeps none.
+
+    With base = V / D and tip = C / L, level i is ((steps - i) C D + i L V) /
+    (steps L D), reduced by one gcd: a level is born as its least-terms
+    integer form (`Polytope._given`), since a ratio in (0, 1) keeps the
+    vertices extreme and in their order.
+    """
+
+    def __init__(self, base: Polytope, tip: Polytope, steps: int, ratios: Optional[Sequence[int]] = None):
+        den, nums = base._ints
+        cden, (cnum,) = tip._ints
+        self._ends = (tip, base)
+        self._steps, self._den = steps, steps * cden * den
+        self._fixed = [c * den for c in cnum]
+        self._moved = [[cden * c for c in v] for v in nums]
+        self._ratios = range(steps + 1) if ratios is None else ratios
+
+    def __len__(self) -> int:
+        return len(self._ratios)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self)[k]
+        return self._level(self._ratios[k])
+
+    def __iter__(self):
+        return map(self._level, self._ratios)
+
+    def _level(self, i: int) -> Polytope:
+        steps = self._steps
         if i in (0, steps):
-            out.append(base if i else tip)
-            continue
+            return self._ends[i > 0]
         j = steps - i
-        d, level = _reduced(steps * cden * den, [[j * f + i * m for f, m in zip(fixed, v)] for v in moved])
-        out.append(Polytope._given(tuple(tuple(Fraction(c, d) for c in v) for v in level), (d, level)))
-    return tuple(out)
+        return Polytope._given(_reduced(self._den, [[j * f + i * m for f, m in zip(self._fixed, v)] for v in self._moved]))
 
 
 def _gap(norm: Norm, pairs, do: int, di: int) -> int:

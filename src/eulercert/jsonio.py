@@ -6,9 +6,11 @@ valid upper bounds.  Parsing re-canonicalizes geometry, so a round trip
 reproduces a structurally equal value.
 
 A sheaf's summand list may hold flag blocks, each standing for one flag's
-graded sheaf; the reader rebuilds the flag and expands the blocks once, as
-`SheafSum.summands` expands any sum of blocks, every level difference checked
-as it is made, so a block parses to exactly the summands it stands for.
+graded sheaf.  The parser rebuilds each block's flag, checking its base,
+center, step count and dimension, and keeps the block unexpanded: its readers
+stream it (`SheafSum`), every level difference checked as it is made, so a
+block stands for exactly the summands it names, and a nesting error surfaces
+where a reader meets it, which the CLI reports against the file.
 Certificates are written in version 2, which records the norm and
 writes each flag of the builder as one block; a file without a version is
 version 1, which records no norm.
@@ -206,8 +208,9 @@ def _shift_and_multiplicity(entry: dict) -> tuple[int, int]:
 def sheaf_from_json(obj: Any, polytopes: Optional[dict] = None) -> SheafSum:
     """Parse a sheaf sum; `polytopes` as in `polytope_from_json`.
 
-    A sum with a flag block keeps its blocks, and its summands are expanded
-    here, so a nesting or dimension error is raised by the parse.
+    Each entry's dimension is checked here, a flag block's from its base.  A
+    sum with a flag block keeps its blocks unexpanded: its readers expand
+    them, checking each level difference as it is made.
     """
     if polytopes is None:
         polytopes = {}
@@ -228,9 +231,9 @@ def sheaf_from_json(obj: Any, polytopes: Optional[dict] = None) -> SheafSum:
         entries.append(Summand(support, *_shift_and_multiplicity(sm)))
     if all(isinstance(e, Summand) for e in entries):
         return sheaf_sum(dim, entries)
-    s = SheafSum(dim, None, tuple(entries))
-    s.summands  # expanded and checked now, where the caller names the file
-    return s
+    if any((e.support.outer if isinstance(e, Summand) else e[0].base).dimension != dim for e in entries):
+        raise SchemaError("summand dimension mismatch")
+    return SheafSum(dim, None, tuple(entries))
 
 
 def affine_map_from_json(obj: Any) -> AffineMap:

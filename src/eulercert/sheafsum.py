@@ -8,16 +8,23 @@ a plain summand on a compact convex set is contractible, and the restriction
 triangle of a nested difference of convex compacts has vanishing sections.
 
 Every difference support is checked to be nested when it is made, by
-`Support`'s constructor, the flag levels' differences included.  A sum of flag
-blocks is expanded in one place, `SheafSum.summands`: the builder's sums are
-expanded when first read, which `concentrate`, `link` and `probe` never do,
-and a reader's once, as it parses them.
+`Support`'s constructor, the flag levels' differences included.  A flag
+block's summands are made in one place, the generator
+`flags._graded_summands`, which `SheafSum._stream` reads block by block, and
+two kinds of reader consume that stream.  `SheafSum.summands` collects it
+once, on first read, into the merged and sorted sum that `bound`, the `flag`
+output, equality and hashing read.  `_scan` reads it once per call and keeps
+only a local Euler sum whose levels cancel as they arrive, and the summands
+its caller asks for, so `chi` (`local_euler`) and `verify` hold about one
+level per block at a time.  The builders `concentrate`, `link` and `probe`
+read neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Optional
 
 from .constructible import ConstructibleFunction, from_terms
 from .geometry import Polytope, _outside
@@ -62,8 +69,8 @@ class SheafSum:
     `blocks`, when set, are the entries the sum was made from, some of them
     flag blocks: each a Summand or a block (flag, shift, multiplicity) standing
     for that flag's graded sheaf.  Writers write these instead of the merged
-    summands.  A sum of blocks is made with no summands, which are expanded
-    from its blocks on first read, each difference checked as it is made.
+    summands.  A sum of blocks is made with no summands, which are collected
+    from its stream on first read, each difference checked as it is made.
     Equality and hash are over (dimension, summands), whichever way the sum
     was made.
     """
@@ -75,11 +82,17 @@ class SheafSum:
     @property
     def summands(self) -> tuple[Summand, ...]:
         if self._summands is None:
-            from .flags import _graded_summands  # flags imports this module
-
-            expanded = [sm for e in self.blocks for sm in ([e] if isinstance(e, Summand) else _graded_summands(*e))]
-            object.__setattr__(self, "_summands", sheaf_sum(self.dimension, expanded).summands)
+            object.__setattr__(self, "_summands", sheaf_sum(self.dimension, self._stream()).summands)
         return self._summands
+
+    def _stream(self) -> Iterator[Summand]:
+        """The summands, unmerged and unsorted: a flag block's made one at a
+        time as they are read, each difference checked as it is made."""
+        if self._summands is not None:
+            return iter(self._summands)
+        from .flags import _graded_summands  # flags imports this module
+
+        return chain.from_iterable([e] if isinstance(e, Summand) else _graded_summands(*e) for e in self.blocks)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -124,15 +137,31 @@ def difference(outer: Polytope, inner: Polytope, shift: int = 0, multiplicity: i
     return Summand(Support(outer, inner), shift, multiplicity)
 
 
+def _scan(s: SheafSum, keep: Callable[[Summand], bool]) -> tuple[ConstructibleFunction, list[Summand]]:
+    """One pass over the summands of s (`SheafSum._stream`): its local Euler
+    characteristic, and the summands that keep accepts.
+
+    The characteristic is summed per polytope, an entry dropped when it
+    reaches 0, so the levels of a flag block cancel as they are read and the
+    sum holds about one polytope per block.
+    """
+    acc: dict[Polytope, int] = {}
+    kept = []
+    for sm in s._stream():
+        sign = sm.multiplicity if sm.shift % 2 == 0 else -sm.multiplicity
+        for p, c in ((sm.support.outer, sign), (sm.support.inner, -sign)):
+            if p is not None:
+                c += acc.pop(p, 0)
+                if c:
+                    acc[p] = c
+        if keep(sm):
+            kept.append(sm)
+    return from_terms(s.dimension, ((c, p) for p, c in acc.items())), kept
+
+
 def local_euler(s: SheafSum) -> ConstructibleFunction:
     """Pointwise alternating sum of stalk dimensions, as a normalized function."""
-    pairs: list[tuple[int, Polytope]] = []
-    for sm in s.summands:
-        sign = sm.multiplicity if sm.shift % 2 == 0 else -sm.multiplicity
-        pairs.append((sign, sm.support.outer))
-        if sm.support.inner is not None:
-            pairs.append((-sign, sm.support.inner))
-    return from_terms(s.dimension, pairs)
+    return _scan(s, lambda sm: False)[0]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import ast
+import glob
 import hashlib
 import json
 import os
@@ -6,6 +7,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -180,6 +182,15 @@ def test_flag_output_is_byte_identical(name, center, steps, norm, capsys):
     suffix = "" if norm is Norm.L2 else f"_{norm.value}"
     with open(os.path.join(DATA, f"{name}{suffix}.out"), encoding="utf-8") as fh:
         assert capsys.readouterr().out == fh.read()
+
+
+# two triangle blocks of 2000 steps each, of shifts 0 and 1 and
+# multiplicities 1 and 2; the golden was recorded while the parser still
+# expanded every block
+def test_chi_of_a_multi_block_sheaf_is_byte_identical(capsys):
+    assert run(["chi", os.path.join(DATA, "blocks2d.json")]) == 0
+    with open(os.path.join(DATA, "blocks2d.out"), encoding="utf-8") as fh:
+        assert capsys.readouterr() == (fh.read(), "")
 
 
 # a point whose first coordinate is negative is joined to its option by "=":
@@ -451,6 +462,22 @@ def test_a_built_sum_checks_each_difference_when_its_summands_are_read(monkeypat
     cert = certify.link(jsonio.cf_from_json(SQUARE), jsonio.cf_from_json(RECT), F(1, 4))
     with pytest.raises(ValueError, match="inner polytope not contained in outer"):
         cert.steps[0].left.summands
+
+
+@pytest.mark.parametrize("argv", [["chi", "S"], ["bound", "S", "P"], ["bound", "P", "S"]], ids=["chi", "bound-left", "bound-right"])
+def test_chi_and_bound_recheck_the_nesting_of_each_block_they_read(argv, tmp_path, monkeypatch, capsys):
+    # as in `verify`, a reversed level order makes every difference of a
+    # block not nested, which the reader finds as it expands the block and
+    # reports against the file that holds it
+    real = flags._levels
+    monkeypatch.setattr(flags, "_levels", lambda *args: tuple(real(*args))[::-1])
+    block = {"flag": {"polytope": SQUARE["terms"][0]["polytope"], "center": ["1/2", "1/2"], "steps": 3}}
+    files = {
+        "S": _write(tmp_path, "blocks.json", {"dimension": 2, "summands": [block]}),
+        "P": _write(tmp_path, "point.json", {"dimension": 2, "summands": [{"outer": {"vertices": [["0", "0"]]}}]}),
+    }
+    assert run([files.get(a, a) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {files['S']}: inner polytope not contained in outer\n")
 
 
 # JSON texts that are no rational: float literals the parser reads as inf or
@@ -1101,6 +1128,49 @@ def test_verify_of_a_v2_certificate_checks_every_difference(monkeypatch, capsys)
     assert differences and differences <= set(checked)
 
 
+def test_verify_and_chi_of_the_v2_goldens_stream_their_blocks(tmp_path, monkeypatch, capsys):
+    # each block is read one summand at a time and never collected into a
+    # merged, sorted sum: `summands` is read of no sum that holds a block
+    read = []
+    real = sheafsum.SheafSum.summands
+
+    def spy(self):
+        if self.blocks is not None:
+            read.append(self)
+        return real.fget(self)
+
+    monkeypatch.setattr(sheafsum.SheafSum, "summands", property(spy))
+    sheaves = []
+    for cert in sorted(glob.glob(os.path.join(DATA, "*.v2.cert.json"))):
+        assert run(["verify", cert]) == 0
+        with open(cert, encoding="utf-8") as fh:
+            blob = json.load(fh)
+        sheaves += [s[side] for s in blob["steps"] for side in "FG" if any("flag" in e for e in s[side]["summands"])]
+    assert len(sheaves) >= 4
+    for k, sheaf in enumerate(sheaves):
+        assert run(["chi", _write(tmp_path, f"sheaf{k}.json", sheaf)]) == 0
+    assert run(["chi", os.path.join(DATA, "blocks2d.json")]) == 0
+    assert read == []
+
+
+def test_chi_of_a_block_at_the_step_limit_keeps_a_few_levels(tmp_path, capsys):
+    # the levels of a block cancel in its local Euler sum as they are read,
+    # so chi's peak memory is that of a few levels: expanding the block into
+    # its merged sum took about 29 MiB
+    triangle = {"vertices": [["0", "0"], ["3", "0"], ["0", "2"]]}
+    block = {"flag": {"polytope": triangle, "center": ["1/2", "1/3"], "steps": MAX_FLAG_STEPS}}
+    path = _write(tmp_path, "block.json", {"dimension": 2, "summands": [block]})
+    tracemalloc.start()
+    try:
+        assert run(["chi", path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    hull = {"vertices": [["0", "0"], ["0", "2"], ["3", "0"]]}  # the triangle's, sorted
+    assert json.loads(capsys.readouterr().out) == {"dimension": 2, "terms": [{"coeff": 1, "polytope": hull}]}
+    assert peak < 4 * 2**20
+
+
 def _spy_on_levels(monkeypatch) -> list:
     """Record every level build: with no level, no difference is made."""
     calls = []
@@ -1143,6 +1213,17 @@ def test_link_at_the_step_limit_writes_what_the_reader_accepts(tmp_path, monkeyp
     assert run(["link", seg, dot, "--epsilon", f"1/{4 * (MAX_FLAG_STEPS + 1)}", "--out", str(over)]) == 2
     assert capsys.readouterr() == ("", f"error: a flag may have at most {MAX_FLAG_STEPS} steps\n")
     assert not over.exists()
+
+
+def test_verify_streams_a_block_at_the_step_limit(tmp_path, capsys):
+    # the parser builds no level, so the reader that accepts the block is
+    # `verify`, which builds and checks every level of it
+    seg = _write(tmp_path, "seg.json", {"dimension": 1, "terms": [{"coeff": 1, "polytope": {"vertices": [["0"], ["1"]]}}]})
+    dot = _write(tmp_path, "dot.json", {"dimension": 1, "terms": [{"coeff": 1, "polytope": {"vertices": [["0"]]}}]})
+    cert = str(tmp_path / "cert.json")
+    assert run(["link", seg, dot, "--epsilon", f"1/{4 * MAX_FLAG_STEPS}", "--out", cert]) == 0
+    assert run(["verify", cert]) == 0
+    assert capsys.readouterr() == ("PASS\n", "")
 
 
 def test_bool_coordinate_after_the_same_string_list_exits_2(tmp_path, capsys):

@@ -437,6 +437,26 @@ def test_levels_match_the_fraction_homothety(pts, weights, steps):
         assert 0 < i < steps or level is (p if i else levels[0])
 
 
+@given(_hull_input(), st.lists(st.integers(0, 3), min_size=1, max_size=5), st.sampled_from([1, 2, 3, 7, 64]))
+@example([(F(0), F(0)), (F(3), F(0)), (F(0), F(2))], [1, 1, 1], 7)
+@example([(F(1, 3),)], [1], 3)
+@settings(deadline=None)
+def test_levels_are_born_as_integers_and_equal_their_own_hulls(pts, weights, steps):
+    p = from_vertices(pts)
+    w = [weights[i % len(weights)] for i in range(len(p.vertices))]
+    assume(any(w))
+    c = _combination(p.vertices, w)
+    for i, level in enumerate(geometry._levels(p, Polytope((c,)), steps)):
+        expected = fraction_homothet(p, c, F(i, steps))
+        if 0 < i < steps:
+            # equality and hash read the integer form, and build no vertex
+            assert level == expected and hash(level) == hash(expected)
+            assert "vertices" not in vars(level)
+        hull = from_vertices(level.vertices)
+        assert hull == level and hash(hull) == hash(level) and hull._ints == level._ints
+        assert level.vertices == expected.vertices
+
+
 @given(_hull_input(), st.lists(st.integers(-2, 3), min_size=1, max_size=5), st.sampled_from(list(Norm)))
 @example([(F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))], [1, 0, 0, 0], Norm.L2)  # sqrt 2
 @example([(F(0), F(0)), (F(3), F(0)), (F(0), F(4))], [1, 0, 0], Norm.L2)  # 5, exact
