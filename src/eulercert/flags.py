@@ -12,10 +12,12 @@ every check of the flag before it returns.  The builders `concentrate`,
 `link` and `probe` read no level: a certificate writes each flag as a block of
 base, center and step count.  The readers (`verify`, `chi`, `bound`) and
 `flag` read a block through :func:`_graded_summands`, which builds its levels
-one at a time, each born as its integer form (`geometry._levels`), and keeps
-none: `verify` and `chi` hold about one level of a block at a time, whatever
-its step count.  `Flag.levels` keeps them all, for a caller that wants the
-tuple.
+one at a time, each born as its integer form and the base's chart moved to it
+(`geometry._levels`), and keeps none: `verify` and `chi` hold about one level
+of a block at a time, whatever its step count.  `Flag.levels` keeps them all,
+for a caller that wants the tuple.  A block pays for its base's chart, the
+facet search of a hull, once; each level then costs its vertices, two
+products, a sum and a two-integer gcd per base row, and its nesting check.
 
 The levels of a flag that :func:`build_flag` made are nested, since its
 center lies in the convex base, but nothing here trusts that: every difference

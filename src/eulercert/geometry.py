@@ -158,19 +158,21 @@ class Polytope:
     serialized form.  Beside them a polytope caches its integer form
     (:func:`_integer_form`), which gives its equality and its hash, its
     chart, its edges and the fans of its chart faces, each computed on first
-    use.  A flag level is born as its integer form (:meth:`_given`), and its
-    Fraction vertices are built only when first read.  A polytope is
-    immutable, its forms and caches built once each.
+    use.  A flag level is born as its integer form and its chart
+    (:meth:`_given`), and its Fraction vertices are built only when first
+    read.  A polytope is immutable, its forms and caches built once each.
     """
 
     def __init__(self, vertices: tuple[Point, ...]):
         self.__dict__["vertices"] = vertices
 
     @classmethod
-    def _given(cls, ints: tuple) -> "Polytope":
-        """The polytope of least-terms integer form ints, of canonical vertices."""
+    def _given(cls, ints: tuple, chart: "_Chart") -> "Polytope":
+        """The polytope of least-terms integer form ints, of canonical
+        vertices, whose chart is the one `_Chart(*ints)` would build."""
         p = cls.__new__(cls)
         p.__dict__["_ints"] = ints
+        p.__dict__["_chart"] = chart
         return p
 
     def __setattr__(self, name, value):
@@ -529,6 +531,22 @@ class _levels:
     (steps L D), reduced by one gcd: a level is born as its least-terms
     integer form (`Polytope._given`), since a ratio in (0, 1) keeps the
     vertices extreme and in their order.
+
+    A middle level is born with its chart too, the base's chart moved by the
+    level's homothety.  A point x lies in level i exactly when (steps x -
+    (steps - i) C / L) / i lies in the base, so a base row a.x <= b (or = b)
+    becomes steps L a.x <= i L b + (steps - i) a.C, which is made primitive by
+    the gcd of its right side and of steps L a, the latter fixed per block.  A
+    primitive row is unique up to a positive factor, and the fresh chart of
+    the level takes each row with the sign of the base's, as its vertex
+    differences are positive multiples of the base's, so the moved rows are
+    the ones `_Chart` would build from the level, in the same order.  The
+    level's `faces` rings are the base's: a positive homothety keeps the
+    sorted order of the vertices, of their projections onto any two axes,
+    and every turn's orientation, so each ring starts at the same least
+    point and runs the same way.  Nothing here trusts the builder: the base
+    chart is the one its reader built from the base it parsed, and the
+    nesting of each level difference is still checked by `Support`.
     """
 
     def __init__(self, base: Polytope, tip: Polytope, steps: int, ratios: Optional[Sequence[int]] = None):
@@ -539,6 +557,14 @@ class _levels:
         self._fixed = [c * den for c in cnum]
         self._moved = [[cden * c for c in v] for v in nums]
         self._ratios = range(steps + 1) if ratios is None else ratios
+        chart = self._chart = base._chart
+        # per row (a, b): the scaled normal steps L a, its gcd, L b and a.C
+        scale = steps * cden
+        self._rows = [
+            [(tuple(scale * a for a in r[:-1]), scale * math.gcd(*r[:-1]), cden * r[-1], dot(r[:-1], cnum)) for r in rows]
+            for rows in (chart.eqs, chart.ineqs)
+        ]
+        self._rings = [ring for _, ring in chart.faces]
 
     def __len__(self) -> int:
         return len(self._ratios)
@@ -556,7 +582,24 @@ class _levels:
         if i in (0, steps):
             return self._ends[i > 0]
         j = steps - i
-        return Polytope._given(_reduced(self._den, [[j * f + i * m for f, m in zip(self._fixed, v)] for v in self._moved]))
+        ints = _reduced(self._den, [[j * f + i * m for f, m in zip(self._fixed, v)] for v in self._moved])
+        base = self._chart
+        chart = _Chart.__new__(_Chart)
+        chart.ambient, chart.k = base.ambient, base.k
+        chart.eqs, chart.ineqs = (_moved_rows(rows, i, j) for rows in self._rows)
+        chart.faces = tuple(zip(chart.ineqs if base.k == base.ambient else [None], self._rings))
+        return Polytope._given(ints, chart)
+
+
+def _moved_rows(rows, i: int, j: int) -> list[tuple[int, ...]]:
+    """The primitive rows (A, i B + j E) of level i, j = steps - i, from each
+    row's (A, gcd(A), B, E) of `_levels`."""
+    out = []
+    for normal, g, b, e in rows:
+        rhs = i * b + j * e
+        g = math.gcd(g, rhs)
+        out.append((*[c // g for c in normal], rhs // g))
+    return out
 
 
 def _gap(norm: Norm, pairs, do: int, di: int) -> int:

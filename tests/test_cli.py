@@ -184,12 +184,15 @@ def test_flag_output_is_byte_identical(name, center, steps, norm, capsys):
         assert capsys.readouterr().out == fh.read()
 
 
-# two triangle blocks of 2000 steps each, of shifts 0 and 1 and
+# blocks2d: two triangle blocks of 2000 steps each, of shifts 0 and 1 and
 # multiplicities 1 and 2; the golden was recorded while the parser still
-# expanded every block
-def test_chi_of_a_multi_block_sheaf_is_byte_identical(capsys):
-    assert run(["chi", os.path.join(DATA, "blocks2d.json")]) == 0
-    with open(os.path.join(DATA, "blocks2d.out"), encoding="utf-8") as fh:
+# expanded every block.  blocks3d: a cube block and one on an 11-vertex base,
+# 300 steps each; the golden was recorded while every level built its chart
+# from its own vertices
+@pytest.mark.parametrize("name", ["blocks2d", "blocks3d"])
+def test_chi_of_a_multi_block_sheaf_is_byte_identical(name, capsys):
+    assert run(["chi", os.path.join(DATA, f"{name}.json")]) == 0
+    with open(os.path.join(DATA, f"{name}.out"), encoding="utf-8") as fh:
         assert capsys.readouterr() == (fh.read(), "")
 
 
@@ -478,6 +481,32 @@ def test_chi_and_bound_recheck_the_nesting_of_each_block_they_read(argv, tmp_pat
     }
     assert run([files.get(a, a) for a in argv]) == 2
     assert capsys.readouterr() == ("", f"error: {files['S']}: inner polytope not contained in outer\n")
+
+
+@pytest.mark.parametrize(
+    "base, center",
+    [
+        ([["0"], ["3"]], ["1"]),
+        ([["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]], ["1/2", "1/2"]),
+        ([[x, y, z] for x in "02" for y in "02" for z in "02"], ["1/2", "1/3", "1/4"]),
+    ],
+    ids=["1d", "2d", "3d"],
+)
+def test_chi_refuses_two_middle_levels_swapped(base, center, tmp_path, monkeypatch, capsys):
+    # both ends stay, so the one difference that is not nested, level 1 less
+    # level 2, is refused by level 1's rows, moved from the base's
+    real = flags._levels
+
+    def swapped(*args):
+        levels = list(real(*args))
+        levels[1], levels[2] = levels[2], levels[1]
+        return levels
+
+    monkeypatch.setattr(flags, "_levels", swapped)
+    block = {"flag": {"polytope": {"vertices": base}, "center": center, "steps": 4}}
+    path = _write(tmp_path, "blocks.json", {"dimension": len(center), "summands": [block]})
+    assert run(["chi", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: inner polytope not contained in outer\n")
 
 
 # JSON texts that are no rational: float literals the parser reads as inf or
@@ -1208,7 +1237,7 @@ def test_link_at_the_step_limit_writes_what_the_reader_accepts(tmp_path, monkeyp
     blob = json.loads(cert.read_text())
     steps = [e["flag"]["steps"] for s in blob["steps"] for side in ("F", "G") for e in s[side]["summands"] if "flag" in e]
     assert max(steps) == MAX_FLAG_STEPS
-    jsonio.cert_from_json(blob)  # every level built and every difference checked
+    jsonio.cert_from_json(blob)  # every block's base, center and step count checked; no level built
     over = tmp_path / "over.json"
     assert run(["link", seg, dot, "--epsilon", f"1/{4 * (MAX_FLAG_STEPS + 1)}", "--out", str(over)]) == 2
     assert capsys.readouterr() == ("", f"error: a flag may have at most {MAX_FLAG_STEPS} steps\n")

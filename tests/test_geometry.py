@@ -437,9 +437,26 @@ def test_levels_match_the_fraction_homothety(pts, weights, steps):
         assert 0 < i < steps or level is (p if i else levels[0])
 
 
+_CUBE = [(F(x), F(y), F(z)) for x in (0, 2) for y in (0, 2) for z in (0, 2)]
+# a pentagonal prism capped by an apex over its top face: 11 vertices, on
+# facets of 3, 4 and 5 of them
+_PENTAGON = [(2, 0), (4, 1), (4, 3), (2, 4), (0, 2)]
+_CAPPED_PRISM = [(F(x), F(y), F(z)) for z in (0, 2) for x, y in _PENTAGON] + [(F(2), F(2), F(3))]
+
+
+def _chart_fields(chart) -> tuple:
+    return chart.k, chart.eqs, chart.ineqs, chart.faces
+
+
 @given(_hull_input(), st.lists(st.integers(0, 3), min_size=1, max_size=5), st.sampled_from([1, 2, 3, 7, 64]))
 @example([(F(0), F(0)), (F(3), F(0)), (F(0), F(2))], [1, 1, 1], 7)
 @example([(F(1, 3),)], [1], 3)
+@example([(F(1, 3), F(-2), F(5, 7))], [1], 7)  # a point base
+@example([(F(0), F(1), F(2)), (F(3), F(-2, 7), F(1, 5))], [1, 2], 7)  # a 3-D segment
+@example([(F(6), F(0), F(0)), (F(0), F(3), F(0)), (F(0), F(0), F(2))], [1, 1, 2], 64)  # flat in 3-space
+@example(_CUBE, [1] + [0] * 7, 7)  # center at a vertex
+@example(_CUBE, [1, 1] + [0] * 6, 64)  # center on an edge
+@example(_CAPPED_PRISM, [1, 2, 3], 7)
 @settings(deadline=None)
 def test_levels_are_born_as_integers_and_equal_their_own_hulls(pts, weights, steps):
     p = from_vertices(pts)
@@ -452,6 +469,11 @@ def test_levels_are_born_as_integers_and_equal_their_own_hulls(pts, weights, ste
             # equality and hash read the integer form, and build no vertex
             assert level == expected and hash(level) == hash(expected)
             assert "vertices" not in vars(level)
+            # the base's chart moved to the level is the one its integer form builds
+            assert _chart_fields(level._chart) == _chart_fields(geometry._Chart(*level._ints))
+            scaled = homothet(p, c, F(i, steps))
+            assert scaled == level
+            assert _chart_fields(scaled._chart) == _chart_fields(geometry._Chart(*scaled._ints))
         hull = from_vertices(level.vertices)
         assert hull == level and hash(hull) == hash(level) and hull._ints == level._ints
         assert level.vertices == expected.vertices
