@@ -31,12 +31,17 @@ v_B (infinite for plain ones; translates have equal directed Hausdorff
 distances), so at any tau a bucket is forced as a whole or not at all, and
 feasibility splits by bucket.  The bound is the maximum over buckets of
 min(v_B, c_B), where c_B is the least edge cost below v_B at which the bucket
-has a perfect b-matching on edges of at most that cost: one max-flow by
-augmenting paths per bucket and binary-search step.  The matching returned is
-the lexicographically least optimal one in unit indices, unmatched last;
-copies being interchangeable, each left summand gives each right summand in
-turn as many copies as keep its forced bucket's flow saturated, or all it can
-when its bucket is not forced.
+has a perfect b-matching on edges of at most that cost.  Its edges are priced
+as `decide` prices them (grid lemma, below), at side 2 v_B: an edge costing at
+least 2 v_B is dominated, so that side holds every edge the bound or the
+matching reads, and a plain bucket (v_B infinite) prices every pair.  c_B is a
+binary search over the distinct priced costs below v_B, one max-flow by
+augmenting paths per step on a prefix of the pairs sorted by cost.  Both
+questions share one bucket grouping, one pricing and one flow builder.  The
+matching returned is the lexicographically least optimal one in unit indices,
+unmatched last; copies being interchangeable, each left summand gives each
+right summand in turn as many copies as keep its forced bucket's flow
+saturated, or all it can when its bucket is not forced.
 
 `decide(f, g, norm, d)` answers the question `verify` asks of each step: is
 some partial matching within the declared bound d?  It never computes the
@@ -70,14 +75,16 @@ translation, which its norm bounds the same way.  An edge within d has a
 cost whose true value is at most d, or d + SLACK if the cost is rounded, so
 the lowest corners of its ends lie within side = d (d + SLACK under L2) on
 every axis, and in neighbouring cells of a grid of that side.  Only such
-candidate pairs get an exact edge cost.  At side 0 the corners are equal,
-and a hash of the corner finds them.
+candidate pairs get an exact edge cost, at side d in `decide` and 2 v_B in
+the bound.  At side 0 the corners are equal, and a hash of the corner finds
+them.  A bucket with fewer than two summands on a side prices every pair: no
+more than its larger side holds, and no grid cell to compute.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
@@ -183,32 +190,81 @@ def _bucket(s: Summand) -> tuple:
     return (s.shift, len(outer), den // g) + tuple(c // g for c in rel)
 
 
+def _groups(left: list[Summand], right: list[Summand]) -> list:
+    """The buckets (`_bucket`) of the summands of each side, as (left pairs,
+    right pairs) of (index, summand)."""
+    groups: dict = {}
+    for side, summands in enumerate((left, right)):
+        for k, s in enumerate(summands):
+            groups.setdefault(_bucket(s), ([], []))[side].append((k, s))
+    return list(groups.values())
+
+
+def _cell(s: Summand, side: Fraction) -> tuple:
+    """The grid cell of the lowest corner of s's outer polytope, or for side
+    0 the corner itself in lowest terms."""
+    den, nums = s.support.outer._ints
+    corner = [min(c) for c in zip(*nums)]
+    if not side:
+        g = math.gcd(den, *corner)
+        return (den // g,) + tuple(c // g for c in corner)
+    a, b = side.numerator, side.denominator
+    return tuple(c * b // (den * a) for c in corner)
+
+
+def _priced(ls: list, rs: list, norm: Norm, side) -> list:
+    """(cost, i, j) for the pairs of one bucket whose lowest corners lie in
+    neighbouring cells of a grid of `side` (equal corners at side 0), which
+    holds every edge of true cost at most `side` (grid lemma), sorted by cost
+    value, ties by j and then i.  An infinite side, or a side of the bucket
+    with fewer than two summands, prices every pair: at most max(len(ls),
+    len(rs)) of them in the latter case."""
+    if side == math.inf or len(ls) < 2 or len(rs) < 2:
+        pairs = [(a, b) for b in rs for a in ls]
+    else:
+        cells: dict = {}
+        for b in rs:
+            cells.setdefault(_cell(b[1], side), []).append(b)
+        pairs = []
+        for a in ls:
+            key = _cell(a[1], side)
+            near = product(*((c - 1, c, c + 1) for c in key)) if side else (key,)
+            pairs += [(a, b) for cell in near for b in cells.get(cell, ())]
+    priced = [(_edge(a, b, norm), i, j) for (i, a), (j, b) in pairs]
+    return sorted(priced, key=lambda e: (e[0].value, e[2], e[1]))
+
+
 SOURCE, SINK = "source", "sink"
 
 
 class _Flow:
-    """Max-flow from a source via supply nodes and arcs to demand nodes and a sink.
+    """Max-flow from a source via the right summands of one bucket, along arcs
+    (i, j) from right summand j to left summand i, to its left summands and a
+    sink, with multiplicities as capacities.
 
     `saturated` tells whether the arcs carry a perfect b-matching: supply and
     demand totals agree and every demand can be met.  Copies matched along an
-    arc can then be taken out while the flow reroutes to stay saturated.
+    arc can then be taken out while the flow reroutes to stay saturated: how
+    many can is a max-flow value, so it does not depend on the paths taken.
     """
 
-    def __init__(self, supply: dict, demand: dict, arcs: list) -> None:
+    def __init__(self, ls: list, rs: list, arcs) -> None:
+        supply = {("g", j): b.multiplicity for j, b in rs}
+        demand = {("f", i): a.multiplicity for i, a in ls}
         self.res: dict = {SOURCE: {}, SINK: {}}
         for u, v, cap in (
             [(SOURCE, u, c) for u, c in supply.items()]
             + [(w, SINK, c) for w, c in demand.items()]
-            + [(u, w, supply[u]) for u, w in arcs]
+            + [(("g", j), ("f", i), supply["g", j]) for i, j in arcs]
         ):
             self.res.setdefault(u, {})[v] = cap
             self.res.setdefault(v, {})[u] = 0
         need = sum(demand.values())
         self.saturated = sum(supply.values()) == need and self._push(SOURCE, SINK, need) == need
 
-    def take(self, u, w, limit: int) -> int:
-        """Take out up to `limit` copies matched from u to w; return how many."""
-        return self._push(w, u, limit)
+    def take(self, i: int, j: int, limit: int) -> int:
+        """Take out up to `limit` copies matched from j to i; return how many."""
+        return self._push(("f", i), ("g", j), limit)
 
     def _push(self, src, dst, limit: int) -> int:
         """Send up to `limit` units from src to dst along shortest residual paths."""
@@ -237,99 +293,83 @@ class _Flow:
         return sent
 
 
-class _Matcher:
-    """Summand-level data of one bottleneck b-matching problem."""
+def _bounded(f: SheafSum, g: SheafSum, norm: Norm) -> tuple[RoundedReal, list]:
+    """The bound of `sum_bound`, and each bucket as (left pairs, right pairs,
+    v_B, its pairs priced at side 2 v_B).
 
-    def __init__(self, f: SheafSum, g: SheafSum, norm: Norm) -> None:
-        if f.dimension != g.dimension:
-            raise ValueError(f"right sheaf dimension {g.dimension} != left sheaf dimension {f.dimension}")
-        self.left, self.right = f.summands, g.summands
-        groups: dict = {}
-        for side, summands in enumerate((self.left, self.right)):
-            for k, s in enumerate(summands):
-                groups.setdefault(_bucket(s), ([], []))[side].append(k)
-        self.buckets: list = []  # (left summands, right summands, vanishing bound)
-        self.fv: list = [None] * len(self.left)
-        self.gv: list = [None] * len(self.right)
-        self.edges: dict[tuple[int, int], RoundedReal] = {}
-        self.bound = ZERO_REAL
-        for ls, rs in groups.values():
-            vb = _vanishing(self.left[ls[0]] if ls else self.right[rs[0]], norm)
-            v = vb.value
-            for i in ls:
-                self.fv[i] = v
-            for j in rs:
-                self.gv[j] = v
-            self.buckets.append((ls, rs, v))
-            below: dict = {}  # edge costs under v, the only thresholds that beat v
-            for j in rs:
-                for i in ls:
-                    cost = _edge(self.left[i], self.right[j], norm)
-                    if cost.value < 2 * v:
-                        self.edges[i, j] = cost
-                        if cost.value < v:
-                            below.setdefault(cost.value, cost)
-            costs = sorted(below.items())
-            k = bisect_left(costs, True, key=lambda c: self._flow(ls, rs, c[0]).saturated)
-            bucket = costs[k][1] if k < len(costs) else vb
-            if bucket.value > self.bound.value:
-                self.bound = bucket
-
-    def _flow(self, ls: list[int], rs: list[int], tau: Fraction) -> _Flow:
-        """Right summands of one bucket supplying its left ones along edges of cost at most tau."""
-        return _Flow(
-            {("g", j): self.right[j].multiplicity for j in rs},
-            {("f", i): self.left[i].multiplicity for i in ls},
-            [(("g", j), ("f", i)) for j in rs for i in ls if (i, j) in self.edges and self.edges[i, j].value <= tau],
+    That side holds every edge the bound or the matching reads: an edge of
+    cost at least 2 v_B is dominated.  c_B is found by a binary search over
+    the distinct costs below v_B; the arcs at or below a cost are a prefix of
+    the priced pairs.
+    """
+    if f.dimension != g.dimension:
+        raise ValueError(f"right sheaf dimension {g.dimension} != left sheaf dimension {f.dimension}")
+    bound, buckets = ZERO_REAL, []
+    for ls, rs in _groups(f.summands, g.summands):
+        vb = _vanishing((ls or rs)[0][1], norm)
+        priced = _priced(ls, rs, norm, 2 * vb.value)
+        values = [c.value for c, _, _ in priced]
+        below = sorted({x for x in values if x < vb.value})
+        k = bisect_left(
+            below, True, key=lambda tau: _Flow(ls, rs, [e[1:] for e in priced[: bisect_right(values, tau)]]).saturated
         )
+        best = priced[bisect_left(values, below[k])][0] if k < len(below) else vb
+        if best.value > bound.value:
+            bound = best
+        buckets.append((ls, rs, vb.value, priced))
+    return bound, buckets
 
-    def lex_matching(self) -> Matching:
-        tau = self.bound.value
-        rem = [a.multiplicity for a in self.left]
-        cap = [b.multiplicity for b in self.right]
-        ends_f, ends_g = list(accumulate(rem)), list(accumulate(cap))
-        pairs: list[tuple[int, int]] = []
-        if tau < math.inf:  # an infinite bound matches no pair
-            flows = {}  # left summand -> the flow of its bucket, if the bucket is forced
-            for ls, rs, v in self.buckets:
-                if v > tau:
-                    flow = self._flow(ls, rs, tau)
-                    flows.update((i, flow) for i in ls)
-            for i in range(len(rem)):
-                for j in range(len(cap)):
-                    if not (rem[i] and cap[j] and self._ok(i, j, tau)):
-                        continue
-                    k = min(rem[i], cap[j])
-                    if i in flows:
-                        k = flows[i].take(("g", j), ("f", i), k)
-                    first = ends_f[i] - rem[i]
-                    pairs.extend(zip(range(first, first + k), range(ends_g[j] - cap[j], ends_g[j])))
-                    rem[i] -= k
-                    cap[j] -= k
 
-        def tails(ends: list[int], left_over: list[int]) -> tuple[int, ...]:
-            return tuple(u for end, n in zip(ends, left_over) for u in range(end - n, end))
+def _lex_matching(f: SheafSum, g: SheafSum, tau, buckets: list) -> Matching:
+    """The lexicographically least matching within the bound tau of `_bounded`."""
+    rem = [a.multiplicity for a in f.summands]
+    cap = [b.multiplicity for b in g.summands]
+    ends_f, ends_g = list(accumulate(rem)), list(accumulate(cap))
+    pairs: list[tuple[int, int]] = []
+    if tau < math.inf:  # an infinite bound matches no pair
+        fv, gv, edges = [None] * len(rem), [None] * len(cap), {}
+        flows = {}  # left summand -> the flow of its bucket, if the bucket is forced
+        for ls, rs, v, priced in buckets:
+            for i, _ in ls:
+                fv[i] = v
+            for j, _ in rs:
+                gv[j] = v
+            edges.update(((i, j), c.value) for c, i, j in priced)
+            if v > tau:
+                flow = _Flow(ls, rs, [(i, j) for c, i, j in priced if c.value <= tau])
+                flows.update((i, flow) for i, _ in ls)
+        for i in range(len(rem)):
+            for j in range(len(cap)):
+                # the pair costs at most tau, dominated pairs included; a + b
+                # <= tau without adding math.inf to a Fraction beyond float range
+                a, b = fv[i], gv[j]
+                if not (rem[i] and cap[j] and (edges.get((i, j), math.inf) <= tau or (b <= tau and a <= tau - b))):
+                    continue
+                k = min(rem[i], cap[j])
+                if i in flows:
+                    k = flows[i].take(i, j, k)
+                first = ends_f[i] - rem[i]
+                pairs.extend(zip(range(first, first + k), range(ends_g[j] - cap[j], ends_g[j])))
+                rem[i] -= k
+                cap[j] -= k
 
-        return Matching(tuple(pairs), tails(ends_f, rem), tails(ends_g, cap))
+    def tails(ends: list[int], left_over: list[int]) -> tuple[int, ...]:
+        return tuple(u for end, n in zip(ends, left_over) for u in range(end - n, end))
 
-    def _ok(self, i: int, j: int, tau: Fraction) -> bool:
-        """Whether the pair costs at most tau, dominated pairs included."""
-        a, b = self.fv[i], self.gv[j]
-        # a + b <= tau, without adding math.inf to a Fraction beyond float range
-        return self.edges.get((i, j), INF).value <= tau or (b <= tau and a <= tau - b)
+    return Matching(tuple(pairs), tails(ends_f, rem), tails(ends_g, cap))
 
 
 def bottleneck_bound(f: SheafSum, g: SheafSum, norm: Norm = Norm.L2) -> RoundedReal:
     """The minimized bottleneck bound of `sum_bound`, without the matching."""
-    return _Matcher(f, g, norm).bound
+    return _bounded(f, g, norm)[0]
 
 
 def sum_bound(f: SheafSum, g: SheafSum, norm: Norm = Norm.L2) -> tuple[RoundedReal, Matching]:
     """Minimized bottleneck bound over partial bijections, with the matching."""
     if max(sum(s.multiplicity for s in h.summands) for h in (f, g)) > MAX_UNITS:
         raise ValueError(f"a matching may list at most {MAX_UNITS} unit copies a side")
-    matcher = _Matcher(f, g, norm)
-    return matcher.bound, matcher.lex_matching()
+    bound, buckets = _bounded(f, g, norm)
+    return bound, _lex_matching(f, g, bound.value, buckets)
 
 
 def _within(x: RoundedReal, d: Fraction) -> bool:
@@ -354,40 +394,13 @@ def _paired_within(sup: Support, norm: Norm, d: Fraction) -> bool:
     return worst * q * q <= limit * limit if norm is Norm.L2 else worst * q <= limit
 
 
-def _cell(s: Summand, side: Fraction) -> tuple:
-    """The grid cell of the lowest corner of s's outer polytope, or for side
-    0 the corner itself in lowest terms."""
-    den, nums = s.support.outer._ints
-    corner = [min(c) for c in zip(*nums)]
-    if not side:
-        g = math.gcd(den, *corner)
-        return (den // g,) + tuple(c // g for c in corner)
-    a, b = side.numerator, side.denominator
-    return tuple(c * b // (den * a) for c in corner)
-
-
-def _matched(ls: list[Summand], rs: list[Summand], norm: Norm, d: Fraction) -> bool:
+def _matched(ls: list, rs: list, norm: Norm, d: Fraction) -> bool:
     """Whether every copy of a forced bucket matches along its edges within d:
-    one flow over the candidate pairs that the grid lemma leaves."""
-    if sum(s.multiplicity for s in ls) != sum(s.multiplicity for s in rs):
+    one flow over the pairs priced at side d (d + SLACK under L2)."""
+    if sum(s.multiplicity for _, s in ls) != sum(s.multiplicity for _, s in rs):
         return False
-    side = d + SLACK if norm is Norm.L2 else d
-    cells: dict = {}
-    for j, b in enumerate(rs):
-        cells.setdefault(_cell(b, side), []).append(j)
-    arcs = []
-    for i, a in enumerate(ls):
-        key = _cell(a, side)
-        near = product(*((c - 1, c, c + 1) for c in key)) if side else (key,)
-        arcs += [
-            (("g", j), ("f", i))
-            for cell in near
-            for j in cells.get(cell, ())
-            if _within(_edge(a, rs[j], norm), d)
-        ]
-    supply = {("g", j): b.multiplicity for j, b in enumerate(rs)}
-    demand = {("f", i): a.multiplicity for i, a in enumerate(ls)}
-    return _Flow(supply, demand, arcs).saturated
+    priced = _priced(ls, rs, norm, d + SLACK if norm is Norm.L2 else d)
+    return _Flow(ls, rs, [(i, j) for cost, i, j in priced if _within(cost, d)]).saturated
 
 
 def _forced(s: Summand, norm: Norm, d: Fraction) -> bool:
@@ -402,12 +415,9 @@ def _decide_forced(left: list[Summand], right: list[Summand], norm: Norm, d: Fra
     capacities the merge would add, so the verdict is the same."""
     if d < 0:
         return False
-    groups: dict = {}
-    for side, summands in enumerate((left, right)):
-        for s in summands:
-            groups.setdefault(_bucket(s), ([], []))[side].append(s)
     return all(
-        _within(_vanishing((ls or rs)[0], norm), d) or _matched(ls, rs, norm, d) for ls, rs in groups.values()
+        _within(_vanishing((ls or rs)[0][1], norm), d) or _matched(ls, rs, norm, d)
+        for ls, rs in _groups(left, right)
     )
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, combinations, groupby, product
 from operator import mul, sub
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import _simplex
 
@@ -518,14 +518,14 @@ def homothet(p: Polytope, c, t) -> Polytope:
         raise ValueError("homothety ratio must lie in [0, 1]")
     if not contains(p, center):
         raise ValueError("homothety center must lie in the polytope")
-    return _levels(p, Polytope((center,)), ratio.denominator, (ratio.numerator,))[0]
+    return _levels(p, Polytope((center,)), ratio.denominator)[ratio.numerator]
 
 
 class _levels:
     """base scaled toward the point of tip, checked to lie in it, by i / steps
-    for each i of `ratios` (0 to steps by default): a sequence, like range,
-    whose items are built when read, so iterating yields the levels one at a
-    time and keeps none.
+    for i = 0 to steps: a sequence, like range, whose items are built when
+    read, so iterating yields the levels one at a time and keeps none, and
+    indexing builds only the level it reads.
 
     With base = V / D and tip = C / L, level i is ((steps - i) C D + i L V) /
     (steps L D), reduced by one gcd: a level is born as its least-terms
@@ -549,14 +549,14 @@ class _levels:
     nesting of each level difference is still checked by `Support`.
     """
 
-    def __init__(self, base: Polytope, tip: Polytope, steps: int, ratios: Optional[Sequence[int]] = None):
+    def __init__(self, base: Polytope, tip: Polytope, steps: int):
         den, nums = base._ints
         cden, (cnum,) = tip._ints
         self._ends = (tip, base)
         self._steps, self._den = steps, steps * cden * den
         self._fixed = [c * den for c in cnum]
         self._moved = [[cden * c for c in v] for v in nums]
-        self._ratios = range(steps + 1) if ratios is None else ratios
+        self._ratios = range(steps + 1)
         chart = self._chart = base._chart
         # per row (a, b): the scaled normal steps L a, its gcd, L b and a.C
         scale = steps * cden

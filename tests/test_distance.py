@@ -8,9 +8,21 @@ from hypothesis import given, settings, strategies as st
 
 import eulercert.distance
 import eulercert.geometry
-from eulercert.distance import MAX_UNITS, Matching, _bucket, _edge, _vanishing, bottleneck_bound, decide, pair_bound, sum_bound
+from eulercert.distance import (
+    MAX_UNITS,
+    Matching,
+    _bucket,
+    _edge,
+    _groups,
+    _priced,
+    _vanishing,
+    bottleneck_bound,
+    decide,
+    pair_bound,
+    sum_bound,
+)
 from eulercert.flags import build_flag, graded_sheaf
-from eulercert.geometry import INF, SLACK, Norm, from_vertices, norm_value, reach, translate, vsub
+from eulercert.geometry import INF, SLACK, Norm, RoundedReal, from_vertices, homothet, norm_value, reach, translate, vsub
 from eulercert.sheafsum import Summand, Support, difference, global_sections, plain, sheaf_sum
 
 from helpers import (
@@ -18,6 +30,7 @@ from helpers import (
     brute_lex_matching,
     crowded_bucket_pair,
     expand_units,
+    interior_point,
     rand_nearby_sheaf,
     rand_point,
     rand_polytope,
@@ -126,21 +139,22 @@ def test_sum_bound_translation_bound():
             assert b.value <= norm_value(v, norm).value + (0 if b.exact else SLACK)
 
 
-def test_matcher_matches_brute_force():
+@pytest.mark.parametrize("norm", list(Norm))
+def test_matcher_matches_brute_force(norm):
     rng = random.Random(64)
     pairs = []
     for _ in range(60):
-        dim = rng.choice([1, 2])
+        dim = rng.choice([1, 2, 3])
         f = rand_sheaf(rng, dim, max_summands=3, max_mult=2)
         pairs.append((f, rand_sheaf(rng, dim, max_summands=3, max_mult=2)))
     crowded = random.Random(67)
-    pairs += [crowded_bucket_pair(crowded, crowded.choice([1, 2])) for _ in range(24)]
+    pairs += [crowded_bucket_pair(crowded, crowded.choice([1, 2, 3])) for _ in range(24)]
     for f, g in pairs:
         lf, lg = expand_units(f), expand_units(g)
         if len(lf) > 6 or len(lg) > 6:
             continue
-        expect = brute_bottleneck(lf, lg)
-        got, matching = sum_bound(f, g)
+        expect = brute_bottleneck(lf, lg, norm)
+        got, matching = sum_bound(f, g, norm)
         assert got.value == expect
         assert isinstance(matching, Matching)
 
@@ -164,7 +178,7 @@ def test_infinite_bounds_meet_finite_ones_past_float_range():
     assert b == INF and m == Matching((), (0, 1), (0,))
 
 
-@pytest.mark.parametrize("norm", [Norm.L2, Norm.LINF])
+@pytest.mark.parametrize("norm", list(Norm))
 def test_matching_is_lexicographically_least(norm):
     def finite_and_checked(f, g) -> bool:
         lf, lg = expand_units(f), expand_units(g)
@@ -422,6 +436,70 @@ def test_decide_prices_o_of_k_candidate_edges(monkeypatch):
     assert elapsed < 1.0
     calls.clear()
     assert not decide(f, g, Norm.L2, F(1, 3) - F(1, 10**9))
+    assert len(calls) <= 3 * k
+
+
+def _translated_bucket_pair(rng, dim):
+    # one difference and 2 to 6 translates of it a side, spread over a few
+    # grid cells by vectors of mixed denominators
+    outer = inner = rand_polytope(rng, dim, max_vertices=4)
+    while inner == outer:
+        outer = rand_polytope(rng, dim, max_vertices=4)
+        inner = homothet(outer, interior_point(rng, outer), F(rng.randint(1, 7), 8))
+    sides = []
+    for _ in range(2):
+        moves = [rand_point(rng, dim, -3, 3, dens=(1, 3, 4, 8)) for _ in range(rng.randint(2, 6))]
+        sides.append(sheaf_sum(dim, [difference(translate(outer, v), translate(inner, v)) for v in moves]))
+    return sides
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from(list(Norm)),
+    st.sampled_from(["crowded", "translated"]),
+)
+def test_grid_prices_every_pair_within_its_side(seed, dim, norm, kind):
+    # the grid lemma, checked against a double loop that neither the bound
+    # nor the decision shares: at side 0, at each edge cost and just below
+    # it, every pair whose cost is at most the side is a priced candidate
+    rng = random.Random(seed)
+    f, g = crowded_bucket_pair(rng, dim) if kind == "crowded" else _translated_bucket_pair(rng, dim)
+    for ls, rs in _groups(f.summands, g.summands):
+        costs = {(i, j): _edge(a, b, norm).value for i, a in ls for j, b in rs}
+        sides = {F(0)} | {c - k * F(1, 10**9) for c in costs.values() for k in (0, 1)}
+        for side in sorted(x for x in sides if x >= 0):
+            priced = {(i, j) for _, i, j in _priced(ls, rs, norm, side)}
+            assert {p for p, c in costs.items() if c <= side} <= priced, side
+
+
+def test_bound_prices_o_of_k_candidate_edges(monkeypatch):
+    # k translates a side of one difference, [3i, 3i + 1] less [3i + 1/4,
+    # 3i + 3/4], the right side moved by 1/16: one bucket of vanishing bound
+    # 1/8, whose grid of side 1/4 leaves each left summand one candidate
+    k = 300
+
+    def side(move):
+        return sheaf_sum(
+            1,
+            [
+                difference(from_vertices([(3 * i + move,), (3 * i + 1 + move,)]), from_vertices([(3 * i + F(1, 4) + move,), (3 * i + F(3, 4) + move,)]))
+                for i in range(k)
+            ],
+        )
+
+    calls = []
+    real = eulercert.distance._edge
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(eulercert.distance, "_edge", spy)
+    bound, matching = sum_bound(side(0), side(F(1, 16)))
+    assert bound == RoundedReal(F(1, 16))
+    assert matching.pairs == tuple((i, i) for i in range(k))
     assert len(calls) <= 3 * k
 
 
