@@ -43,7 +43,7 @@ from .constructible import (
     normalize,
     zero_function,
 )
-from .distance import _decide_forced, _forced
+from .distance import _decide_forced, _forced_at
 from .flags import build_flag
 from .geometry import (
     Norm,
@@ -208,8 +208,8 @@ class Report:
 def _streamed(s: SheafSum, norm: Norm, d: Fraction) -> tuple[ConstructibleFunction, list[Summand]]:
     """One pass over the summands of s: its local Euler characteristic, and
     the summands that the vertex filter of `decide` leaves forced at d, which
-    alone are kept."""
-    return _scan(s, lambda sm: d >= 0 and _forced(sm, norm, d))
+    alone are kept.  The filter is built once for the pass (`_forced_at`)."""
+    return _scan(s, _forced_at(norm, d))
 
 
 def verify(cert: Certificate) -> Report:

@@ -64,6 +64,8 @@ difference that passes is unforced: its true vanishing bound is at most d,
 and a rounded L2 value exceeds its true value by less than SLACK / 2, so the
 slack rule would not force it either.  Only a difference that fails gets a
 bucket key, and each bucket of such differences one exact vanishing bound.
+`verify` builds this filter once per step (`_forced_at`), not once per
+summand.
 
 Grid lemma.  For compact A and B, and every axis k, the Hausdorff distance of
 A and B is at least |min_k A - min_k B|: if min_k A is the smaller, the point
@@ -88,7 +90,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
-from typing import Optional
+from typing import Callable, Optional
 
 from .geometry import (
     INF,
@@ -96,6 +98,7 @@ from .geometry import (
     RoundedReal,
     SLACK,
     ZERO_REAL,
+    _SIZE,
     _gap,
     directed_hausdorff,
     hausdorff,
@@ -407,6 +410,40 @@ def _forced(s: Summand, norm: Norm, d: Fraction) -> bool:
     """Whether the vertex filter leaves s forced at d >= 0: plain summands
     always, and the differences it cannot show within d."""
     return not (s.support.is_difference and _paired_within(s.support, norm, d))
+
+
+def _forced_at(norm: Norm, d: Fraction) -> Callable[[Summand], bool]:
+    """`_forced` at one bound, built once for all the summands of a step:
+    keep(s) is `_forced(s, norm, d)` when d >= 0, and False when d < 0.
+
+    d is compared with 0, 2p and q of d = p / q are bound and the norm's
+    size rule chosen once, so each difference does integer work only: with
+    equal vertex counts, each gap o Di - w Do of the pairing is compared
+    with 2 p Do Di, the first one too large keeping s; unequal counts take
+    the nearest-vertex rule of `_paired_within`.
+    """
+    if d < 0:
+        return lambda s: False
+    two_p, q = 2 * d.numerator, d.denominator
+    square = norm is Norm.L2
+    scale, size = q * q if square else q, _SIZE[norm]
+
+    def keep(s: Summand) -> bool:
+        sup = s.support
+        if sup.inner is None:
+            return True
+        (do, outer), (di, inner) = sup.outer._ints, sup.inner._ints
+        if len(outer) != len(inner):
+            return not _paired_within(sup, norm, d)
+        limit = two_p * do * di
+        if square:
+            limit *= limit
+        for o, w in zip(outer, inner):
+            if size([a * di - b * do for a, b in zip(o, w)]) * scale > limit:
+                return True
+        return False
+
+    return keep
 
 
 def _decide_forced(left: list[Summand], right: list[Summand], norm: Norm, d: Fraction) -> bool:

@@ -16,8 +16,11 @@ one at a time, each born as its integer form and the base's chart moved to it
 (`geometry._levels`), and keeps none: `verify` and `chi` hold about one level
 of a block at a time, whatever its step count.  `Flag.levels` keeps them all,
 for a caller that wants the tuple.  A block pays for its base's chart, the
-facet search of a hull, once; each level then costs its vertices, two
-products, a sum and a two-integer gcd per base row, and its nesting check.
+facet search of a hull, once.  Each level then costs one pass over its
+numerators and their gcd with its denominator, two products, a sum and a
+two-integer gcd per base row, and its nesting check (`geometry._outside`):
+a few integer products per vertex of the level below and row of its own,
+up to the first row a vertex violates.
 
 The levels of a flag that :func:`build_flag` made are nested, since its
 center lies in the convex base, but nothing here trusts that: every difference

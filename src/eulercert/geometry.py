@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache, cached_property
-from itertools import chain, combinations, groupby, product
+from functools import cache
+from itertools import chain, combinations, product
 from operator import mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import _simplex
 
@@ -150,6 +150,23 @@ def norm_value(v: Point, norm: Norm) -> RoundedReal:
 # polytopes
 
 
+class _lazy:
+    """A form computed on first read and stored in the instance's __dict__,
+    which later reads find first: `functools.cached_property` without the
+    class-wide lock it takes on every first read on Python 3.10 and 3.11.
+    Two threads may both compute a form; both compute the same value."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 class Polytope:
     """Canonical V-representation: the sorted tuple of extreme points.
 
@@ -158,27 +175,30 @@ class Polytope:
     serialized form.  Beside them a polytope caches its integer form
     (:func:`_integer_form`), which gives its equality and its hash, its
     chart, its edges and the fans of its chart faces, each computed on first
-    use.  A flag level is born as its integer form and its chart
-    (:meth:`_given`), and its Fraction vertices are built only when first
-    read.  A polytope is immutable, its forms and caches built once each.
+    use.  A hull and a flag level are born as their integer form, with the
+    chart that made or moved it (:meth:`_given`), and their Fraction
+    vertices are built only when first read.  A polytope is immutable, its
+    forms and caches built once each.
     """
 
     def __init__(self, vertices: tuple[Point, ...]):
         self.__dict__["vertices"] = vertices
 
     @classmethod
-    def _given(cls, ints: tuple, chart: "_Chart") -> "Polytope":
+    def _given(cls, ints: tuple, chart: Optional["_Chart"] = None) -> "Polytope":
         """The polytope of least-terms integer form ints, of canonical
-        vertices, whose chart is the one `_Chart(*ints)` would build."""
+        vertices, whose chart, if given, is the one `_Chart(*ints)` would
+        build, and is otherwise built on first read."""
         p = cls.__new__(cls)
         p.__dict__["_ints"] = ints
-        p.__dict__["_chart"] = chart
+        if chart is not None:
+            p.__dict__["_chart"] = chart
         return p
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a Polytope is immutable: cannot set {name!r}")
 
-    @cached_property
+    @_lazy
     def vertices(self) -> tuple[Point, ...]:
         den, nums = self._ints
         return tuple(tuple(Fraction(c, den) for c in v) for v in nums)
@@ -192,7 +212,7 @@ class Polytope:
     def __hash__(self) -> int:
         return self._hash
 
-    @cached_property
+    @_lazy
     def _hash(self) -> int:
         return hash(self._ints)
 
@@ -201,21 +221,21 @@ class Polytope:
         # off whichever form is at hand: a level builds no vertex for it
         return len(self.vertices[0] if "vertices" in self.__dict__ else self._ints[1][0])
 
-    @cached_property
+    @_lazy
     def _ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         return _integer_form(self.vertices)
 
-    @cached_property
+    @_lazy
     def _chart(self) -> "_Chart":
         return _Chart(*self._ints)
 
-    @cached_property
+    @_lazy
     def _faces(self) -> tuple:
         # (row, faces) per chart face: its ring as a point, a segment or a fan
         # of triangles, the pieces of the L2 kernel and of volume
         return tuple((row, _fan(ring)) for row, ring in self._chart.faces)
 
-    @cached_property
+    @_lazy
     def _edges(self) -> frozenset:
         # (i, j), i < j, for the vertices consecutive on a chart face's ring
         return frozenset((min(e), max(e)) for _, r in self._chart.faces for e in zip(r, r[1:] + r[:1]) if e[0] != e[1])
@@ -238,24 +258,33 @@ def _in_hull_lp(points: Sequence[Point], x: Point) -> bool:
 
 
 def from_vertices(points: Iterable) -> Polytope:
-    """Canonicalize a point list to the extreme points of its convex hull.
+    """Canonicalize a point list to the extreme points of its convex hull."""
+    return _hull(*_integer_form([as_point(p) for p in points]))
 
-    Exact integer tests decide extremeness, with no LP in any dimension: the
-    extreme points are the vertices of the boundary faces that the chart of
-    the sorted distinct points records.  When all are extreme, that polytope,
-    chart and all, is the hull.
+
+def _hull(den: int, nums: Sequence[tuple[int, ...]]) -> Polytope:
+    """The convex hull of the integer points nums / den.
+
+    Exact integer tests decide extremeness, with no LP in any dimension.
+    Sorted distinct numerators over one denominator have the order of their
+    points, and the extreme points are the vertices of the boundary faces
+    that the chart of the sorted distinct points records.  When all are
+    extreme, that form and chart are the hull's; otherwise the hull builds
+    its own chart when it is read.
     """
-    pts = [as_point(p) for p in points]
-    if not pts:
+    if not nums:
         raise ValueError("a polytope needs at least one vertex")
-    n = len(pts[0])
-    if any(len(p) != n for p in pts):
+    n = len(nums[0])
+    if any(len(v) != n for v in nums):
         raise ValueError("mixed coordinate dimensions")
     if n not in (1, 2, 3):
         raise ValueError(f"unsupported dimension {n}")
-    poly = Polytope(tuple(v for v, _ in groupby(sorted(pts))))
-    keep = sorted({i for _, ring in poly._chart.faces for i in ring})
-    return poly if len(keep) == len(poly.vertices) else Polytope(tuple(poly.vertices[i] for i in keep))
+    ints = _reduced(den, sorted(set(nums)))
+    chart = _Chart(*ints)
+    keep = sorted({i for _, ring in chart.faces for i in ring})
+    if len(keep) == len(ints[1]):
+        return Polytope._given(ints, chart)
+    return Polytope._given(_reduced(ints[0], [ints[1][i] for i in keep]))
 
 
 def translate(p: Polytope, v: Point) -> Polytope:
@@ -473,12 +502,6 @@ class _Chart:
         self.ineqs = [_scaled_row(r, den) for r in ineqs]
         self.faces = tuple(zip(self.ineqs if k == n else [None], rings))
 
-    def holds(self, num: tuple[int, ...], den: int) -> bool:
-        """Whether the point num / den lies in the polytope: a.num = b den on
-        every equality row and a.num <= b den on every inequality row."""
-        q = num + (-den,)
-        return all(not dot(r, q) for r in self.eqs) and all(dot(r, q) <= 0 for r in self.ineqs)
-
 
 def _planes(polytopes: Iterable[Polytope]) -> list[tuple[int, ...]]:
     """The distinct hyperplanes of the polytopes' chart rows, sorted.
@@ -499,15 +522,33 @@ def contains(p: Polytope, x) -> bool:
     pt = as_point(x)
     if len(pt) != p.dimension:
         raise ValueError("dimension mismatch")
-    den, (num,) = _integer_form((pt,))
-    return p._chart.holds(num, den)
+    return not _outside(Polytope((pt,)), p)
 
 
 def _outside(y: Polytope, x: Polytope) -> list[int]:
-    """The indices of the vertices of y that lie outside x."""
-    holds = x._chart.holds
+    """The indices of the vertices of y that lie outside x: the containment
+    test of every caller.
+
+    With y = V / D, a vertex v lies in x when a.v <= b D on every inequality
+    row (a, b) of x's chart, and a.v = b D, taken as a.v <= b D and -a.v <=
+    -b D, on every equality row.  Each right side is scaled by D once per
+    call, rows and vertices are padded with zeros to three coordinates so
+    one loop serves every dimension, and each vertex is tested row by row
+    up to the first row it violates.
+    """
+    ch = x._chart
     den, nums = y._ints
-    return [i for i, num in enumerate(nums) if not holds(num, den)]
+    pad = (0,) * (3 - ch.ambient)
+    rows = [(*r[:-1], *pad, r[-1] * den) for r in ch.ineqs]
+    rows += [(*(s * a for a in r[:-1]), *pad, s * r[-1] * den) for r in ch.eqs for s in (1, -1)]
+    out = []
+    for i, v in enumerate(nums):
+        p, q, t = v + pad
+        for a, b, c, rhs in rows:
+            if a * p + b * q + c * t > rhs:
+                out.append(i)
+                break
+    return out
 
 
 def homothet(p: Polytope, c, t) -> Polytope:
@@ -530,7 +571,9 @@ class _levels:
     With base = V / D and tip = C / L, level i is ((steps - i) C D + i L V) /
     (steps L D), reduced by one gcd: a level is born as its least-terms
     integer form (`Polytope._given`), since a ratio in (0, 1) keeps the
-    vertices extreme and in their order.
+    vertices extreme and in their order.  The numerators are computed in one
+    flat list, divided by their gcd with the denominator and grouped into
+    vertices, with no intermediate form.
 
     A middle level is born with its chart too, the base's chart moved by the
     level's homothety.  A point x lies in level i exactly when (steps x -
@@ -554,8 +597,10 @@ class _levels:
         cden, (cnum,) = tip._ints
         self._ends = (tip, base)
         self._steps, self._den = steps, steps * cden * den
-        self._fixed = [c * den for c in cnum]
-        self._moved = [[cden * c for c in v] for v in nums]
+        # each vertex's coordinates in one flat list, beside C D repeated per vertex
+        self._n = len(cnum)
+        self._fixed = [c * den for c in cnum] * len(nums)
+        self._moved = [cden * c for v in nums for c in v]
         self._ratios = range(steps + 1)
         chart = self._chart = base._chart
         # per row (a, b): the scaled normal steps L a, its gcd, L b and a.C
@@ -582,11 +627,14 @@ class _levels:
         if i in (0, steps):
             return self._ends[i > 0]
         j = steps - i
-        ints = _reduced(self._den, [[j * f + i * m for f, m in zip(self._fixed, v)] for v in self._moved])
+        flat = [j * f + i * m for f, m in zip(self._fixed, self._moved)]
+        g = math.gcd(self._den, *flat)
+        ints = self._den // g, tuple(zip(*[iter([c // g for c in flat])] * self._n))
         base = self._chart
         chart = _Chart.__new__(_Chart)
         chart.ambient, chart.k = base.ambient, base.k
-        chart.eqs, chart.ineqs = (_moved_rows(rows, i, j) for rows in self._rows)
+        eqs, ineqs = self._rows
+        chart.eqs, chart.ineqs = _moved_rows(eqs, i, j), _moved_rows(ineqs, i, j)
         chart.faces = tuple(zip(chart.ineqs if base.k == base.ambient else [None], self._rings))
         return Polytope._given(ints, chart)
 
@@ -602,14 +650,19 @@ def _moved_rows(rows, i: int, j: int) -> list[tuple[int, ...]]:
     return out
 
 
+#: The norm of an integer vector, squared under L2, in exact integers.
+_SIZE = {
+    Norm.L1: lambda v: sum(map(abs, v)),
+    Norm.LINF: lambda v: max(map(abs, v)),
+    Norm.L2: lambda v: sum(map(mul, v, v)),
+}
+
+
 def _gap(norm: Norm, pairs, do: int, di: int) -> int:
     """The largest norm of o di - w do over the pairs (o, w) of integer
     points, squared under L2."""
-    if norm is Norm.L1:
-        return max(sum(abs(a * di - b * do) for a, b in zip(o, w)) for o, w in pairs)
-    if norm is Norm.LINF:
-        return max(abs(a * di - b * do) for o, w in pairs for a, b in zip(o, w))
-    return max(sum((a * di - b * do) ** 2 for a, b in zip(o, w)) for o, w in pairs)
+    size = _SIZE[norm]
+    return max(size([a * di - b * do for a, b in zip(o, w)]) for o, w in pairs)
 
 
 def reach(p: Polytope, c, norm: Norm = Norm.L2) -> RoundedReal:

@@ -18,6 +18,7 @@ version 1, which records no norm.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Any, Optional
@@ -31,8 +32,8 @@ from .geometry import (
     Point,
     Polytope,
     RoundedReal,
+    _hull,
     decimal_up,
-    from_vertices,
 )
 from .sheafsum import SheafSum, Summand, Support, sheaf_sum
 
@@ -78,7 +79,9 @@ _DIGIT_RUNS = re.compile(r"[\d_]+")
 _RATIONAL = re.compile(r"(?P<num>[-+]?\d+)(?:/(?P<den>\d+))?|[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?", re.ASCII)
 
 
-def parse_rational(s: Any) -> Fraction:
+def _ratio(s: Any) -> tuple[int, int]:
+    """(p, q) with q > 0 and s = p / q, not always in lowest terms: the
+    grammar and limits of `parse_rational`."""
     text = str(s)
     # a short string without an exponent passes on one substring test
     if "e" in text.lower() or len(text) > MAX_DIGITS:
@@ -91,22 +94,33 @@ def parse_rational(s: Any) -> Fraction:
                 f"{MAX_EXPONENT_DIGITS} in its exponent: {text[:40]!r}"
             )
     match = _RATIONAL.fullmatch(text.strip())
-    try:
-        if match:  # p or p/q from its integers, with no second parse
-            return Fraction(int(match["num"]), int(match["den"] or 1)) if match["num"] else Fraction(text)
-    except ZeroDivisionError:
-        pass
+    if match:
+        if not match["num"]:  # a decimal
+            q = Fraction(text)
+            return q.numerator, q.denominator
+        den = int(match["den"] or 1)  # p or p/q from its integers, with no second parse
+        if den:
+            return int(match["num"]), den
     raise SchemaError(f"not a rational: {s!r}")
+
+
+def parse_rational(s: Any) -> Fraction:
+    return Fraction(*_ratio(s))
 
 
 def point_to_json(p: Point) -> list[str]:
     return [str(c) for c in p]
 
 
-def point_from_json(obj: Any) -> Point:
+def _ratios(obj: Any) -> list[tuple[int, int]]:
+    """The coordinates of a point, each as `_ratio` reads it."""
     if not isinstance(obj, list) or not obj:
         raise SchemaError("point must be a nonempty list of rationals")
-    return tuple(parse_rational(c) for c in obj)
+    return [_ratio(c) for c in obj]
+
+
+def point_from_json(obj: Any) -> Point:
+    return tuple(Fraction(p, q) for p, q in _ratios(obj))
 
 
 def polytope_to_json(p: Polytope, written: Optional[dict] = None) -> dict:
@@ -137,17 +151,26 @@ def polytope_from_json(obj: Any, polytopes: Optional[dict] = None) -> Polytope:
         raise SchemaError("polytope needs a nonempty vertex list")
     # a string or an object vertex would key like the list of its characters or keys
     if polytopes is None or not all(type(v) is list for v in verts):
-        return from_vertices([point_from_json(v) for v in verts])
+        return _hulled(verts)
     key = tuple(map(tuple, verts))
     try:
         hit = polytopes.get(key)
     except TypeError:  # a list or an object coordinate, which is no rational
         hit = None
     if hit is None:
-        hit = from_vertices([point_from_json(v) for v in verts])
+        hit = _hulled(verts)
         if all(type(c) is str for v in verts for c in v):
             polytopes[key] = hit
     return hit
+
+
+def _hulled(verts: list) -> Polytope:
+    """The hull of a vertex list, parsed into integers: each coordinate p / q
+    (`_ratio`) times the lcm of every q, hulled on that form (`_hull`).  No
+    Fraction is built but for a decimal coordinate."""
+    points = [_ratios(v) for v in verts]
+    den = math.lcm(*(q for point in points for _, q in point))
+    return _hull(den, [tuple(p * (den // q) for p, q in point) for point in points])
 
 
 def cf_to_json(f: ConstructibleFunction, written: Optional[dict] = None) -> dict:

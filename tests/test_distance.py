@@ -4,7 +4,7 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import eulercert.distance
 import eulercert.geometry
@@ -13,6 +13,8 @@ from eulercert.distance import (
     Matching,
     _bucket,
     _edge,
+    _forced,
+    _forced_at,
     _groups,
     _priced,
     _vanishing,
@@ -22,8 +24,25 @@ from eulercert.distance import (
     sum_bound,
 )
 from eulercert.flags import build_flag, graded_sheaf
-from eulercert.geometry import INF, SLACK, Norm, RoundedReal, from_vertices, homothet, norm_value, reach, translate, vsub
+from eulercert.geometry import (
+    INF,
+    SLACK,
+    Norm,
+    Polytope,
+    RoundedReal,
+    _gap,
+    from_vertices,
+    homothet,
+    norm_value,
+    reach,
+    sqrt_upper,
+    translate,
+    vertex_centroid,
+    vsub,
+)
 from eulercert.sheafsum import Summand, Support, difference, global_sections, plain, sheaf_sum
+
+from test_geometry import _hull_input
 
 from helpers import (
     brute_bottleneck,
@@ -525,3 +544,40 @@ def test_decide_filters_flag_level_differences(monkeypatch):
         assert not [s for s in calls if s.support.is_difference]
         assert not decide(f, point, norm, half - F(1, 10**9))
         assert [s for s in calls if s.support.is_difference]
+
+
+@settings(deadline=None, max_examples=60)
+@given(_hull_input(), st.integers(1, 5))
+@example([(F(x), F(y)) for x in (-3, 3) for y in (-4, 4)], 2)  # every vertex 5 from the center
+@example([(F(0), F(0), F(0)), (F(4), F(0), F(0)), (F(0), F(3), F(0)), (F(0), F(0), F(12))], 3)
+def test_the_per_step_filter_keeps_what_forced_keeps(pts, steps):
+    # flag level differences, whose vertex counts agree except at the tip,
+    # and differences of the base less its centroid or less the hull of the
+    # centroid and the midpoints from the first vertex to the others, whose
+    # counts may differ, at d below 0, at 0, and at, just
+    # below and just above half of each gap that the pairing of
+    # `_paired_within` reads
+    base = from_vertices(pts)
+    center = vertex_centroid(base)
+    levels = build_flag(base, center, steps).levels
+    first = base.vertices[0]
+    halfway = [tuple((s + t) / 2 for s, t in zip(first, v)) for v in base.vertices[1:]]
+    inners = [Polytope((center,)), from_vertices([center] + halfway)]
+    supports = [Support(hi, lo) for lo, hi in zip(levels, levels[1:]) if lo != hi]
+    supports += [Support(base, inner) for inner in inners if inner != base]
+    summands = [plain(base)] + [Summand(sup) for sup in supports]
+    tiny = F(1, 10**9)
+    for norm in Norm:
+        ds = {F(0)}
+        for sup in supports:
+            (do, outer), (di, inner) = sup.outer._ints, sup.inner._ints
+            pairs = zip(outer, inner) if len(outer) == len(inner) else ((o, w) for o in outer for w in inner)
+            for o, w in pairs:
+                g = _gap(norm, [(o, w)], do, di)
+                gap = sqrt_upper(F(g, (do * di) ** 2)).value if norm is Norm.L2 else F(g, do * di)
+                ds.update(gap / 2 + e for e in (-tiny, 0, tiny))
+        for d in ds:
+            keep = _forced_at(norm, d)
+            assert [keep(s) for s in summands] == [_forced(s, norm, d) for s in summands]
+        keep = _forced_at(norm, -tiny)
+        assert not any(keep(s) for s in summands)

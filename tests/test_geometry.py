@@ -186,6 +186,36 @@ def test_contains_agrees_with_the_lp(pts, data):
     assert contains(p, x) == contains_oracle(p, x)
 
 
+_MOVES = st.lists(
+    st.tuples(st.integers(0, 99), st.integers(0, 99), st.integers(0, 2), st.sampled_from([-1, 0, 1])),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(deadline=None)
+@given(_hull_input(), _MOVES, st.sampled_from([1, 2, 3, 7]))
+@example([(F(1, 2), F(-1, 3), F(2))], [(0, 0, 0, 1), (0, 0, 1, -1), (0, 0, 2, 0)], 3)  # a point
+@example([(F(0),), (F(3),)], [(0, 1, 0, 1), (0, 0, 0, -1), (1, 1, 0, 1)], 2)  # a segment in 1-D
+@example([(F(0), F(0), F(0)), (F(1), F(2), F(3))], [(0, 1, 1, 1), (1, 1, 0, 1), (0, 0, 2, -1)], 1)
+# a polygon in 3-space, whose plane is an equality row, and a full cube
+@example([(F(0), F(0), F(0)), (F(2), F(0), F(1)), (F(0), F(2), F(1)), (F(2), F(2), F(2))], [(0, 3, 2, 1), (1, 2, 0, -1)], 1)
+@example([(F(x), F(y), F(z)) for x in (0, 1) for y in (0, 1) for z in (0, 1)], [(0, 7, 0, 0), (1, 2, 2, 1), (3, 3, 1, -1)], 7)
+def test_outside_agrees_with_the_lp_vertex_by_vertex(pts, moves, scale):
+    # the midpoint of two vertices of x lies on every chart row both lie on,
+    # and a move of 1/D along an axis, D a multiple of x's denominator,
+    # takes it just off a row or just across one
+    x = from_vertices(pts)
+    verts, step = x.vertices, F(1, 2 * scale * x._ints[0])
+    points = []
+    for a, b, axis, sign in moves:
+        mid = [(s + t) / 2 for s, t in zip(verts[a % len(verts)], verts[b % len(verts)])]
+        mid[axis % x.dimension] += sign * step
+        points.append(tuple(mid))
+    for y in [Polytope((v,)) for v in points] + [from_vertices(points), x]:
+        assert geometry._outside(y, x) == [i for i, v in enumerate(y.vertices) if not contains_oracle(x, v)]
+
+
 @given(_hull_input(dims=(2, 3), full=True))
 def test_chart_planes_are_the_rational_facet_planes(pts):
     p = from_vertices(pts)

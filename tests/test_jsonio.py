@@ -5,6 +5,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from eulercert import jsonio
 from eulercert.certify import link
@@ -14,6 +15,7 @@ from eulercert.jsonio import SchemaError
 from eulercert.sheafsum import Summand
 
 from helpers import rand_cf, rand_sheaf
+from test_geometry import _hull_input
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -84,8 +86,13 @@ def test_certificate_hulls_each_distinct_vertex_list_once(monkeypatch):
     with open(os.path.join(DATA, "link2d.cert.json"), encoding="utf-8") as fh:
         blob = json.load(fh)
     hulled = []
-    real = jsonio.from_vertices
-    monkeypatch.setattr(jsonio, "from_vertices", lambda pts: hulled.append(tuple(pts)) or real(pts))
+    real = jsonio._hull
+
+    def spy(den, nums):
+        hulled.append(tuple(tuple(F(c, den) for c in v) for v in nums))
+        return real(den, nums)
+
+    monkeypatch.setattr(jsonio, "_hull", spy)
     cert = jsonio.cert_from_json(blob)
     lists = {tuple(tuple(F(c) for c in v) for v in verts) for verts in _vertex_lists(blob)}
     assert len(_vertex_lists(blob)) > len(lists)  # the fixture repeats vertex lists
@@ -112,6 +119,42 @@ def test_cert_to_json_builds_each_distinct_polytope_once():
             pending.extend(item.values() if isinstance(item, dict) else item)
     assert len(objs) == len(_polytopes(cert)) > len(set(_polytopes(cert)))
     assert len({id(o) for o in objs}) == len(set(_polytopes(cert)))
+
+
+def _spellings(c: F) -> list[str]:
+    """Strings that parse to c: lowest terms, doubled terms, and the decimal
+    and exponent forms of c when its denominator divides 10^6."""
+    p, q = c.numerator, c.denominator
+    out = [str(c), f"{2 * p}/{2 * q}"]
+    if 10**6 % q == 0:
+        m = p * (10**6 // q)
+        sign, m = "-" if m < 0 else "", abs(m)
+        out += [f"{sign}{m // 10**6}.{m % 10**6:06d}", f"{sign}{m}e-6"]
+    if not c:
+        out += ["-0", "+0/5", "0.0"]
+    return out
+
+
+def _assert_parsed_as_hulled(strings, points):
+    parsed, hulled = jsonio.polytope_from_json({"vertices": strings}), from_vertices(points)
+    assert parsed._ints == hulled._ints and parsed.vertices == hulled.vertices
+    a, b = parsed._chart, hulled._chart
+    assert (a.eqs, a.ineqs, a.faces) == (b.eqs, b.ineqs, b.faces)
+
+
+def test_a_parsed_polytope_is_the_hull_of_its_fractions():
+    # duplicates, an interior point, unreduced, signed-zero, decimal and
+    # exponent coordinates
+    strings = [["2/4", "-0"], ["0.5", "0"], ["1e-3", "1"], ["1", "1e-3"], ["1/4", "1/4"], ["-0", "0.0"]]
+    _assert_parsed_as_hulled(strings, [tuple(map(F, v)) for v in strings])
+    strings = [["0", "0", "0"], ["2", "0", "0"], ["0", "2", "0"], ["0", "0", "2"], ["1/3", "1/3", "1/3"], ["2/4", "0.5", "5e-1"]]
+    _assert_parsed_as_hulled(strings, [tuple(map(F, v)) for v in strings])
+
+
+@given(_hull_input(), st.data())
+def test_a_polytope_parsed_from_any_spelling_is_the_hull_of_its_fractions(points, data):
+    strings = [[data.draw(st.sampled_from(_spellings(c))) for c in v] for v in points]
+    _assert_parsed_as_hulled(strings, points)
 
 
 def test_vertex_lists_key_on_raw_strings_only():
