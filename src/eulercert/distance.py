@@ -64,8 +64,8 @@ difference that passes is unforced: its true vanishing bound is at most d,
 and a rounded L2 value exceeds its true value by less than SLACK / 2, so the
 slack rule would not force it either.  Only a difference that fails gets a
 bucket key, and each bucket of such differences one exact vanishing bound.
-`verify` builds this filter once per step (`_forced_at`), not once per
-summand.
+`decide` and `verify` build this filter once per bound (`_forced_at`), not
+once per summand.
 
 Grid lemma.  For compact A and B, and every axis k, the Hausdorff distance of
 A and B is at least |min_k A - min_k B|: if min_k A is the smaller, the point
@@ -380,23 +380,6 @@ def _within(x: RoundedReal, d: Fraction) -> bool:
     return x.value - (0 if x.exact else SLACK) <= d
 
 
-def _paired_within(sup: Support, norm: Norm, d: Fraction) -> bool:
-    """Whether a pairing of outer with inner vertices shows the directed
-    Hausdorff distance from outer to inner at most 2d (the vertex filter).
-
-    With outer O / Do and inner I / Di, each gap o - w is (o Di - w Do) /
-    (Do Di), so its norm is compared with 2d = 2p / q as the norm of the
-    integer vector o Di - w Do times q against 2 p Do Di.
-    """
-    (do, outer), (di, inner) = sup.outer._ints, sup.inner._ints
-    limit, q = 2 * d.numerator * do * di, d.denominator
-    if len(outer) == len(inner):
-        worst = _gap(norm, zip(outer, inner), do, di)
-    else:  # each outer vertex with its nearest inner vertex
-        worst = max(min(_gap(norm, ((o, w),), do, di) for w in inner) for o in outer)
-    return worst * q * q <= limit * limit if norm is Norm.L2 else worst * q <= limit
-
-
 def _matched(ls: list, rs: list, norm: Norm, d: Fraction) -> bool:
     """Whether every copy of a forced bucket matches along its edges within d:
     one flow over the pairs priced at side d (d + SLACK under L2)."""
@@ -406,50 +389,54 @@ def _matched(ls: list, rs: list, norm: Norm, d: Fraction) -> bool:
     return _Flow(ls, rs, [(i, j) for cost, i, j in priced if _within(cost, d)]).saturated
 
 
-def _forced(s: Summand, norm: Norm, d: Fraction) -> bool:
-    """Whether the vertex filter leaves s forced at d >= 0: plain summands
-    always, and the differences it cannot show within d."""
-    return not (s.support.is_difference and _paired_within(s.support, norm, d))
+def _paired_within(norm: Norm, d: Fraction) -> Callable[[Support], bool]:
+    """The vertex filter at one bound d >= 0: within(sup) says whether a
+    pairing of outer with inner vertices shows the directed Hausdorff
+    distance from outer to inner at most 2d.
 
-
-def _forced_at(norm: Norm, d: Fraction) -> Callable[[Summand], bool]:
-    """`_forced` at one bound, built once for all the summands of a step:
-    keep(s) is `_forced(s, norm, d)` when d >= 0, and False when d < 0.
-
-    d is compared with 0, 2p and q of d = p / q are bound and the norm's
-    size rule chosen once, so each difference does integer work only: with
-    equal vertex counts, each gap o Di - w Do of the pairing is compared
-    with 2 p Do Di, the first one too large keeping s; unequal counts take
-    the nearest-vertex rule of `_paired_within`.
+    With outer O / Do and inner I / Di, each gap o - w is (o Di - w Do) /
+    (Do Di), so its norm is compared with 2d = 2p / q as the norm of the
+    integer vector o Di - w Do times q against 2 p Do Di (all squared under
+    L2).  2p, q and the norm's size rule are bound once, so each support
+    does integer work only; with equal vertex counts the first gap too large
+    ends the test.
     """
-    if d < 0:
-        return lambda s: False
     two_p, q = 2 * d.numerator, d.denominator
     square = norm is Norm.L2
     scale, size = q * q if square else q, _SIZE[norm]
 
-    def keep(s: Summand) -> bool:
-        sup = s.support
-        if sup.inner is None:
-            return True
+    def within(sup: Support) -> bool:
         (do, outer), (di, inner) = sup.outer._ints, sup.inner._ints
-        if len(outer) != len(inner):
-            return not _paired_within(sup, norm, d)
         limit = two_p * do * di
         if square:
             limit *= limit
+        if len(outer) != len(inner):  # each outer vertex with its nearest inner vertex
+            worst = max(min(_gap(norm, ((o, w),), do, di) for w in inner) for o in outer)
+            return worst * scale <= limit
         for o, w in zip(outer, inner):
             if size([a * di - b * do for a, b in zip(o, w)]) * scale > limit:
-                return True
-        return False
+                return False
+        return True
 
-    return keep
+    return within
+
+
+def _forced_at(norm: Norm, d: Fraction) -> Callable[[Summand], bool]:
+    """The vertex filter at one bound, built once for all the summands of a
+    step: keep(s) says whether s stays forced at d, plain summands always and
+    the differences `_paired_within` cannot show within d.  No bound is
+    negative, so nothing is kept when d < 0."""
+    if d < 0:
+        return lambda s: False
+    within = _paired_within(norm, d)
+    return lambda s: s.support.inner is None or not within(s.support)
 
 
 def _decide_forced(left: list[Summand], right: list[Summand], norm: Norm, d: Fraction) -> bool:
-    """The decision of `decide` from the summands of each side that `_forced`
-    keeps at d, merged or not: equal summands left apart are flow nodes whose
-    capacities the merge would add, so the verdict is the same."""
+    """The decision of `decide` from the summands of each side that
+    `_forced_at` keeps at d, merged or not: equal summands left apart are
+    flow nodes whose capacities the merge would add, so the verdict is the
+    same."""
     if d < 0:
         return False
     return all(
@@ -472,5 +459,6 @@ def decide(f: SheafSum, g: SheafSum, norm: Norm, d) -> bool:
     if f.dimension != g.dimension:
         raise ValueError(f"right sheaf dimension {g.dimension} != left sheaf dimension {f.dimension}")
     d = Fraction(d)
-    left, right = ([s for s in h.summands if d >= 0 and _forced(s, norm, d)] for h in (f, g))
+    keep = _forced_at(norm, d)
+    left, right = ([s for s in h.summands if keep(s)] for h in (f, g))
     return _decide_forced(left, right, norm, d)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import chain, combinations, product
 from operator import mul, sub
 from typing import Iterable, Optional, Sequence
@@ -150,23 +150,6 @@ def norm_value(v: Point, norm: Norm) -> RoundedReal:
 # polytopes
 
 
-class _lazy:
-    """A form computed on first read and stored in the instance's __dict__,
-    which later reads find first: `functools.cached_property` without the
-    class-wide lock it takes on every first read on Python 3.10 and 3.11.
-    Two threads may both compute a form; both compute the same value."""
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.name = compute.__name__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
-
-
 class Polytope:
     """Canonical V-representation: the sorted tuple of extreme points.
 
@@ -198,7 +181,7 @@ class Polytope:
     def __setattr__(self, name, value):
         raise AttributeError(f"a Polytope is immutable: cannot set {name!r}")
 
-    @_lazy
+    @cached_property
     def vertices(self) -> tuple[Point, ...]:
         den, nums = self._ints
         return tuple(tuple(Fraction(c, den) for c in v) for v in nums)
@@ -212,7 +195,7 @@ class Polytope:
     def __hash__(self) -> int:
         return self._hash
 
-    @_lazy
+    @cached_property
     def _hash(self) -> int:
         return hash(self._ints)
 
@@ -221,21 +204,21 @@ class Polytope:
         # off whichever form is at hand: a level builds no vertex for it
         return len(self.vertices[0] if "vertices" in self.__dict__ else self._ints[1][0])
 
-    @_lazy
+    @cached_property
     def _ints(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         return _integer_form(self.vertices)
 
-    @_lazy
+    @cached_property
     def _chart(self) -> "_Chart":
         return _Chart(*self._ints)
 
-    @_lazy
+    @cached_property
     def _faces(self) -> tuple:
         # (row, faces) per chart face: its ring as a point, a segment or a fan
         # of triangles, the pieces of the L2 kernel and of volume
         return tuple((row, _fan(ring)) for row, ring in self._chart.faces)
 
-    @_lazy
+    @cached_property
     def _edges(self) -> frozenset:
         # (i, j), i < j, for the vertices consecutive on a chart face's ring
         return frozenset((min(e), max(e)) for _, r in self._chart.faces for e in zip(r, r[1:] + r[:1]) if e[0] != e[1])

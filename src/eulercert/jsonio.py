@@ -80,8 +80,8 @@ _RATIONAL = re.compile(r"(?P<num>[-+]?\d+)(?:/(?P<den>\d+))?|[-+]?(?:\d+\.?\d*|\
 
 
 def _ratio(s: Any) -> tuple[int, int]:
-    """(p, q) with q > 0 and s = p / q, not always in lowest terms: the
-    grammar and limits of `parse_rational`."""
+    """(p, q) in lowest terms with q > 0 and s = p / q: the grammar and
+    limits of `parse_rational`."""
     text = str(s)
     # a short string without an exponent passes on one substring test
     if "e" in text.lower() or len(text) > MAX_DIGITS:
@@ -98,9 +98,10 @@ def _ratio(s: Any) -> tuple[int, int]:
         if not match["num"]:  # a decimal
             q = Fraction(text)
             return q.numerator, q.denominator
-        den = int(match["den"] or 1)  # p or p/q from its integers, with no second parse
+        num, den = int(match["num"]), int(match["den"] or 1)  # p or p/q, with no second parse
         if den:
-            return int(match["num"]), den
+            g = math.gcd(num, den)
+            return num // g, den // g
     raise SchemaError(f"not a rational: {s!r}")
 
 

@@ -223,6 +223,28 @@ def contains_oracle(p: Polytope, x) -> bool:
     return _in_hull_lp(p.vertices, pt)
 
 
+def forced_oracle(s: Summand, norm: Norm, d: Fraction) -> bool:
+    """The vertex filter in Fractions, one summand at a time: plain summands
+    stay forced, and a difference unless pairing outer vertex i with inner
+    vertex i (equal counts) or each outer vertex with its nearest inner
+    vertex keeps every gap within 2d, compared squared under L2."""
+    if not s.support.is_difference:
+        return True
+    outer, inner = s.support.outer.vertices, s.support.inner.vertices
+
+    def size(o, w):
+        v = vsub(o, w)
+        if norm is Norm.L2:
+            return sum(x * x for x in v)
+        return sum(map(abs, v)) if norm is Norm.L1 else max(map(abs, v))
+
+    if len(outer) == len(inner):
+        worst = max(size(o, w) for o, w in zip(outer, inner))
+    else:
+        worst = max(min(size(o, w) for w in inner) for o in outer)
+    return worst > (4 * d * d if norm is Norm.L2 else 2 * d)
+
+
 def fraction_homothet(p: Polytope, center: Point, ratio: Fraction) -> Polytope:
     """p scaled toward a center in p by a ratio in [0, 1], in Fractions: the
     point fixed + ratio v for each vertex v, with fixed = (1 - ratio) center."""

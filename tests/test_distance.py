@@ -13,7 +13,6 @@ from eulercert.distance import (
     Matching,
     _bucket,
     _edge,
-    _forced,
     _forced_at,
     _groups,
     _priced,
@@ -49,6 +48,7 @@ from helpers import (
     brute_lex_matching,
     crowded_bucket_pair,
     expand_units,
+    forced_oracle,
     interior_point,
     rand_nearby_sheaf,
     rand_point,
@@ -578,6 +578,6 @@ def test_the_per_step_filter_keeps_what_forced_keeps(pts, steps):
                 ds.update(gap / 2 + e for e in (-tiny, 0, tiny))
         for d in ds:
             keep = _forced_at(norm, d)
-            assert [keep(s) for s in summands] == [_forced(s, norm, d) for s in summands]
+            assert [keep(s) for s in summands] == [forced_oracle(s, norm, d) for s in summands]
         keep = _forced_at(norm, -tiny)
         assert not any(keep(s) for s in summands)

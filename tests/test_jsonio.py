@@ -151,6 +151,14 @@ def test_a_parsed_polytope_is_the_hull_of_its_fractions():
     _assert_parsed_as_hulled(strings, [tuple(map(F, v)) for v in strings])
 
 
+def test_a_ratio_is_read_in_lowest_terms():
+    # so the parse's common denominator is the lcm of reduced denominators
+    cases = {"7/7": (1, 1), "0/13": (0, 1), "-0/5": (0, 1), "-26/13": (-2, 1), "6/4": (3, 2), "0.50": (1, 2), "3": (3, 1)}
+    assert {s: jsonio._ratio(s) for s in cases} == cases
+    strings = [["7/7", "0/13"], ["0/13", "7/7"], ["-26/13", "0/17"], ["91/91", "-39/13"]]
+    _assert_parsed_as_hulled(strings, [tuple(map(F, v)) for v in strings])
+
+
 @given(_hull_input(), st.data())
 def test_a_polytope_parsed_from_any_spelling_is_the_hull_of_its_fractions(points, data):
     strings = [[data.draw(st.sampled_from(_spellings(c))) for c in v] for v in points]
