@@ -32,11 +32,10 @@ a certificate or sheaf file stands for, those of its flag blocks included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import pairwise
 from typing import Iterator
 
-from .geometry import Point, Polytope, _levels, _outside, as_point
+from .geometry import Point, Polytope, _lazy, _levels, _outside, as_point
 from .sheafsum import SheafSum, Summand, Support, sheaf_sum
 
 #: Most steps a flag may have.  A flag's levels are built here alone, when
@@ -54,7 +53,7 @@ class Flag:
     steps: int
     tip: Polytope = field(repr=False, compare=False)  # {center}, levels[0]
 
-    @cached_property
+    @_lazy
     def levels(self) -> tuple[Polytope, ...]:
         """levels[0] = {center}, levels[steps] = base; built on first read."""
         return tuple(_levels(self.base, self.tip, self.steps))
